@@ -73,8 +73,3 @@ class Arc:
         length = (float(right) - float(left)) % 1.0
         return Arc(float(left), length)
 
-
-def arcs_intersect(a: Arc, b: Arc) -> bool:
-    """Whether two arcs share at least one point (closed overlap test)."""
-    # relative position of b.left w.r.t. a, and vice versa
-    return bool(((b.left - a.left) % 1.0) <= a.length or ((a.left - b.left) % 1.0) <= b.length)

@@ -22,9 +22,7 @@ plus irrational-rotation group ("dense"), an isometric control
 
 from __future__ import annotations
 
-import numpy as np
-
-from .maps import LiftedMap, MobiusMap, Word, make_generator, rotation
+from .maps import LiftedMap, Word, make_generator, rotation
 from .walk import StepDistribution, make_step_distribution
 
 ROOT2M1 = 0.41421356237309515    # sqrt(2) - 1, the rotation number used by "dense"

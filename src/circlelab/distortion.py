@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circle import Arc
-from .jets import compose, identity_jet
+from .jets import compose, identity_jet, log_derivative, schwarzian
 from .maps import MobiusMap, holder_seminorm, rho_lower_bound, sup_abs_L, sup_abs_S
 from .measure import GridMeasure
 from .walk import StepDistribution, WalkTrajectory
@@ -49,9 +49,7 @@ class AtomSeminorms:
 
 
 def atom_seminorms(mu: StepDistribution, tau: float = 1.0, grid_size: int = 2048) -> AtomSeminorms:
-    cache = getattr(mu, "_seminorm_cache", None)
-    if cache is None:
-        cache = mu._seminorm_cache = {}
+    cache = mu.seminorm_cache
     key = (tau, grid_size)
     if key not in cache:
         hold, supl, sups, rho, cl = [], [], [], [], []
@@ -322,8 +320,8 @@ def verify_real_distortion(
         jets = compose(step_jet, jets)
         logd += np.log(np.asarray(step_jet.d1, dtype=float))
         kap = float(np.max(logd) - np.min(logd))
-        Ln = float(np.max(np.abs(jets.d2 / jets.d1)))
-        Sn = float(np.max(np.abs(jets.d3 / jets.d1 - 1.5 * (jets.d2 / jets.d1) ** 2)))
+        Ln = float(np.max(np.abs(log_derivative(jets))))
+        Sn = float(np.max(np.abs(schwarzian(jets))))
         max_k, max_L, max_S = max(max_k, kap), max(max_L, Ln), max(max_S, Sn)
         if kap > kappa * (1 + _SLACK) + 1e-12:
             violations.append(DistortionViolation(n, "affine", kap, kappa))

@@ -19,7 +19,7 @@ from .boundary import (
     semiconjugation_map,
 )
 from .circle import Arc
-from .configs import ConfigError, build_step_distribution, builtin_config
+from .configs import ConfigError, build_step_distribution
 from .distortion import interval_mass_decay, verify_complex_distortion, verify_real_distortion, walk_constants
 from .maps import MobiusMap, Word
 from .convolve import convolve_exact
@@ -31,13 +31,12 @@ from .measure import (
     entropy_gap_report,
     estimate_stationary_measure,
     lyapunov_exponent,
-    stationarity_residual,
 )
 from .nearid import brute_force_min_c1, endgame_estimates, search_near_identity_pairs
 from .parallel import pmap
 from .reports import invariant, write_convolution_csv, write_csv, write_walk_csv
 from .schwarzian import c3_convergence_check, mobius_normalize, solve_and_reconstruct
-from .walk import make_step_distribution, sample_walk
+from .walk import sample_walk
 
 
 def _nu_csv(out_dir, nu: GridMeasure, name="nu_cdf.csv"):
@@ -147,7 +146,6 @@ def scenario_entropy_gap(cfg, seed, workers, out_dir):
 
 def scenario_boundary(cfg, seed, workers, out_dir):
     mu = build_step_distribution(cfg)
-    N = int(cfg.get("grid_size", 4096))
     nu = _shared_measure(cfg, mu, seed)
     sc = semiconjugation_map(nu, mu)
     prox = proximality_test(mu, float(cfg.get("epsilon", 1e-4)),
@@ -162,7 +160,7 @@ def scenario_boundary(cfg, seed, workers, out_dir):
     }
     # the transport defect cannot resolve below the heaviest CDF cell:
     # concentrated measures keep a mass-scale term beyond the 5/N grid term
-    defect_bound = 5.0 / N + 2.0 * nu.max_cell_mass
+    defect_bound = 5.0 / nu.N + 2.0 * nu.max_cell_mass
     invs = [invariant("equivariance_defect", bool(np.all(sc.defects <= defect_bound)),
                       defects=list(sc.defects), bound=defect_bound)]
     if "lift" in cfg:
@@ -174,7 +172,7 @@ def scenario_boundary(cfg, seed, workers, out_dir):
         # compare through the same straightened-window estimator on both
         # sides, so the finite-window bias cancels in the difference
         base_mu = build_projected_base(cfg)
-        base_nu = estimate_stationary_measure(base_mu, grid_size=N, seed=seed)
+        base_nu = estimate_stationary_measure(base_mu, grid_size=nu.N, seed=seed)
         base_quo = finite_quotient_detect(base_nu, base_mu, q_max=1)
         samples = int(cfg.get("samples", 50_000))
         h_quot, se_quot = quotient_boundary_entropy(quo, nu, mu, samples=samples, seed=seed)
@@ -198,6 +196,9 @@ def scenario_boundary(cfg, seed, workers, out_dir):
 
 def scenario_distortion(cfg, seed, workers, out_dir):
     mu = build_step_distribution(cfg)
+    h_hint = cfg.get("h_hint")
+    if "h_hint" in cfg and type(h_hint) not in (int, float):
+        raise ConfigError(f"'h_hint' must be a number, got {h_hint!r}")
     N = int(cfg.get("grid_size", 8192))
     nu = estimate_stationary_measure(mu, grid_size=N, seed=seed)
     lam_est = lyapunov_exponent(mu, nu, n_steps=int(cfg.get("lyapunov_steps", 5000)),
@@ -211,7 +212,7 @@ def scenario_distortion(cfg, seed, workers, out_dir):
     N_real = int(cfg.get("horizon_real", 200))
     N_cx = int(cfg.get("horizon_complex", 100))
     J = Arc.from_endpoints(float(nu.quantile(0.30)), float(nu.quantile(0.40)))
-    eps = default_epsilon(cfg.get("h_hint", h_nu + 0.2) if isinstance(cfg.get("h_hint"), float) else h_nu + 0.2, h_nu)
+    eps = default_epsilon(h_nu + 0.2 if h_hint is None else float(h_hint), h_nu)
 
     def one(k):
         walk = sample_walk(mu, N_real, seed, k)

@@ -67,13 +67,12 @@ def log_derivative(j: Jet3):
 def log_and_schwarzian(j: Jet3):
     """(L g, S g) read off the jet; requires d1 > 0."""
     j.require_orientation()
-    L = j.d2 / j.d1
-    S = j.d3 / j.d1 - 1.5 * L ** 2
-    return L, S
+    return log_derivative(j), schwarzian(j)
 
 
 def schwarzian(j: Jet3):
-    L = j.d2 / j.d1
+    """S g = g'''/g' - (3/2) (L g)^2 read off the jet."""
+    L = log_derivative(j)
     return j.d3 / j.d1 - 1.5 * L ** 2
 
 

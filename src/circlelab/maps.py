@@ -33,10 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
-from .circle import Arc, wrap
-from .jets import Jet3, compose, identity_jet
+from .circle import Arc
+from .jets import Jet3, compose, identity_jet, log_derivative, schwarzian
 
 _DET_TOL = 1e-12
 
@@ -164,39 +163,6 @@ class MobiusMap:
 
     def __repr__(self):
         return f"MobiusMap({self.matrix.tolist()})"
-
-
-class ProjectiveMatrixMap:
-    """Mobius action of an unnormalized matrix, evaluated scale-invariantly.
-
-    Long products of unimodular matrices lose their determinant to float
-    cancellation while remaining perfectly good projective maps; this
-    wrapper skips det normalization (rescaling by the largest entry) and
-    inverts through the adjugate, which is the inverse up to scale.
-    Values only; no jets.
-    """
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=float)
-        self.matrix = m / np.max(np.abs(m))
-
-    def apply(self, x):
-        a, b, c, d = self.matrix.ravel()
-        phi = np.pi * np.asarray(x, dtype=float)
-        cs, sn = np.cos(phi), np.sin(phi)
-        return (np.arctan2(b * cs + a * sn, d * cs + c * sn) / np.pi) % 1.0
-
-    __call__ = apply
-
-    def inverse(self) -> "ProjectiveMatrixMap":
-        a, b, c, d = self.matrix.ravel()
-        return ProjectiveMatrixMap([[d, -b], [-c, a]])
-
-
-def identity_map() -> MobiusMap:
-    return MobiusMap(np.eye(2))
 
 
 def rotation(theta: float) -> MobiusMap:
@@ -671,16 +637,13 @@ def holder_seminorm(map_like, tau: float, grid_size: int = 4096) -> float:
 def sup_abs_L(map_like, grid_size: int = 4096) -> float:
     """Grid sup of |L g| over the circle."""
     xs = np.arange(grid_size) / grid_size
-    j = eval_jet3(map_like, xs)
-    return float(np.max(np.abs(j.d2 / j.d1)))
+    return float(np.max(np.abs(log_derivative(eval_jet3(map_like, xs)))))
 
 
 def sup_abs_S(map_like, grid_size: int = 4096) -> float:
     """Grid sup of |S g| over the circle."""
     xs = np.arange(grid_size) / grid_size
-    j = eval_jet3(map_like, xs)
-    L = j.d2 / j.d1
-    return float(np.max(np.abs(j.d3 / j.d1 - 1.5 * L ** 2)))
+    return float(np.max(np.abs(schwarzian(eval_jet3(map_like, xs)))))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import Arc, unwrap_increasing
-from .convolve import ConvolutionSeries, convolve_exact
-from .maps import MobiusMap, Word
+from .convolve import convolve_exact
+from .maps import MobiusMap
 from .rng import stream
 from .walk import StepDistribution
 
@@ -127,8 +127,11 @@ class GridMeasure:
 
     def pushforward(self, map_like) -> "GridMeasure":
         """Image measure under an orientation-preserving circle map."""
-        ginv = map_like.inverse()
-        ylift = unwrap_increasing(np.asarray(ginv.apply(self.grid), dtype=float))
+        return self.pushforward_from_preimages(map_like.inverse().apply(self.grid))
+
+    def pushforward_from_preimages(self, preimages) -> "GridMeasure":
+        """Image measure under the map sending preimages[i] to grid[i]."""
+        ylift = unwrap_increasing(np.asarray(preimages, dtype=float))
         vals = self.cdf_lifted(ylift) - self.cdf_lifted(ylift[0])
         vals[0] = 0.0
         vals[-1] = 1.0
@@ -238,11 +241,7 @@ def estimate_stationary_measure(
             x = (x + counts @ angles) % 1.0
         else:
             for _ in range(mc_steps):
-                idx = mu.sample_indices(rng, mc_samples)
-                for j in range(len(mu)):
-                    sel = idx == j
-                    if np.any(sel):
-                        x[sel] = mu.atoms[j].apply(x[sel])
+                x = _apply_indexed(mu, mu.sample_indices(rng, mc_samples), x)
         nu = GridMeasure.from_samples(x, grid_size)
         nu.atom_tolerance = atom_tolerance
         iterations = mc_steps
@@ -649,30 +648,17 @@ def dirac_convergence_probe(
     """Concentration of r_n nu: per n, the median over seeded trials of the
     smallest arc carrying `quantile` of the pushed-forward mass.
 
-    r_n grows by composition on the inside, so it is maintained as an
-    exact matrix product for Mobius families (constant cost per step)
-    and as a word otherwise.
+    r_n = g_1 ... g_n grows on the inside, so its grid preimages obey
+    r_n^{-1}(grid) = g_n^{-1}(r_{n-1}^{-1}(grid)): one atom inverse per step.
     """
-    from .maps import ProjectiveMatrixMap
-
-    mats = mu.matrices()
+    inverses = [a.inverse() for a in mu.atoms]
     widths = np.zeros((trials, horizon + 1))
     for t in range(trials):
         rng = stream(seed, _TAG_DIRAC, t)
         widths[t, 0] = _smallest_arc_width(nu.cdf, nu.grid, quantile)
-        rmat = np.eye(2)
-        word_maps: list = []
+        pre = nu.grid % 1.0
         for n in range(1, horizon + 1):
-            idx = int(mu.sample_indices(rng, 1)[0])
-            if mats is not None:
-                # rescale every step: the action is scale-invariant and the
-                # raw product's determinant drowns in float cancellation
-                rmat = rmat @ mats[idx]
-                rmat = rmat / np.max(np.abs(rmat))
-                rn = ProjectiveMatrixMap(rmat)
-            else:
-                word_maps.insert(0, mu.atoms[idx])  # g_n is applied first
-                rn = Word(tuple(word_maps))
-            pushed = nu.pushforward(rn)
+            pre = inverses[int(mu.sample_indices(rng, 1)[0])].apply(pre)
+            pushed = nu.pushforward_from_preimages(pre)
             widths[t, n] = _smallest_arc_width(pushed.cdf, pushed.grid, quantile)
     return ConcentrationCurve(np.arange(horizon + 1), np.median(widths, axis=0), quantile, trials)

@@ -27,7 +27,7 @@ from scipy.optimize import brentq
 
 from .circle import Arc, circle_dist
 from .distortion import atom_seminorms
-from .jets import compose, identity_jet
+from .jets import log_derivative, schwarzian
 from .maps import LinearChart, MobiusMap, Word, eval_jet3, linearizing_chart
 from .measure import GridMeasure
 from .rng import stream
@@ -503,15 +503,11 @@ def endgame_estimates(report: NearIdentityReport, pairs: int = 100,
     hinv = h.inverse()
     jh_at = hinv.jet(np.asarray(jg.value, dtype=float))     # h^{-1}(g(x))
     jh = h.jet(np.asarray(jh_at.value, dtype=float))
-    Lg = jg.d2 / jg.d1
-    Lh = jh.d2 / jh.d1
-    Sg = jg.d3 / jg.d1 - 1.5 * Lg ** 2
-    Sh = jh.d3 / jh.d1 - 1.5 * Lh ** 2
     ratio = jg.d1 / jh.d1
-    L_pred = Lg - ratio * Lh
-    S_pred = Sg - ratio ** 2 * Sh
-    Lphi = jphi.d2 / jphi.d1
-    Sphi = jphi.d3 / jphi.d1 - 1.5 * Lphi ** 2
+    L_pred = log_derivative(jg) - ratio * log_derivative(jh)
+    S_pred = schwarzian(jg) - ratio ** 2 * schwarzian(jh)
+    Lphi = log_derivative(jphi)
+    Sphi = schwarzian(jphi)
     err = max(
         float(np.max(np.abs(Lphi - L_pred)) / max(1.0, np.max(np.abs(Lphi)))),
         float(np.max(np.abs(Sphi - S_pred)) / max(1.0, np.max(np.abs(Sphi)))),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circle import circle_dist
-from .maps import MobiusMap, Word, rho_lower_bound, sup_abs_L, sup_abs_S, holder_seminorm
+from .maps import MobiusMap, Word
 from .rng import stream
 
 _FINGERPRINT_POINTS = np.array([0.137, 0.391, 0.823])
@@ -47,28 +47,6 @@ def canonical_key(map_like, quant: float = 1e-9):
     return ("f", tuple(int(v) for v in np.round(vals / quant)))
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    """The four finite moment sums of a finitely supported step distribution."""
-
-    holder: float            # sum mu(g) |log g'|_tau
-    log_derivative: float    # sum mu(g) |L g|_inf
-    schwarzian: float        # sum mu(g) |S g|_inf
-    inverse_rho: float       # sum mu(g) / rho(g)
-    tau: float
-    grid_size: int
-
-    def as_dict(self):
-        return {
-            "holder": self.holder,
-            "log_derivative": self.log_derivative,
-            "schwarzian": self.schwarzian,
-            "inverse_rho": self.inverse_rho,
-            "tau": self.tau,
-            "grid_size": self.grid_size,
-        }
-
-
 class StepDistribution:
     """Finitely supported probability measure on a generator family."""
 
@@ -97,7 +75,8 @@ class StepDistribution:
                     raise ValueError("symmetry flag set but support is not inverse-closed with equal weights")
 
         self._cum = np.cumsum(self.probs)
-        self._moment_cache = {}
+        # per-atom seminorms by (tau, grid_size), filled by distortion.atom_seminorms
+        self.seminorm_cache = {}
 
     def __len__(self):
         return len(self.atoms)
@@ -105,19 +84,6 @@ class StepDistribution:
     def sample_indices(self, rng: np.random.Generator, size) -> np.ndarray:
         u = rng.random(size)
         return np.searchsorted(self._cum, u, side="right").clip(0, len(self.atoms) - 1)
-
-    def moment_report(self, tau: float = 1.0, grid_size: int = 2048) -> MomentReport:
-        key = (tau, grid_size)
-        if key not in self._moment_cache:
-            hold = log_m = sch = invrho = 0.0
-            for p, a in zip(self.probs, self.atoms):
-                hold += p * holder_seminorm(a, tau, grid_size)
-                log_m += p * sup_abs_L(a, grid_size)
-                sch += p * sup_abs_S(a, grid_size)
-                rho = rho_lower_bound(a)
-                invrho += 0.0 if np.isinf(rho) else p / rho
-            self._moment_cache[key] = MomentReport(hold, log_m, sch, invrho, tau, grid_size)
-        return self._moment_cache[key]
 
     def matrices(self):
         """Stacked atom matrices when the family is pure Mobius, else None."""

@@ -141,3 +141,51 @@ def test_same_seed_same_bytes(tmp_path):
     run_experiment(dict(cfg), out_dir=b)
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
     assert (a / "nu_cdf.csv").read_bytes() == (b / "nu_cdf.csv").read_bytes()
+
+
+FREE_PAIR = {
+    "generators": {"a": {"matrix": [[1, 2], [0, 1]]}, "b": {"matrix": [[1, 0], [2, 1]]}},
+    "mu": {"atoms": [["a", 0.25], ["a^-1", 0.25], ["b", 0.25], ["b^-1", 0.25]],
+           "symmetric": True},
+}
+
+
+def test_distortion_integer_h_hint_is_used(tmp_path):
+    cfg = {"scenario": "distortion", "seed": 7, "grid_size": 1024, "samples": 5_000,
+           "lyapunov_steps": 300, "n_walks": 2, "horizon_real": 30, "horizon_complex": 15,
+           "h_hint": 1, **FREE_PAIR}
+    assert run_experiment(cfg, out_dir=tmp_path / "out") == 0
+    results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
+    h_nu = results["boundary_entropy"]["value"]
+    assert results["epsilon"] == (1.0 - h_nu) / 2.0
+
+
+@pytest.mark.parametrize("value", ["0.5", True, None])
+def test_distortion_non_numeric_h_hint_exit3(tmp_path, capsys, value):
+    cfg = {"scenario": "distortion", "h_hint": value, **FREE_PAIR}
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 3
+    assert "h_hint" in capsys.readouterr().err
+
+
+def test_boundary_without_grid_size_uses_the_measure_grid(tmp_path, monkeypatch):
+    from circlelab import experiments
+
+    measures = []
+    estimate = experiments.estimate_stationary_measure
+
+    def recording(*args, **kwargs):
+        measures.append(estimate(*args, **kwargs))
+        return measures[-1]
+
+    monkeypatch.setattr(experiments, "estimate_stationary_measure", recording)
+    cfg = builtin_config("lifted-2")
+    del cfg["grid_size"]
+    cfg.update(samples=5_000, probe_horizon=3, probe_trials=1)
+    assert run_experiment(cfg, out_dir=tmp_path / "out") == 0
+    # nu and the projected base measure are both built on the default grid
+    assert [nu.N for nu in measures] == [8192, 8192]
+    invs = json.loads((tmp_path / "out" / "report.json").read_text())["invariants"]
+    bound = next(i for i in invs if i["name"] == "equivariance_defect")["detail"]["bound"]
+    assert bound == 5.0 / 8192 + 2.0 * measures[0].max_cell_mass

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from circlelab.circle import Arc
-from circlelab.maps import MobiusMap, Word, make_generator, rotation
+from circlelab.maps import LiftedMap, MobiusMap, Word, make_generator, rotation
 from circlelab.measure import (
+    _TAG_DIRAC,
+    _smallest_arc_width,
     GridMeasure,
     MeasureGapError,
     asymptotic_entropy,
@@ -15,6 +17,7 @@ from circlelab.measure import (
     rn_derivative,
     stationarity_residual,
 )
+from circlelab.rng import stream
 from circlelab.walk import make_step_distribution
 
 GOLDEN = 0.6180339887498949
@@ -252,3 +255,34 @@ def test_dirac_probe_sanov_contracts(sanov_mu):
     nu = estimate_stationary_measure(sanov_mu, grid_size=2048, seed=3)
     curve = dirac_convergence_probe(sanov_mu, nu, horizon=30, trials=6, seed=2)
     assert curve.median_width[-1] <= 1e-3
+
+
+def probe_by_words(mu, nu, horizon, trials, quantile=0.99, seed=0):
+    """Reference probe: rebuild the word r_n = g_1 ... g_n every step and
+    push nu forward through it."""
+    widths = np.zeros((trials, horizon + 1))
+    for t in range(trials):
+        rng = stream(seed, _TAG_DIRAC, t)
+        widths[t, 0] = _smallest_arc_width(nu.cdf, nu.grid, quantile)
+        word_maps = []
+        for n in range(1, horizon + 1):
+            word_maps.insert(0, mu.atoms[int(mu.sample_indices(rng, 1)[0])])  # g_n acts first
+            pushed = nu.pushforward(Word(tuple(word_maps)))
+            widths[t, n] = _smallest_arc_width(pushed.cdf, pushed.grid, quantile)
+    return np.median(widths, axis=0)
+
+
+def test_dirac_probe_matches_word_reference_lifted(sanov_atoms):
+    ups = [LiftedMap(sanov_atoms[i], 2, 0) for i in (0, 2)]
+    mu = make_step_distribution([ups[0], ups[0].inverse(), ups[1], ups[1].inverse()],
+                                [0.25] * 4, symmetric=True)
+    nu = estimate_stationary_measure(mu, grid_size=1024, seed=4)
+    curve = dirac_convergence_probe(mu, nu, horizon=10, trials=3, seed=5)
+    assert np.array_equal(curve.median_width, probe_by_words(mu, nu, 10, 3, seed=5))
+
+
+def test_dirac_probe_matches_word_reference_mobius(sanov_mu):
+    nu = estimate_stationary_measure(sanov_mu, grid_size=1024, seed=3)
+    curve = dirac_convergence_probe(sanov_mu, nu, horizon=12, trials=3, seed=2)
+    ref = probe_by_words(sanov_mu, nu, 12, 3, seed=2)
+    assert np.max(np.abs(curve.median_width - ref)) <= 1e-12

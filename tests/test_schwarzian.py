@@ -6,6 +6,7 @@ from circlelab.maps import MobiusMap, TrigConjugacy, Word, rotation
 from circlelab.schwarzian import (
     LineMobius,
     ProjectiveBlowupError,
+    _rk4_branch,
     c3_convergence_check,
     mobius_normalize,
     solve_and_reconstruct,
@@ -120,7 +121,7 @@ def test_ode_blowup_detected():
                               (-1.0, 1.0), 1e-3)
 
 
-def test_ode_wronskian_conserved():
+def random_trig_S():
     rng = np.random.default_rng(3)
     coef = rng.standard_normal(4) * 0.3
 
@@ -128,8 +129,47 @@ def test_ode_wronskian_conserved():
         y = np.asarray(y, dtype=float)
         return coef[0] + coef[1] * np.sin(3 * y) + coef[2] * y + coef[3] * np.cos(2 * y)
 
-    sol = solve_and_reconstruct(S, (-0.8, 0.9), 1e-3)
+    return S
+
+
+def test_ode_wronskian_conserved():
+    sol = solve_and_reconstruct(random_trig_S(), (-0.8, 0.9), 1e-3)
     assert sol.wronskian_drift <= 1e-8
+
+
+def rk4_scalar_reference(S, y_end, n):
+    """Reference RK4 loop calling S at every stage, one point at a time."""
+    h = y_end / n
+    ys = np.zeros(n + 1)
+    states = np.zeros((n + 1, 4))
+    states[0] = (0.0, 1.0, 1.0, 0.0)
+
+    def f(y, s):
+        u, up, v, vp = s
+        c = -0.5 * S(y)
+        return np.array([up, c * u, vp, c * v])
+
+    y = 0.0
+    s = states[0]
+    for i in range(1, n + 1):
+        k1 = f(y, s)
+        k2 = f(y + h / 2, s + h / 2 * k1)
+        k3 = f(y + h / 2, s + h / 2 * k2)
+        k4 = f(y + h, s + h * k3)
+        s = s + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        y += h
+        ys[i] = y
+        states[i] = s
+    return ys, states
+
+
+@pytest.mark.parametrize("y_end, n", [(0.9, 901), (-0.8, 800), (0.9, 1802)])
+def test_rk4_vectorized_S_matches_scalar_loop(y_end, n):
+    S = random_trig_S()
+    ys, states = _rk4_branch(S, y_end, n)
+    ys_ref, states_ref = rk4_scalar_reference(S, y_end, n)
+    assert np.array_equal(ys, ys_ref)
+    assert np.array_equal(states, states_ref)
 
 
 # -- convergence verdict -------------------------------------------------------------
