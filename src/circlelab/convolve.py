@@ -1,13 +1,15 @@
 """Exact convolution powers mu^{*n} on canonical group elements.
 
 Group elements are keyed by their sign-normalized matrix (projective
-sign quotient).  For integer unimodular generator families the keys are
-exact 64-bit integers and the convolution is an exact computation; for
-bounded real families an explicitly opt-in quantized mode rounds matrix
-entries to a fixed resolution.  The support is held in numpy arrays and
-each convolution step is a vectorized multiply / sort / segment-sum, so
-horizons around n = 14 on four-atom free families (supports of several
-million reduced words) stay within seconds and a couple of GB.
+sign quotient), packed into two int64 arrays (hi, lo).  For integer
+unimodular generator families the keys are exact and are the whole
+state (each step unpacks the matrices from them); for bounded real
+families an explicitly opt-in quantized mode rounds matrix entries to a
+fixed resolution and also keeps the float matrices.  Each convolution
+step is a vectorized multiply / sort / segment-sum that leaves the keys
+sorted and unique, so the last step's arrays are the table; horizons
+around n = 14 on four-atom free families (supports of several million
+reduced words) stay within seconds and a couple of GB.
 
 Alongside the matrix key the table tracks one freely reduced
 representative word per element (letters are atom indices; appending an
@@ -34,24 +36,36 @@ class ConvolutionBudgetError(RuntimeError):
         self.feasible_n = feasible_n
 
 
-def _sign_normalize_int(mats: np.ndarray) -> np.ndarray:
-    """Flip signs so the first nonzero entry of (a, b, c, d) is positive."""
-    flat = mats.reshape(-1, 4)
-    lead = np.where(flat[:, 0] != 0, flat[:, 0],
-                    np.where(flat[:, 1] != 0, flat[:, 1],
-                             np.where(flat[:, 2] != 0, flat[:, 2], flat[:, 3])))
-    return mats * np.where(lead < 0, -1, 1)[:, None, None]
-
-
 def _pack(mats: np.ndarray):
     """Pack sign-normalized int64 matrices into lexicographic (hi, lo) keys."""
     flat = mats.reshape(-1, 4)
-    if np.max(np.abs(flat)) > _ENTRY_LIMIT:
+    # max/min rather than abs: abs(int64 min), the cast of an out-of-range float, stays negative
+    if flat.max() > _ENTRY_LIMIT or flat.min() < -_ENTRY_LIMIT:
         raise OverflowError("matrix entries exceed the packable range")
     a, b, c, d = (flat[:, k] + _OFF for k in range(4))
     hi = (a << np.int64(32)) | b
     lo = (c << np.int64(32)) | d
     return hi, lo
+
+
+def _unpack(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """The int64 matrices whose keys are (hi, lo); the inverse of `_pack`."""
+    mask = (np.int64(1) << np.int64(32)) - 1
+    flat = np.stack([hi >> np.int64(32), hi & mask, lo >> np.int64(32), lo & mask], axis=-1)
+    return (flat - _OFF).reshape(-1, 2, 2)
+
+
+def _keys(mats: np.ndarray, quant: float | None):
+    """Sign-normalized packed keys of stacked matrices; real entries round in units of quant (or 1)."""
+    if quant is not None:
+        mats = mats / quant
+    if mats.dtype != np.int64:
+        mats = np.round(mats).astype(np.int64)
+    flat = mats.reshape(-1, 4)
+    lead = np.where(flat[:, 0] != 0, flat[:, 0],
+                    np.where(flat[:, 1] != 0, flat[:, 1],
+                             np.where(flat[:, 2] != 0, flat[:, 2], flat[:, 3])))
+    return _pack(mats * np.where(lead < 0, -1, 1)[:, None, None])
 
 
 def _integer_matrices(mu: StepDistribution) -> np.ndarray:
@@ -66,7 +80,7 @@ def _integer_matrices(mu: StepDistribution) -> np.ndarray:
 
 @dataclass
 class ConvolutionTable:
-    """The measure mu^{*n}: packed element keys, masses, representative words."""
+    """The measure mu^{*n}: packed keys (sorted by (hi, lo), unique), masses, representative words."""
 
     n: int
     hi: np.ndarray
@@ -89,13 +103,7 @@ class ConvolutionTable:
         Integer tables take integer matrices; quantized tables accept the
         real matrix and apply the table's own key resolution.
         """
-        m = np.asarray(matrix, dtype=float).reshape(1, 2, 2)
-        if self.quant is not None:
-            m = np.round(m / self.quant).astype(np.int64)
-        else:
-            m = np.round(m).astype(np.int64)
-        m = _sign_normalize_int(m)
-        hi, lo = _pack(m)
+        hi, lo = _keys(np.asarray(matrix).reshape(1, 2, 2), self.quant)
         left = np.searchsorted(self.hi, hi[0], side="left")
         right = np.searchsorted(self.hi, hi[0], side="right")
         if left == right:
@@ -149,20 +157,19 @@ def convolve_exact(mu: StepDistribution, n: int, max_support: int = 40_000_000,
     if n < 0:
         raise ValueError("horizon must be >= 0")
     if quantized:
-        mats = mu.matrices()
-        if mats is None:
+        atoms = mu.matrices()
+        if atoms is None:
             raise ValueError("convolution requires a matrix generator family")
-        atom_int = None
     else:
-        atom_int = _integer_matrices(mu)
-        mats = atom_int.astype(float)
+        atoms = _integer_matrices(mu)
+        quant = None
 
     n_atoms = len(mu)
     inv_letter = mu.inverse_index  # -1 when the inverse is not an atom
 
-    # state: element matrices (exact ints or floats), masses, words
-    cur_f = np.eye(2)[None, :, :].copy()
-    cur_i = np.eye(2, dtype=np.int64)[None, :, :].copy()
+    # state: sorted unique keys, masses, words (and float matrices when quantized)
+    cur_f = np.eye(2)[None, :, :]
+    hi, lo = _keys(cur_f, quant)
     masses = np.array([1.0])
     width = max(n, 1)
     words = np.zeros((1, width), dtype=np.uint8)
@@ -178,31 +185,27 @@ def convolve_exact(mu: StepDistribution, n: int, max_support: int = 40_000_000,
                 step - 1,
                 f"support would exceed budget at n={step}; largest feasible horizon is {step - 1}",
             )
+        cur = cur_f if quantized else _unpack(hi, lo)
         cand_mass = []
         cand_hi = []
         cand_lo = []
         cand_words = []
         cand_lens = []
-        cand_mats_i = []
         cand_mats_f = []
         for j in range(n_atoms):
+            prod = cur @ atoms[j]
+            try:
+                hi_j, lo_j = _keys(prod, quant)
+            except OverflowError:
+                raise ConvolutionBudgetError(
+                    step - 1,
+                    f"matrix entries overflow the packed keys at n={step}; "
+                    f"largest feasible horizon is {step - 1}",
+                ) from None
+            cand_hi.append(hi_j)
+            cand_lo.append(lo_j)
             if quantized:
-                prod = cur_f @ mats[j]
-                key_int = _sign_normalize_int(np.round(prod / quant).astype(np.int64))
                 cand_mats_f.append(prod)
-            else:
-                prod = cur_i @ atom_int[j]
-                if np.max(np.abs(prod)) > _ENTRY_LIMIT:
-                    raise ConvolutionBudgetError(
-                        step - 1,
-                        f"integer entries overflow the packed keys at n={step}; "
-                        f"largest feasible horizon is {step - 1}",
-                    )
-                key_int = _sign_normalize_int(prod)
-                cand_mats_i.append(key_int)
-            hi, lo = _pack(key_int)
-            cand_hi.append(hi)
-            cand_lo.append(lo)
             cand_mass.append(masses * mu.probs[j])
             w = words.copy()
             ln = lengths.copy()
@@ -234,23 +237,16 @@ def convolve_exact(mu: StepDistribution, n: int, max_support: int = 40_000_000,
         new_group[0] = True
         new_group[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
         starts = np.nonzero(new_group)[0]
+        hi = hi[starts]
+        lo = lo[starts]
         masses = np.add.reduceat(mass, starts)
         words = wds[starts]
         lengths = lns[starts]
         if quantized:
-            cur_f = np.concatenate(cand_mats_f)[order][starts]
-        else:
-            cur_i = np.concatenate(cand_mats_i)[order][starts]
+            cur_f = np.concatenate(cand_mats_f)[order[starts]]
 
         entropies.append(entropy_of(masses))
         support_sizes.append(len(masses))
 
-    if quantized:
-        key_int = _sign_normalize_int(np.round(cur_f / quant).astype(np.int64))
-    else:
-        key_int = cur_i
-    hi, lo = _pack(key_int)
-    order = np.lexsort((lo, hi))
-    table = ConvolutionTable(n, hi[order], lo[order], masses[order], words[order], lengths[order],
-                             quant if quantized else None)
+    table = ConvolutionTable(n, hi, lo, masses, words, lengths, quant)
     return ConvolutionSeries(n, np.array(entropies), np.array(support_sizes), table, quantized)

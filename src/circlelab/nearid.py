@@ -322,7 +322,7 @@ def search_near_identity_pairs(
         kap_g = chart_distortion(g_word, chart, -eta, eta, grid_size)
         kap_h = chart_distortion(h_word, chart, -eta, eta, grid_size)
         phi = Word(g_word.factors + h_word.inverse().factors)   # h^{-1} o g
-        half = Arc.from_endpoints(float(chart.from_chart(-eta / 2)), float(chart.from_chart(eta / 2)))
+        half = chart.chart_arc(eta / 2)
         cks = tuple(ck_distance_to_identity(phi, half, k) for k in (1, 2, 3))
         c_m = float(np.exp(-2.0 * kappa_m - 1.0 / m) * (1.0 - alpha ** m))
         reports.append(NearIdentityReport(

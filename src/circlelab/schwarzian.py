@@ -206,9 +206,6 @@ class ODESolution:
     def k(self) -> np.ndarray:
         return self.u / self.v
 
-    def k_at(self, y):
-        return np.interp(np.asarray(y, dtype=float), self.ys, self.k)
-
     @property
     def sup_vp(self) -> float:
         return float(np.max(np.abs(self.vp)))

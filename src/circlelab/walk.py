@@ -9,7 +9,7 @@ l_n = g_n ... g_1 (new letters act last).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,19 +107,14 @@ def make_step_distribution(atoms, probs, symmetric: bool = False, names=None) ->
 
 @dataclass
 class WalkTrajectory:
-    """A seeded walk: atom indices plus lazily built prefix compositions."""
+    """A seeded walk: the atom indices of its steps, composed on demand as words."""
 
     distribution: StepDistribution
     seed: int
     steps: np.ndarray
-    _l_mats: np.ndarray | None = field(default=None, repr=False)
-    _r_mats: np.ndarray | None = field(default=None, repr=False)
 
     def __len__(self):
         return len(self.steps)
-
-    def atom(self, i: int):
-        return self.distribution.atoms[self.steps[i]]
 
     def l_word(self, n: int | None = None) -> Word:
         """l_n = g_n ... g_1 (g_1 applied first)."""
@@ -130,24 +125,6 @@ class WalkTrajectory:
         """r_n = g_1 ... g_n (g_n applied first)."""
         n = len(self.steps) if n is None else n
         return Word(tuple(self.distribution.atoms[k] for k in self.steps[:n][::-1]))
-
-    def prefix_matrices(self, order: str = "l") -> np.ndarray:
-        """Stacked prefix products; index k holds l_k (or r_k), k = 0..n."""
-        cached = self._l_mats if order == "l" else self._r_mats
-        if cached is not None:
-            return cached
-        mats = self.distribution.matrices()
-        if mats is None:
-            raise ValueError("prefix matrices require a pure Mobius family")
-        out = np.empty((len(self.steps) + 1, 2, 2))
-        out[0] = np.eye(2)
-        for k, s in enumerate(self.steps):
-            out[k + 1] = mats[s] @ out[k] if order == "l" else out[k] @ mats[s]
-        if order == "l":
-            self._l_mats = out
-        else:
-            self._r_mats = out
-        return out
 
 
 def sample_walk(mu: StepDistribution, n: int, seed: int, *path: int) -> WalkTrajectory:

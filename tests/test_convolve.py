@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from circlelab.convolve import (
+    _ENTRY_LIMIT,
     ConvolutionBudgetError,
+    _pack,
+    _unpack,
     convolve_exact,
     entropy_of,
 )
@@ -148,3 +151,55 @@ def test_unit_mass_deterministic_walk():
     s = convolve_exact(mu, 6)
     assert np.allclose(s.entropies, 0.0)
     assert all(v == 1 for v in s.support_sizes)
+
+
+def rotation_pair():
+    th = 0.6180339887498949
+    return make_step_distribution([rotation(th), rotation(-th)], [0.5, 0.5], symmetric=True)
+
+
+def test_quantized_identity_mass_at_horizon_zero():
+    # the quantized identity is keyed as round(I / quant), not as I
+    s = convolve_exact(rotation_pair(), 0, quantized=True)
+    assert s.table.mass_of_matrix(np.eye(2)) == 1.0
+
+
+@pytest.mark.parametrize("quantized", [False, True])
+def test_table_keys_sorted_and_each_element_finds_its_mass(sanov_mu, quantized):
+    mu, n = (rotation_pair(), 10) if quantized else (sanov_mu, 8)
+    t = convolve_exact(mu, n, quantized=quantized).table
+    assert np.all((t.hi[1:] > t.hi[:-1]) | ((t.hi[1:] == t.hi[:-1]) & (t.lo[1:] > t.lo[:-1])))
+    mats = _unpack(t.hi, t.lo)
+    if quantized:
+        mats = mats * t.quant
+    found = np.array([t.mass_of_matrix(m) for m in mats])
+    assert np.array_equal(found, t.masses)
+
+
+def test_unpack_inverts_pack():
+    lim = _ENTRY_LIMIT
+    m = np.array([[[lim, -lim], [-lim, lim]],
+                  [[-lim, lim], [0, 1]],
+                  [[0, 0], [0, 0]],
+                  [[0, -1], [1, 0]],
+                  [[0, 0], [-lim, 7]]], dtype=np.int64)
+    assert np.array_equal(_unpack(*_pack(m)), m)
+    with pytest.raises(OverflowError):
+        _pack(m + 1)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+@pytest.mark.parametrize("atoms, quantized, feasible", [
+    # quantized entries 3^n / quant leave the packable range at n = 3
+    ([MobiusMap([[3, 0], [0, 1 / 3]])], True, 2),
+    # integer entries reach 1024^3 = 2^30 at n = 3
+    ([MobiusMap([[1, 1024], [0, 1]]), MobiusMap([[1, 0], [1024, 1]])], False, 2),
+    # 1e11 / quant does not fit in int64 at all; its cast must not slip past the check
+    ([MobiusMap([[1e11, 0], [0, 1e-11]])], True, 0),
+], ids=["quantized", "integer", "quantized-beyond-int64"])
+def test_overflow_of_packed_keys_is_a_budget_error(atoms, quantized, feasible):
+    atoms = [g for a in atoms for g in (a, a.inverse())]
+    mu = make_step_distribution(atoms, [1.0] * len(atoms), symmetric=True)
+    with pytest.raises(ConvolutionBudgetError) as ei:
+        convolve_exact(mu, 5, quantized=quantized)
+    assert ei.value.feasible_n == feasible

@@ -77,9 +77,14 @@ def test_atom_frequencies_binomial(sanov_mu):
 
 
 def test_prefix_caches_match_recomposition(sanov_mu):
+    # reference prefix products l_k = g_k ... g_1 and r_k = g_1 ... g_k from the atom matrices
     w = sample_walk(sanov_mu, 12, seed=5)
-    lm = w.prefix_matrices("l")
-    rm = w.prefix_matrices("r")
+    mats = sanov_mu.matrices()
+    lm = [np.eye(2)]
+    rm = [np.eye(2)]
+    for s in w.steps:
+        lm.append(mats[s] @ lm[-1])
+        rm.append(rm[-1] @ mats[s])
     xs = np.array([0.21, 0.55, 0.83])
     for n in (0, 3, 7, 12):
         assert np.allclose(MobiusMap(lm[n]).apply(xs), w.l_word(n).apply(xs), atol=1e-12)
