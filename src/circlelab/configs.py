@@ -67,18 +67,36 @@ def _parse_word(token: str, gens: dict):
     return maps[0] if len(maps) == 1 else Word(tuple(maps))
 
 
+def _weighted_rows(spec, key: str):
+    """The checked [word, weight] rows of the config list `key`."""
+    if not isinstance(spec, list):
+        raise ConfigError(f"'{key}' must be a list of [word, weight] rows")
+    for row in spec:
+        if not (isinstance(row, (list, tuple)) and len(row) == 2 and isinstance(row[0], str)):
+            raise ConfigError(f"each {key} entry must be [word, weight], got {row!r}")
+        try:
+            weight = float(row[1])
+        except (TypeError, ValueError):
+            raise ConfigError(f"{key}: weight of '{row[0]}' must be a number, got {row[1]!r}") from None
+        yield row[0], weight
+
+
+def _rotation_angle(word: str) -> float:
+    try:
+        return float(word[len("rotation:"):])
+    except ValueError:
+        raise ConfigError(f"extra_atoms: bad rotation angle in '{word}'") from None
+
+
+def _mu_atoms(cfg: dict, gens: dict):
+    """Atoms, weights and words of the mu.atoms rows."""
+    rows = list(_weighted_rows(_require(_require(cfg, "mu"), "atoms", "mu"), "mu.atoms"))
+    return [_parse_word(w, gens) for w, _ in rows], [p for _, p in rows], [w for w, _ in rows]
+
+
 def build_step_distribution(cfg: dict) -> StepDistribution:
     gens = build_generators(cfg)
-    mu_spec = _require(cfg, "mu")
-    atoms_spec = _require(mu_spec, "atoms", "mu")
-    atoms, probs, names = [], [], []
-    for row in atoms_spec:
-        if len(row) != 2:
-            raise ConfigError("each mu.atoms entry must be [word, weight]")
-        word, weight = row
-        atoms.append(_parse_word(word, gens))
-        probs.append(float(weight))
-        names.append(word)
+    atoms, probs, names = _mu_atoms(cfg, gens)
     lift = cfg.get("lift")
     if lift:
         k = int(_require(lift, "degree", "lift"))
@@ -94,19 +112,16 @@ def build_step_distribution(cfg: dict) -> StepDistribution:
             else:
                 lifted.append(LiftedMap(a, k, 0))
         atoms = lifted
-    extra = cfg.get("extra_atoms", [])
-    for row in extra:
-        word, weight = row
+    for word, weight in _weighted_rows(cfg.get("extra_atoms", []), "extra_atoms"):
         if word.startswith("rotation:"):
-            th = float(word.split(":")[1])
-            atoms.append(rotation(th))
+            atoms.append(rotation(_rotation_angle(word)))
         else:
-            atoms.append(_parse_word(word, build_generators(cfg)))
-        probs.append(float(weight))
+            atoms.append(_parse_word(word, gens))
+        probs.append(weight)
         names.append(word)
     try:
         return make_step_distribution(atoms, probs,
-                                      symmetric=bool(mu_spec.get("symmetric", False)),
+                                      symmetric=bool(cfg["mu"].get("symmetric", False)),
                                       names=names)
     except ValueError as exc:
         raise ConfigError(f"mu: {exc}") from exc
@@ -221,22 +236,16 @@ def build_projected_base(cfg: dict) -> StepDistribution:
     """
     lift = _require(cfg, "lift")
     k = int(_require(lift, "degree", "lift"))
-    gens = build_generators(cfg)
-    mu_spec = _require(cfg, "mu")
-    atoms, probs, names = [], [], []
-    for word, weight in _require(mu_spec, "atoms", "mu"):
-        atoms.append(_parse_word(word, gens))
-        probs.append(float(weight))
-        names.append(word)
-    for word, weight in cfg.get("extra_atoms", []):
+    atoms, probs, names = _mu_atoms(cfg, build_generators(cfg))
+    for word, weight in _weighted_rows(cfg.get("extra_atoms", []), "extra_atoms"):
         if not word.startswith("rotation:"):
             raise ConfigError("extra_atoms in lifted configs must be rotations")
-        th = float(word.split(":")[1])
-        atoms.append(rotation((k * th) % 1.0))
-        probs.append(float(weight))
-        names.append(f"rotation:{(k * th) % 1.0}")
+        th = (k * _rotation_angle(word)) % 1.0
+        atoms.append(rotation(th))
+        probs.append(weight)
+        names.append(f"rotation:{th}")
     return make_step_distribution(atoms, probs,
-                                  symmetric=bool(mu_spec.get("symmetric", False)),
+                                  symmetric=bool(cfg["mu"].get("symmetric", False)),
                                   names=names)
 
 

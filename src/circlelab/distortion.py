@@ -10,6 +10,10 @@ constants below quantify how well the compositions behave near a point:
                  resp. sum_n |S g_{n+1}|_inf e^{n lam}        (Schwarzian)
     C5         = inf_n rho(g_n) e^{-(n-1) lam / 2}            (analytic width)
 
+C1..C4 are defined once, by `prefix_scan` over a batch of walks:
+`walk_constants` and `interval_mass_decay` scan one walk, the
+near-identity search scans its whole sample.
+
 Sums and infima over an infinite future are truncated at the walk
 horizon with explicit geometric tail bounds attached (ratios
 e^{lam tau/2}, e^{lam/2}, e^{lam}).  From these, closed-form radii
@@ -25,14 +29,14 @@ were computed over at least the verification horizon).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circle import Arc
 from .jets import compose, identity_jet, log_derivative, schwarzian
-from .maps import MobiusMap, holder_seminorm, rho_lower_bound, sup_abs_L, sup_abs_S
-from .measure import GridMeasure
+from .maps import MobiusMap, holder_seminorm, mobius_value_logd, rho_lower_bound, sup_abs_L, sup_abs_S
+from .measure import GridMeasure, _apply_indexed
 from .walk import StepDistribution, WalkTrajectory
 
 
@@ -78,53 +82,92 @@ def _complex_L_sup(atom, rho: float) -> float:
     return float(np.max(np.abs(atom.clog_derivative(z))))
 
 
-class _ArcTracker:
-    """Image of an arc along a walk, with a log-length fallback.
+_TINY_ARC = 1e-9
 
-    Once the image is shorter than ~1e-9 the two endpoints are no longer
-    float-distinguishable; from there the arc is tracked as (midpoint,
-    log length), growing the length by the midpoint derivative (the
-    curvature correction is O(|L g| * length), far below float noise).
-    nu-masses are evaluated against the local CDF density in the same
-    log domain, so deep-contracted windows keep honest positive masses.
+
+@dataclass(frozen=True)
+class PrefixScan:
+    """Prefix data of l_k = g_k ... g_1, k = 0..n, along each row of a step
+    array.  Every value of a row is computed from that row alone, so it
+    does not depend on the batch the row was scanned in.
     """
 
-    _SWITCH = 1e-9
+    steps: np.ndarray        # (batch, n) atom indices
+    pos: np.ndarray          # l_n(x), shape (batch,)
+    logd: np.ndarray         # log l_k'(x), shape (batch, n + 1)
+    log_mass: np.ndarray     # log nu(l_k J), shape (batch, n + 1); -inf on an empty window
 
-    def __init__(self, arc: Arc):
-        self.lo = float(arc.left)
-        self.hi = float(arc.right)
-        self.mid = float(arc.midpoint)
-        self.log_len = float(np.log(arc.length))
-        self.tiny = False
+    def c1_terms(self, h_nu: float, eps: float) -> np.ndarray:
+        """log nu(l_k J) + (h_nu + eps) k; log C1 is their row minimum."""
+        return self.log_mass + (h_nu + eps) * np.arange(self.log_mass.shape[1])
 
-    def step(self, atom):
-        if not self.tiny:
-            self.lo = float(np.asarray(atom.apply(self.lo)))
-            self.hi = float(np.asarray(atom.apply(self.hi)))
-            length = (self.hi - self.lo) % 1.0
-            self.mid = (self.lo + 0.5 * length) % 1.0
-            if length < self._SWITCH:
-                self.tiny = True
-                self.log_len = float(np.log(max(length, 1e-300)))
-            else:
-                self.log_len = float(np.log(length))
-        else:
-            j = atom.jet(self.mid)
-            self.mid = float(np.asarray(j.value))
-            self.log_len += float(np.log(np.asarray(j.d1)))
+    def c2(self, lam: float) -> np.ndarray:
+        """Smallest C with e^{3 k lam/2}/C <= l_k'(x) <= C e^{k lam/2} for k <= n."""
+        k = np.arange(self.logd.shape[1])
+        upper = np.max(np.exp(self.logd - k * lam / 2.0), axis=1)
+        lower = np.max(np.exp(3.0 * k * lam / 2.0 - self.logd), axis=1)
+        return np.maximum(upper, lower)
 
-    def log_mass(self, nu: GridMeasure) -> float:
-        """log nu(image arc); -inf when the window carries no mass."""
-        if not self.tiny:
-            m = float(nu.interval_mass(self.lo, self.hi))
-            if m > 0.0:
-                return float(np.log(m))
-            # endpoints inside one flat or under-resolved cell: fall through
-        dens = nu.cell_density(self.mid)
-        if dens <= 0.0:
-            return -np.inf
-        return self.log_len + float(np.log(dens))
+    def step_sum(self, weights: np.ndarray, rate: float) -> np.ndarray:
+        """sum_{k<n} weights[g_{k+1}] e^{rate k}, added in step order: C3 from
+        the Holder seminorms at rate lam tau/2, C4 from sup |L| at lam/2 or
+        sup |S| at lam, the complex C3 from sup |L| on annuli at lam/2."""
+        terms = weights[self.steps]
+        terms *= np.exp(rate * np.arange(self.steps.shape[1]))
+        return np.cumsum(terms, axis=1, out=terms)[:, -1].copy()   # a view would pin terms
+
+
+def prefix_scan(mu: StepDistribution, steps, x: float, arc, nu: GridMeasure) -> PrefixScan:
+    """Push the point x and the arc J = (lo, hi) along every row of steps.
+
+    The arc is tracked by its endpoints until its image is shorter than
+    1e-9, where they are no longer float-distinguishable; from there by
+    (midpoint, log length), the length growing by the midpoint derivative
+    (the curvature correction is O(|L g| * length), far below float noise).
+    The nu-mass of such a window, or of one whose endpoints share a flat or
+    under-resolved cell, is the local CDF density times the length, taken
+    in the log domain, so deep-contracted windows keep honest positive
+    masses.  Pure Mobius families step through their stacked matrices,
+    other families through grouped jets.
+    """
+    steps = np.asarray(steps)
+    batch, n = steps.shape
+    mats = mu.matrices()
+
+    def advance(idx, pts):
+        if mats is not None:
+            return mobius_value_logd(mats[idx], pts)
+        val, d1 = _apply_indexed(mu, np.broadcast_to(idx, pts.shape), pts, want_d1=True)
+        return val, np.log(d1)
+
+    pts = np.zeros((4, batch))      # x, lo, hi, and the midpoint below the switch
+    pts[0], pts[1], pts[2] = x, arc[0], arc[1]
+    logd = np.zeros((batch, n + 1))
+    log_mass = np.empty((batch, n + 1))
+    tiny = np.zeros(batch, dtype=bool)
+    log_len = np.zeros(batch)
+    with np.errstate(divide="ignore"):     # log of a zero density is -inf
+        for k in range(n + 1):
+            if k:
+                # the midpoints ride along once some row tracks them
+                carry = 4 if tiny.any() else 3
+                pts[:carry], ld = advance(steps[:, k - 1], pts[:carry])
+                logd[:, k] = logd[:, k - 1] + ld[0]
+                if carry == 4:
+                    log_len = log_len + ld[3]
+            ends = ~tiny      # rows whose mass is read between the endpoints
+            if ends.any():
+                length = (pts[2] - pts[1]) % 1.0
+                pts[3] = np.where(ends, (pts[1] + 0.5 * length) % 1.0, pts[3])
+                log_len = np.where(ends, np.log(np.maximum(length, 1e-300)), log_len)
+                tiny |= length < _TINY_ARC
+                mass = nu.interval_mass(pts[1], pts[2])
+                ends &= ~tiny & (mass > 0.0)
+                log_mass[ends, k] = np.log(mass[ends])
+            f = np.nonzero(~ends)[0]
+            if f.size:
+                log_mass[f, k] = log_len[f] + np.log(nu.cell_density(pts[3, f]))
+    return PrefixScan(steps, pts[0], logd, log_mass)
 
 
 @dataclass
@@ -150,7 +193,6 @@ class ConstantsReport:
     kappa_reference: float
     lam: float
     x: float
-    extras: dict = field(default_factory=dict)
 
     def radius_real(self, kappa: float) -> float:
         c3 = self.C3 + self.C3_tail
@@ -164,11 +206,6 @@ class ConstantsReport:
         if c3 <= 0.0:
             return bound_pole
         return min(bound_pole, kappa / (2.0 * np.exp(kappa) * self.C2 * c3))
-
-    def as_dict(self):
-        d = {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
-             for k, v in self.__dict__.items() if k != "extras"}
-        return d
 
 
 def walk_constants(
@@ -197,45 +234,23 @@ def walk_constants(
         raise ValueError("C1 needs nu(J) > 0")
     sem = atom_seminorms(mu, tau, seminorm_grid)
     steps = walk.steps[:horizon]
-
-    # prefix data at x and at the arc image
-    pos = float(x) % 1.0
-    logd = 0.0
-    tracker = _ArcTracker(J)
-    C2 = 1.0
-    log_C1 = float(np.log(nu.arc_mass(J)))
-    ns = np.arange(horizon + 1)
-    for n in range(1, horizon + 1):
-        atom = mu.atoms[steps[n - 1]]
-        jx = atom.jet(pos)
-        pos = float(np.asarray(jx.value))
-        logd += float(np.log(np.asarray(jx.d1)))
-        tracker.step(atom)
-        C2 = max(C2, np.exp(logd - n * lam / 2.0), np.exp(3.0 * n * lam / 2.0 - logd))
-        log_C1 = min(log_C1, tracker.log_mass(nu) + (h_nu + eps) * n)
+    scan = prefix_scan(mu, steps[None, :], float(x) % 1.0, (J.left, J.right), nu)
+    log_C1 = float(np.min(scan.c1_terms(h_nu, eps)))
     C1 = float(np.exp(log_C1)) if np.isfinite(log_C1) else 0.0
+    C2 = float(scan.c2(lam)[0])
 
-    w_hold = sem.holder[steps]
-    w_supL = sem.sup_L[steps]
-    w_supS = sem.sup_S[steps]
-    w_rho = sem.rho[steps]
-    w_cl = sem.complex_L[steps]
-    decay = np.exp(lam * tau / 2.0 * ns[:-1])
-    C3 = float(np.sum(w_hold * decay))
-    C3_tail = float(np.max(sem.holder) * np.exp(lam * tau / 2.0 * horizon) / (1 - np.exp(lam * tau / 2.0)))
-    C4l = float(np.sum(w_supL * np.exp(lam / 2.0 * ns[:-1])))
-    C4l_tail = float(np.max(sem.sup_L) * np.exp(lam / 2.0 * horizon) / (1 - np.exp(lam / 2.0)))
-    C4s = float(np.sum(w_supS * np.exp(lam * ns[:-1])))
-    C4s_tail = float(np.max(sem.sup_S) * np.exp(lam * horizon) / (1 - np.exp(lam)))
-    C5 = float(np.min(w_rho * np.exp(-lam / 2.0 * ns[:-1])))
-    if np.any(np.isnan(w_cl)):
-        C3cx = C3cx_tail = np.nan
-    else:
-        C3cx = float(np.sum(w_cl * np.exp(lam / 2.0 * ns[:-1])))
-        C3cx_tail = float(np.max(sem.complex_L) * np.exp(lam / 2.0 * horizon) / (1 - np.exp(lam / 2.0)))
+    def with_tail(weights, rate):
+        return (float(scan.step_sum(weights, rate)[0]),
+                float(np.max(weights) * np.exp(rate * horizon) / (1 - np.exp(rate))))
+
+    C3, C3_tail = with_tail(sem.holder, lam * tau / 2.0)
+    C4l, C4l_tail = with_tail(sem.sup_L, lam / 2.0)
+    C4s, C4s_tail = with_tail(sem.sup_S, lam)
+    C3cx, C3cx_tail = with_tail(sem.complex_L, lam / 2.0)   # NaN for non-Mobius atoms
+    C5 = float(np.min(sem.rho[steps] * np.exp(-lam / 2.0 * np.arange(horizon))))
 
     rep = ConstantsReport(
-        C1=C1, log_C1=float(log_C1), C2=float(C2),
+        C1=C1, log_C1=log_C1, C2=C2,
         C3=C3, C3_tail=C3_tail,
         C4_log=C4l, C4_log_tail=C4l_tail,
         C4_schwarzian=C4s, C4_schwarzian_tail=C4s_tail,
@@ -277,12 +292,6 @@ class DistortionReport:
     @property
     def ok(self) -> bool:
         return len(self.violations) == 0
-
-    def as_dict(self):
-        d = {k: v for k, v in self.__dict__.items() if k != "violations"}
-        d["violations"] = [v.__dict__ for v in self.violations]
-        d["ok"] = self.ok
-        return d
 
 
 _SLACK = 1e-9
@@ -345,12 +354,6 @@ class ComplexDistortionReport:
     @property
     def ok(self) -> bool:
         return len(self.violations) == 0
-
-    def as_dict(self):
-        d = {k: v for k, v in self.__dict__.items() if k != "violations"}
-        d["violations"] = [v.__dict__ for v in self.violations]
-        d["ok"] = self.ok
-        return d
 
 
 class PoleInDiskError(RuntimeError):
@@ -429,21 +432,6 @@ class DecayReport:
     def values(self) -> np.ndarray:
         return np.exp(self.log_values)
 
-    @property
-    def running_inf(self) -> np.ndarray:
-        return np.exp(np.minimum.accumulate(self.log_values))
-
-    @property
-    def empirical_C1(self) -> float:
-        return float(np.exp(np.min(self.log_values)))
-
-    def as_dict(self):
-        return {
-            "ns": [int(v) for v in self.ns],
-            "log_values": [float(v) for v in self.log_values],
-            "positive": self.positive,
-        }
-
 
 def interval_mass_decay(
     walk: WalkTrajectory,
@@ -453,17 +441,12 @@ def interval_mass_decay(
     eps: float,
     N: int,
 ) -> DecayReport:
-    """Per-n values nu(l_n J) e^{(h_nu+eps) n} and their running infimum
-    (the empirical C1), which should stay positive and stabilize.
+    """Per-n values nu(l_n J) e^{(h_nu+eps) n}, the C1 terms of the prefix
+    scan, whose running infimum (the empirical C1) should stay positive and
+    stabilize.
     """
     if nu.arc_mass(J) <= 0:
         raise ValueError("nu(J) must be positive")
-    mu = walk.distribution
-    tracker = _ArcTracker(J)
-    log_vals = [float(np.log(nu.arc_mass(J)))]
-    for n in range(1, N + 1):
-        atom = mu.atoms[walk.steps[n - 1]]
-        tracker.step(atom)
-        log_vals.append(tracker.log_mass(nu) + (h_nu + eps) * n)
-    log_vals = np.array(log_vals)
-    return DecayReport(np.arange(N + 1), log_vals, bool(np.all(np.isfinite(log_vals))))
+    scan = prefix_scan(walk.distribution, walk.steps[None, :N], J.midpoint, (J.left, J.right), nu)
+    log_vals = scan.c1_terms(h_nu, eps)[0]
+    return DecayReport(np.arange(log_vals.size), log_vals, bool(np.all(np.isfinite(log_vals))))

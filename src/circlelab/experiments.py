@@ -49,6 +49,15 @@ def default_epsilon(h: float, h_nu: float) -> float:
     return gap / 2.0 if gap > 0.02 else 0.1
 
 
+def _require_mobius(cfg, mu, scenario: str):
+    """ConfigError naming the keys that make the family non-Mobius."""
+    if mu.matrices() is None:
+        keys = [f"generators.{n}.conjugator" for n, g in cfg["generators"].items() if g.get("conjugator")]
+        if cfg.get("lift"):
+            keys.append("lift")
+        raise ConfigError(f"the {scenario} scenario needs a pure Mobius family, but {', '.join(keys)} is set")
+
+
 def scenario_stationary(cfg, seed, workers, out_dir):
     mu = build_step_distribution(cfg)
     N = int(cfg.get("grid_size", 8192))
@@ -196,6 +205,7 @@ def scenario_boundary(cfg, seed, workers, out_dir):
 
 def scenario_distortion(cfg, seed, workers, out_dir):
     mu = build_step_distribution(cfg)
+    _require_mobius(cfg, mu, "distortion")
     h_hint = cfg.get("h_hint")
     if "h_hint" in cfg and type(h_hint) not in (int, float):
         raise ConfigError(f"'h_hint' must be a number, got {h_hint!r}")
@@ -254,6 +264,7 @@ def scenario_distortion(cfg, seed, workers, out_dir):
 
 def scenario_near_identity(cfg, seed, workers, out_dir):
     mu = build_step_distribution(cfg)
+    _require_mobius(cfg, mu, "near-identity")
     N = int(cfg.get("grid_size", 2048))
     nu = estimate_stationary_measure(mu, grid_size=N, seed=seed)
     lam_est = lyapunov_exponent(mu, nu, n_steps=3000, trajectories=32,

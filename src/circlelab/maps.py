@@ -171,6 +171,16 @@ def rotation(theta: float) -> MobiusMap:
     return MobiusMap([[np.cos(ph), np.sin(ph)], [-np.sin(ph), np.cos(ph)]])
 
 
+def mobius_value_logd(mats: np.ndarray, x):
+    """Images and log derivatives of x under stacked matrices (..., 2, 2),
+    whose leading shape broadcasts against x; the angle-chart action."""
+    phi = np.pi * np.asarray(x, dtype=float)
+    cs, sn = np.cos(phi), np.sin(phi)
+    U = mats[..., 1, 1] * cs + mats[..., 1, 0] * sn
+    V = mats[..., 0, 1] * cs + mats[..., 0, 0] * sn
+    return (np.arctan2(V, U) / np.pi) % 1.0, -np.log(U * U + V * V)
+
+
 class TrigConjugacy:
     """Analytic circle diffeomorphism with lift x + sum_k (a_k cos 2pi k x + b_k sin 2pi k x).
 

@@ -94,10 +94,10 @@ class GridMeasure:
     def arc_mass(self, arc: Arc):
         return float(self.cdf_lifted(arc.left + arc.length) - self.cdf_lifted(arc.left))
 
-    def cell_density(self, x) -> float:
+    def cell_density(self, x):
         """Density of the piecewise-linear CDF on the cell containing x."""
-        i = min(int((float(x) % 1.0) * self.N), self.N - 1)
-        return float((self.cdf[i + 1] - self.cdf[i]) * self.N)
+        i = np.minimum(((np.asarray(x, dtype=float) % 1.0) * self.N).astype(int), self.N - 1)
+        return (self.cdf[i + 1] - self.cdf[i]) * self.N
 
     def quantile(self, u):
         u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)

@@ -2,7 +2,8 @@
 
 Around a hyperbolic element l, exactly linearized by a chart y with
 l = (y -> alpha y), the search samples walk endpoints w = l_n, keeps the
-set G_m of walks whose distortion constants pass percentile thresholds,
+set G_m of walks whose distortion constants (C1..C4 from the batched
+prefix scan of `distortion.prefix_scan`) pass percentile thresholds,
 buckets them by the log derivative at the fixed point into intervals of
 width 1/m, and looks inside the fullest bucket for two elements whose
 images of the tiny interval I_{2m} = alpha^{2m} I intersect.  A hit
@@ -26,9 +27,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .circle import Arc, circle_dist
-from .distortion import atom_seminorms
+from .distortion import atom_seminorms, prefix_scan
 from .jets import log_derivative, schwarzian
-from .maps import LinearChart, MobiusMap, Word, eval_jet3, linearizing_chart
+from .maps import LinearChart, MobiusMap, Word, eval_jet3, linearizing_chart, mobius_value_logd
 from .measure import GridMeasure
 from .rng import stream
 from .walk import StepDistribution, canonical_key
@@ -143,27 +144,13 @@ class SearchMiss:
     bucket_occupancy: int = 0
 
 
-def _mobius_value_logd(mats: np.ndarray, x):
-    """Vectorized angle-chart action of stacked matrices at points x."""
-    a = mats[..., 0, 0]
-    b = mats[..., 0, 1]
-    c = mats[..., 1, 0]
-    d = mats[..., 1, 1]
-    phi = np.pi * np.asarray(x, dtype=float)
-    cs, sn = np.cos(phi), np.sin(phi)
-    U = d * cs + c * sn
-    V = b * cs + a * sn
-    R = U * U + V * V
-    return (np.arctan2(V, U) / np.pi) % 1.0, -np.log(R)
-
-
 def _chart_log_deriv(chart: LinearChart, x):
     return np.log(np.asarray(chart.to_chart_deriv(x), dtype=float))
 
 
 def chart_frame_log_derivative(word_mat: np.ndarray, chart: LinearChart, x):
     """log (chart o w o chart^{-1})'(chart(x)) for a word matrix."""
-    val, logd = _mobius_value_logd(word_mat, x)
+    val, logd = mobius_value_logd(word_mat, x)
     return logd + _chart_log_deriv(chart, val) - _chart_log_deriv(chart, x)
 
 
@@ -221,36 +208,18 @@ def search_near_identity_pairs(
         rng = stream(seed, _TAG_SEARCH, m)
         steps = mu.sample_indices(rng, (samples, n))
 
-        # vectorized prefix scan: positions/log-derivatives at the fixed
-        # point, the C2 envelope, C3/C4 sums, and the C1 mass infimum of
-        # the arc I_{2m}
+        # prefix scan at the fixed point and along the arc I_{2m}
         half_2m = eta * alpha ** (2 * m)
         arc_lo = float(chart.from_chart(-half_2m))
         arc_hi = float(chart.from_chart(half_2m))
-        pos = np.full(samples, x_star)
-        logd = np.zeros(samples)
-        lo = np.full(samples, arc_lo)
-        hi = np.full(samples, arc_hi)
-        C2 = np.ones(samples)
-        C3 = np.zeros(samples)
-        C4 = np.zeros(samples)
-        logC1 = np.log(np.maximum(nu.interval_mass(arc_lo, arc_hi), 1e-300)) * np.ones(samples)
-        W = np.broadcast_to(np.eye(2), (samples, 2, 2)).copy()
-        for k in range(n):
-            idx = steps[:, k]
-            W = mats[idx] @ W
-            val, ld = _mobius_value_logd(mats[idx], pos)
-            pos = val
-            logd += ld
-            lo, _ = _mobius_value_logd(mats[idx], lo)
-            hi, _ = _mobius_value_logd(mats[idx], hi)
-            kk = k + 1
-            C2 = np.maximum(C2, np.maximum(np.exp(logd - kk * lam / 2.0),
-                                           np.exp(3.0 * kk * lam / 2.0 - logd)))
-            C3 += sem.holder[idx] * np.exp(lam * tau / 2.0 * k)
-            C4 += sem.sup_L[idx] * np.exp(lam / 2.0 * k)
-            mass = np.maximum(nu.interval_mass(lo, hi), 1e-300)
-            logC1 = np.minimum(logC1, np.log(mass) + (h_nu + eps) * kk)
+        scan = prefix_scan(mu, steps, x_star, (arc_lo, arc_hi), nu)
+        pos, logd = scan.pos, scan.logd[:, -1].copy()
+        C2 = scan.c2(lam)
+        C3 = scan.step_sum(sem.holder, lam * tau / 2.0)
+        C4 = scan.step_sum(sem.sup_L, lam / 2.0)
+        # an empty window counts as mass 1e-300, keeping the quantile finite
+        logC1 = np.maximum(np.min(scan.c1_terms(h_nu, eps), axis=1), np.log(1e-300))
+        del scan   # frees its (samples, n + 1) histories before the next m
 
         c2_thr = float(np.quantile(C2, c2_quantile))
         c3_thr = float(np.quantile(C3, c2_quantile))
@@ -284,21 +253,25 @@ def search_near_identity_pairs(
         in_bucket = sel[bucket == k_best]
         occupancy = len(in_bucket)
 
-        # dedupe identical group elements (quantized matrix keys)
-        Wn = W[in_bucket]
+        # word matrices of the bucket's walks; dedupe identical group
+        # elements (quantized matrix keys)
+        Wn = np.broadcast_to(np.eye(2), (occupancy, 2, 2)).copy()
+        for idx in steps[in_bucket].T:
+            Wn = mats[idx] @ Wn
         lead = np.where(np.abs(Wn[:, 0, 0]) > 1e-12, Wn[:, 0, 0],
                         np.where(np.abs(Wn[:, 0, 1]) > 1e-12, Wn[:, 0, 1], Wn[:, 1, 0]))
         Wq = np.round(Wn * np.where(lead < 0, -1.0, 1.0)[:, None, None] / 1e-9).astype(np.int64)
         _, uniq = np.unique(Wq.reshape(len(Wn), -1), axis=0, return_index=True)
-        in_bucket = in_bucket[np.sort(uniq)]
+        uniq = np.sort(uniq)
+        in_bucket, Wn = in_bucket[uniq], Wn[uniq]
         if len(in_bucket) < 2:
             misses.append(SearchMiss(m, n, "no two distinct elements in the fullest bucket",
                                      n_buckets, occupancy))
             continue
 
         # sweep for intersecting images of I_{2m}
-        lefts, _ = _mobius_value_logd(W[in_bucket], np.full(len(in_bucket), arc_lo))
-        rights, _ = _mobius_value_logd(W[in_bucket], np.full(len(in_bucket), arc_hi))
+        lefts, _ = mobius_value_logd(Wn, np.full(len(in_bucket), arc_lo))
+        rights, _ = mobius_value_logd(Wn, np.full(len(in_bucket), arc_hi))
         lens = (rights - lefts) % 1.0
         order = np.argsort(lefts, kind="stable")
         pair = None

@@ -189,3 +189,36 @@ def test_boundary_without_grid_size_uses_the_measure_grid(tmp_path, monkeypatch)
     invs = json.loads((tmp_path / "out" / "report.json").read_text())["invariants"]
     bound = next(i for i in invs if i["name"] == "equivariance_defect")["detail"]["bound"]
     assert bound == 5.0 / 8192 + 2.0 * measures[0].max_cell_mass
+
+
+def _run_exit_code(tmp_path, cfg):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    return main(["run", str(p), "--out", str(tmp_path / "out")])
+
+
+def test_distortion_with_a_conjugator_exit3(tmp_path, capsys):
+    cfg = {"scenario": "distortion", **FREE_PAIR,
+           "generators": {"a": {"matrix": [[1, 2], [0, 1]], "conjugator": [[0.01, 0.0]]},
+                          "b": {"matrix": [[1, 0], [2, 1]]}}}
+    assert _run_exit_code(tmp_path, cfg) == 3
+    assert "generators.a.conjugator" in capsys.readouterr().err
+
+
+def test_near_identity_on_a_lifted_family_exit3(tmp_path, capsys):
+    cfg = {"scenario": "near-identity", "l_generator": "a", "lift": {"degree": 2}, **FREE_PAIR}
+    assert _run_exit_code(tmp_path, cfg) == 3
+    assert "lift" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", [["rotation:0.1"], ["rotation:0.1", "heavy"], ["rotation:x", 1.0]])
+def test_malformed_extra_atoms_row_is_a_config_error(tmp_path, capsys, row):
+    from circlelab.configs import build_projected_base
+
+    cfg = builtin_config("lifted-3")
+    cfg["extra_atoms"] = [["rotation:0.2", 1.0], row]
+    for build in (build_step_distribution, build_projected_base):
+        with pytest.raises(ConfigError, match="extra_atoms"):
+            build(cfg)
+    assert _run_exit_code(tmp_path, cfg) == 3
+    assert "extra_atoms" in capsys.readouterr().err

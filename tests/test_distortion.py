@@ -4,12 +4,14 @@ import pytest
 from circlelab.circle import Arc
 from circlelab.distortion import (
     PoleInDiskError,
+    atom_seminorms,
     interval_mass_decay,
+    prefix_scan,
     verify_complex_distortion,
     verify_real_distortion,
     walk_constants,
 )
-from circlelab.maps import MobiusMap, rotation
+from circlelab.maps import MobiusMap, make_generator, rotation
 from circlelab.measure import GridMeasure, estimate_stationary_measure, lyapunov_exponent
 from circlelab.walk import make_step_distribution, sample_walk
 
@@ -221,3 +223,111 @@ def test_decay_sanov_positive(sanov_mu, sanov_nu):
                                   h_nu=0.55, eps=0.1, N=100)
         hits += rep.positive
     assert hits >= 9
+
+
+# -- the prefix scan ----------------------------------------------------------------
+
+class ReferenceArcTracker:
+    """The scalar arc tracker that the prefix scan replaced, kept as its oracle.
+
+    Image of an arc along a walk, with a log-length fallback: once the
+    image is shorter than ~1e-9 the arc is tracked as (midpoint, log
+    length), growing the length by the midpoint derivative.
+    """
+
+    _SWITCH = 1e-9
+
+    def __init__(self, arc: Arc):
+        self.lo = float(arc.left)
+        self.hi = float(arc.right)
+        self.mid = float(arc.midpoint)
+        self.log_len = float(np.log(arc.length))
+        self.tiny = False
+
+    def step(self, atom):
+        if not self.tiny:
+            self.lo = float(np.asarray(atom.apply(self.lo)))
+            self.hi = float(np.asarray(atom.apply(self.hi)))
+            length = (self.hi - self.lo) % 1.0
+            self.mid = (self.lo + 0.5 * length) % 1.0
+            if length < self._SWITCH:
+                self.tiny = True
+                self.log_len = float(np.log(max(length, 1e-300)))
+            else:
+                self.log_len = float(np.log(length))
+        else:
+            j = atom.jet(self.mid)
+            self.mid = float(np.asarray(j.value))
+            self.log_len += float(np.log(np.asarray(j.d1)))
+
+    def log_mass(self, nu: GridMeasure) -> float:
+        if not self.tiny:
+            m = float(nu.interval_mass(self.lo, self.hi))
+            if m > 0.0:
+                return float(np.log(m))
+        dens = nu.cell_density(self.mid)
+        if dens <= 0.0:
+            return -np.inf
+        return self.log_len + float(np.log(dens))
+
+
+def reference_c1_terms(walk, nu, J, h_nu, eps, N):
+    """C1 terms by the scalar per-step loop; also the first tiny step."""
+    tracker = ReferenceArcTracker(J)
+    terms = [float(np.log(nu.arc_mass(J)))]
+    first_tiny = None
+    for n in range(1, N + 1):
+        tracker.step(walk.distribution.atoms[walk.steps[n - 1]])
+        if tracker.tiny and first_tiny is None:
+            first_tiny = n
+        terms.append(tracker.log_mass(nu) + (h_nu + eps) * n)
+    return np.array(terms), first_tiny
+
+
+def _hyp_case():
+    mu = make_step_distribution([HYP], [1.0])
+    return (sample_walk(mu, 60, seed=1), estimate_stationary_measure(mu, grid_size=1024, seed=1),
+            Arc(0.99, 0.02))
+
+
+def _conjugated_hyp_case():
+    mu = make_step_distribution([make_generator([[0.5, 0], [0, 2]], [[0.01, 0.02]])], [1.0])
+    return sample_walk(mu, 60, seed=1), GridMeasure.lebesgue(1024), Arc(0.99, 0.02)
+
+
+@pytest.mark.parametrize("case", ["hyp", "conjugated_hyp", "sanov_suite_walk"])
+def test_scan_c1_terms_match_scalar_tracker_through_tiny_arcs(case, request):
+    if case == "hyp":
+        walk, nu, J = _hyp_case()
+    elif case == "conjugated_hyp":
+        walk, nu, J = _conjugated_hyp_case()
+    else:
+        # walk 0 of the distortion scenario at seed 7 on the free pair
+        sanov_mu = request.getfixturevalue("sanov_mu")
+        nu = request.getfixturevalue("sanov_nu")
+        walk, J = sample_walk(sanov_mu, 200, 7, 0), sanov_J(nu)
+    N = len(walk.steps)
+    ref, first_tiny = reference_c1_terms(walk, nu, J, 0.55, 0.1, N)
+    assert first_tiny is not None and first_tiny < N   # the arc passes 1e-9 mid-walk
+    assert J.length > 1e-9
+    scan = prefix_scan(walk.distribution, walk.steps[None, :], J.midpoint, (J.left, J.right), nu)
+    got = scan.c1_terms(0.55, 0.1)[0]
+    assert got.shape == (N + 1,)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
+def test_scan_rows_are_independent_of_the_batch(sanov_mu, sanov_nu, sanov_lambda):
+    # the rows' arcs pass 1e-9 at different steps (16 to 69), so the batch
+    # mixes rows on either side of the switch
+    steps = np.stack([sample_walk(sanov_mu, 200, 7, k).steps for k in range(8)])
+    J = sanov_J(sanov_nu)
+    sem = atom_seminorms(sanov_mu)
+    batch = prefix_scan(sanov_mu, steps, 0.3, (J.left, J.right), sanov_nu)
+    for k in range(8):
+        one = prefix_scan(sanov_mu, steps[k:k + 1], 0.3, (J.left, J.right), sanov_nu)
+        for field in ("pos", "logd", "log_mass"):
+            assert np.array_equal(getattr(batch, field)[k:k + 1], getattr(one, field)), field
+        assert np.array_equal(batch.c2(sanov_lambda)[k:k + 1], one.c2(sanov_lambda))
+        for weights in (sem.holder, sem.sup_L, sem.sup_S):
+            assert np.array_equal(batch.step_sum(weights, sanov_lambda / 2.0)[k:k + 1],
+                                  one.step_sum(weights, sanov_lambda / 2.0))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from circlelab.circle import Arc
-from circlelab.maps import MobiusMap, Word, rotation
+from circlelab.distortion import atom_seminorms, prefix_scan
+from circlelab.maps import MobiusMap, Word, linearizing_chart, mobius_value_logd, rotation
 from circlelab.measure import estimate_stationary_measure, lyapunov_exponent
 from circlelab.nearid import (
     DistortionWindowError,
@@ -127,6 +128,47 @@ def test_search_degenerate_singleton(dense_setup):
         samples=1, seed=1)
     assert reports == []
     assert len(misses) == 1
+
+
+def test_prefix_scan_reproduces_the_inline_search_scan(dense_setup):
+    # the vectorized loop the pair search ran before the prefix scan, kept
+    # as the reference: the constants must come out bit for bit the same
+    mu, l, nu, lam = dense_setup
+    chart = linearizing_chart(l)
+    mats, sem = mu.matrices(), atom_seminorms(mu)
+    samples, n, m, h_nu, eps = 512, 24, 12, 0.05, 0.1
+    steps = mu.sample_indices(np.random.default_rng(5), (samples, n))
+    arc_lo = float(chart.from_chart(-0.02 * chart.alpha ** (2 * m)))
+    arc_hi = float(chart.from_chart(0.02 * chart.alpha ** (2 * m)))
+    pos = np.full(samples, chart.fixed_point)
+    logd = np.zeros(samples)
+    lo = np.full(samples, arc_lo)
+    hi = np.full(samples, arc_hi)
+    C2 = np.ones(samples)
+    C3 = np.zeros(samples)
+    C4 = np.zeros(samples)
+    logC1 = np.log(np.maximum(nu.interval_mass(arc_lo, arc_hi), 1e-300)) * np.ones(samples)
+    for k in range(n):
+        idx = steps[:, k]
+        pos, ld = mobius_value_logd(mats[idx], pos)
+        logd += ld
+        lo, _ = mobius_value_logd(mats[idx], lo)
+        hi, _ = mobius_value_logd(mats[idx], hi)
+        kk = k + 1
+        C2 = np.maximum(C2, np.maximum(np.exp(logd - kk * lam / 2.0),
+                                       np.exp(3.0 * kk * lam / 2.0 - logd)))
+        C3 += sem.holder[idx] * np.exp(lam * 1.0 / 2.0 * k)
+        C4 += sem.sup_L[idx] * np.exp(lam / 2.0 * k)
+        mass = np.maximum(nu.interval_mass(lo, hi), 1e-300)
+        logC1 = np.minimum(logC1, np.log(mass) + (h_nu + eps) * kk)
+
+    scan = prefix_scan(mu, steps, chart.fixed_point, (arc_lo, arc_hi), nu)
+    assert np.array_equal(scan.pos, pos)
+    assert np.array_equal(scan.logd[:, -1], logd)
+    assert np.array_equal(scan.c2(lam), C2)
+    assert np.array_equal(scan.step_sum(sem.holder, lam * 1.0 / 2.0), C3)
+    assert np.array_equal(scan.step_sum(sem.sup_L, lam / 2.0), C4)
+    assert np.array_equal(np.min(scan.c1_terms(h_nu, eps), axis=1), logC1)
 
 
 # -- endgame ---------------------------------------------------------------------
