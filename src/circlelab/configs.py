@@ -22,7 +22,7 @@ plus irrational-rotation group ("dense"), an isometric control
 
 from __future__ import annotations
 
-from .maps import LiftedMap, Word, make_generator, rotation
+from .maps import LiftedMap, MobiusMap, Word, make_generator, rotation
 from .walk import StepDistribution, make_step_distribution
 
 ROOT2M1 = 0.41421356237309515    # sqrt(2) - 1, the rotation number used by "dense"
@@ -55,16 +55,32 @@ def build_generators(cfg: dict) -> dict:
     return gens
 
 
-def _parse_word(token: str, gens: dict):
+def _parse_word(token: str, gens: dict, where: str = "atom"):
     maps = []
     for part in token.split("."):
         inv = part.endswith("^-1")
         name = part[:-3] if inv else part
         if name not in gens:
-            raise ConfigError(f"unknown generator '{name}' in atom word '{token}'")
+            raise ConfigError(f"unknown generator '{name}' in {where} word '{token}'")
         g = gens[name]
         maps.append(g.inverse() if inv else g)
     return maps[0] if len(maps) == 1 else Word(tuple(maps))
+
+
+def build_l_generator(cfg: dict) -> MobiusMap:
+    """The hyperbolic Mobius l of a near-identity config: `l_generator`
+    names a generator (a one-token word), `l_word` is any word."""
+    key = "l_generator" if "l_generator" in cfg else "l_word"
+    if key not in cfg:
+        raise ConfigError("missing key 'l_generator' (or 'l_word') in near-identity config")
+    token = cfg[key]
+    if not isinstance(token, str):
+        raise ConfigError(f"'{key}' must be a word of generator names, got {token!r}")
+    l_gen = _parse_word(token, build_generators(cfg), f"'{key}'")
+    l_gen = l_gen.as_mobius() if isinstance(l_gen, Word) else l_gen
+    if not isinstance(l_gen, MobiusMap) or l_gen.classify() != "hyperbolic":
+        raise ConfigError(f"{key}: l must be a hyperbolic pure Mobius map, got {token!r}")
+    return l_gen
 
 
 def _weighted_rows(spec, key: str):
@@ -149,7 +165,7 @@ BUILTIN_CONFIGS = {
         "scenario": "boundary",
         "seed": 9,
         "grid_size": 4096,
-        "samples": 200_000,
+        "mc_samples": 200_000,
         "method": "monte_carlo",
         "mc_steps": 150,
         "epsilon": 1e-4,

@@ -35,8 +35,8 @@ import numpy as np
 
 from .circle import Arc
 from .jets import compose, identity_jet, log_derivative, schwarzian
-from .maps import MobiusMap, holder_seminorm, mobius_value_logd, rho_lower_bound, sup_abs_L, sup_abs_S
-from .measure import GridMeasure, _apply_indexed
+from .maps import MobiusMap, holder_seminorm, rho_lower_bound, sup_abs_L, sup_abs_S
+from .measure import GridMeasure
 from .walk import StepDistribution, WalkTrajectory
 
 
@@ -127,19 +127,10 @@ def prefix_scan(mu: StepDistribution, steps, x: float, arc, nu: GridMeasure) -> 
     The nu-mass of such a window, or of one whose endpoints share a flat or
     under-resolved cell, is the local CDF density times the length, taken
     in the log domain, so deep-contracted windows keep honest positive
-    masses.  Pure Mobius families step through their stacked matrices,
-    other families through grouped jets.
+    masses.  Every step goes through `mu.step`.
     """
     steps = np.asarray(steps)
     batch, n = steps.shape
-    mats = mu.matrices()
-
-    def advance(idx, pts):
-        if mats is not None:
-            return mobius_value_logd(mats[idx], pts)
-        val, d1 = _apply_indexed(mu, np.broadcast_to(idx, pts.shape), pts, want_d1=True)
-        return val, np.log(d1)
-
     pts = np.zeros((4, batch))      # x, lo, hi, and the midpoint below the switch
     pts[0], pts[1], pts[2] = x, arc[0], arc[1]
     logd = np.zeros((batch, n + 1))
@@ -151,7 +142,7 @@ def prefix_scan(mu: StepDistribution, steps, x: float, arc, nu: GridMeasure) -> 
             if k:
                 # the midpoints ride along once some row tracks them
                 carry = 4 if tiny.any() else 3
-                pts[:carry], ld = advance(steps[:, k - 1], pts[:carry])
+                pts[:carry], ld = mu.step(steps[:, k - 1], pts[:carry])
                 logd[:, k] = logd[:, k - 1] + ld[0]
                 if carry == 4:
                     log_len = log_len + ld[3]

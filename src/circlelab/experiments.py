@@ -19,9 +19,9 @@ from .boundary import (
     semiconjugation_map,
 )
 from .circle import Arc
-from .configs import ConfigError, build_step_distribution
+from .configs import ConfigError, build_l_generator, build_step_distribution
 from .distortion import interval_mass_decay, verify_complex_distortion, verify_real_distortion, walk_constants
-from .maps import MobiusMap, Word
+from .maps import MobiusMap
 from .convolve import convolve_exact
 from .measure import (
     GridMeasure,
@@ -58,11 +58,22 @@ def _require_mobius(cfg, mu, scenario: str):
         raise ConfigError(f"the {scenario} scenario needs a pure Mobius family, but {', '.join(keys)} is set")
 
 
+def _choice(cfg, key: str, allowed: tuple):
+    """cfg[key], which must be one of allowed; allowed[0] when key is absent."""
+    value = cfg.get(key, allowed[0])
+    if value not in allowed:
+        raise ConfigError(f"'{key}' must be one of {', '.join(allowed)}, got {value!r}")
+    return value
+
+
+_METHODS = ("transfer_iteration", "transfer", "monte_carlo", "both")
+
+
 def scenario_stationary(cfg, seed, workers, out_dir):
+    method = _choice(cfg, "method", _METHODS)
     mu = build_step_distribution(cfg)
     N = int(cfg.get("grid_size", 8192))
     tol = float(cfg.get("tol", 1e-3))
-    method = cfg.get("method", "transfer_iteration")
     results = {}
     invs = []
     nu_t = nu_mc = None
@@ -88,11 +99,11 @@ def scenario_stationary(cfg, seed, workers, out_dir):
 
 
 def _shared_measure(cfg, mu, seed):
+    """nu by Monte Carlo when method is monte_carlo, else by transfer iteration."""
     N = int(cfg.get("grid_size", 8192))
-    method = cfg.get("method", "transfer_iteration")
-    if method == "monte_carlo":
+    if _choice(cfg, "method", _METHODS) == "monte_carlo":
         return estimate_stationary_measure(
-            mu, "monte_carlo", N, mc_samples=int(cfg.get("samples", 200_000)),
+            mu, "monte_carlo", N, mc_samples=int(cfg.get("mc_samples", 200_000)),
             mc_steps=int(cfg.get("mc_steps", 300)), seed=seed)
     return estimate_stationary_measure(mu, "transfer_iteration", N, seed=seed)
 
@@ -263,8 +274,10 @@ def scenario_distortion(cfg, seed, workers, out_dir):
 
 
 def scenario_near_identity(cfg, seed, workers, out_dir):
+    mode = _choice(cfg, "expectation", ("dense", "discrete"))
     mu = build_step_distribution(cfg)
     _require_mobius(cfg, mu, "near-identity")
+    l_gen = build_l_generator(cfg)
     N = int(cfg.get("grid_size", 2048))
     nu = estimate_stationary_measure(mu, grid_size=N, seed=seed)
     lam_est = lyapunov_exponent(mu, nu, n_steps=3000, trajectories=32,
@@ -272,18 +285,6 @@ def scenario_near_identity(cfg, seed, workers, out_dir):
     lam = lam_est.value
     if lam >= 0:
         raise ValueError("near-identity search requires a negative Lyapunov exponent")
-    from .configs import build_generators
-
-    gens = build_generators(cfg)
-    l_name = cfg.get("l_generator")
-    if l_name is not None:
-        l_gen = gens[l_name]
-    else:
-        l_word = cfg.get("l_word")
-        if l_word is None:
-            raise ConfigError("missing key 'l_generator' (or 'l_word') in near-identity config")
-        l_gen = Word(tuple(gens[t[:-3]].inverse() if t.endswith("^-1") else gens[t]
-                           for t in l_word.split("."))).as_mobius()
     m_range = range(int(cfg.get("m_min", 5)), int(cfg.get("m_max", 20)) + 1)
     eta = float(cfg.get("eta", 0.02))
     n_seeds = int(cfg.get("search_seeds", 11))
@@ -338,7 +339,6 @@ def scenario_near_identity(cfg, seed, workers, out_dir):
         "endgame_checked": endgame_count,
     }
     invs = [invariant("endgame_inequalities", endgame_ok, checked=endgame_count)]
-    mode = cfg.get("expectation", "dense")
     if mode == "dense":
         all_found = all(len(per_m[m]) > 0 for m in m_range)
         invs.append(invariant("pairs_found_all_m", all_found,

@@ -241,7 +241,7 @@ def estimate_stationary_measure(
             x = (x + counts @ angles) % 1.0
         else:
             for _ in range(mc_steps):
-                x = _apply_indexed(mu, mu.sample_indices(rng, mc_samples), x)
+                x, _ = mu.step(mu.sample_indices(rng, mc_samples), x)
         nu = GridMeasure.from_samples(x, grid_size)
         nu.atom_tolerance = atom_tolerance
         iterations = mc_steps
@@ -280,23 +280,6 @@ class LyapunovEstimate:
         return self.__dict__.copy()
 
 
-def _apply_indexed(mu: StepDistribution, idx: np.ndarray, x: np.ndarray, want_d1=False):
-    """Apply atom idx[i] to x[i] for all i (grouped by atom)."""
-    out = np.empty_like(x)
-    d1 = np.empty_like(x) if want_d1 else None
-    for j in range(len(mu)):
-        sel = idx == j
-        if not np.any(sel):
-            continue
-        if want_d1:
-            jet = mu.atoms[j].jet(x[sel])
-            out[sel] = jet.value
-            d1[sel] = jet.d1
-        else:
-            out[sel] = mu.atoms[j].apply(x[sel])
-    return (out, d1) if want_d1 else out
-
-
 def lyapunov_exponent(
     mu: StepDistribution,
     nu: GridMeasure,
@@ -313,9 +296,7 @@ def lyapunov_exponent(
     """
     rng_i = stream(seed, _TAG_LYAPUNOV, 1)
     x = nu.sample(rng_i, integral_samples)
-    idx = mu.sample_indices(rng_i, integral_samples)
-    _, d1 = _apply_indexed(mu, idx, x, want_d1=True)
-    logs = np.log(d1)
+    _, logs = mu.step(mu.sample_indices(rng_i, integral_samples), x)
     lam_int = float(logs.mean())
     se_int = float(logs.std(ddof=1) / np.sqrt(len(logs)))
 
@@ -323,9 +304,8 @@ def lyapunov_exponent(
     xs = nu.sample(rng_p, trajectories)
     acc = np.zeros(trajectories)
     for _ in range(n_steps):
-        idx = mu.sample_indices(rng_p, trajectories)
-        xs, d1 = _apply_indexed(mu, idx, xs, want_d1=True)
-        acc += np.log(d1)
+        xs, logd = mu.step(mu.sample_indices(rng_p, trajectories), xs)
+        acc += logd
     slopes = acc / n_steps
     lam_path = float(slopes.mean())
     se_path = float(slopes.std(ddof=1) / np.sqrt(trajectories)) if trajectories > 1 else 0.0
@@ -401,8 +381,7 @@ def boundary_entropy(
     def estimate(cells):
         d = cells / nu.N
         den = nu.interval_mass(x - d, x + d)
-        lo = _apply_indexed(mu, idx, (x - d) % 1.0)
-        hi = _apply_indexed(mu, idx, (x + d) % 1.0)
+        (lo, hi), _ = mu.step(idx, np.stack([(x - d) % 1.0, (x + d) % 1.0]))
         num = nu.interval_mass(lo, hi)
         ok = (num > 0) & (den > 0)
         vals = -np.log(num[ok] / den[ok])

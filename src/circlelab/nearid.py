@@ -199,7 +199,6 @@ def search_near_identity_pairs(
     if eps is None:
         eps = 0.1
     x_star = chart.fixed_point
-    l_mat = l_gen.matrix
 
     reports = []
     misses = []
@@ -244,7 +243,6 @@ def search_near_identity_pairs(
             continue
         corr_span = float(np.max(np.abs(chart_corr[sel])))
         lo_edge = 3.0 * lam * n / 2.0 - np.log(c2_thr) - corr_span
-        span = (lam * n / 2.0 + np.log(c2_thr) + corr_span) - lo_edge
         n_buckets = int(m * np.ceil(abs(lam) * n + 2.0 * np.log(max(c2_thr, 1.0)) + 2.0 * corr_span + 1e-12))
         n_buckets = max(n_buckets, 1)
         bucket = np.clip(((logd_chart[sel] - lo_edge) * m).astype(int), 0, max(n_buckets - 1, 0))

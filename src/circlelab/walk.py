@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import circle_dist
-from .maps import MobiusMap, Word
+from .maps import MobiusMap, Word, mobius_value_logd
 from .rng import stream
 
 _FINGERPRINT_POINTS = np.array([0.137, 0.391, 0.823])
@@ -77,6 +77,11 @@ class StepDistribution:
         self._cum = np.cumsum(self.probs)
         # per-atom seminorms by (tau, grid_size), filled by distortion.atom_seminorms
         self.seminorm_cache = {}
+        mats = [a.matrix if isinstance(a, MobiusMap) else a.matrix() if isinstance(a, Word) else None
+                for a in self.atoms]
+        self._mats = None if any(m is None for m in mats) else np.stack(mats)
+        if self._mats is not None:
+            self._mats.flags.writeable = False
 
     def __len__(self):
         return len(self.atoms)
@@ -86,19 +91,27 @@ class StepDistribution:
         return np.searchsorted(self._cum, u, side="right").clip(0, len(self.atoms) - 1)
 
     def matrices(self):
-        """Stacked atom matrices when the family is pure Mobius, else None."""
-        mats = []
-        for a in self.atoms:
-            if isinstance(a, MobiusMap):
-                mats.append(a.matrix)
-            elif isinstance(a, Word):
-                m = a.matrix()
-                if m is None:
-                    return None
-                mats.append(m)
-            else:
-                return None
-        return np.stack(mats)
+        """Stacked atom matrices (read-only) when the family is pure Mobius, else None."""
+        return self._mats
+
+    def step(self, idx, x):
+        """(g_idx(x), log g_idx'(x)) for atom indices idx broadcasting against x.
+
+        The one point-stepping kernel: pure Mobius families act through
+        their stacked matrices, other families through each atom's jet on
+        the points that drew it.
+        """
+        x = np.asarray(x, dtype=float)
+        if self._mats is not None:
+            return mobius_value_logd(self._mats[idx], x)
+        idx = np.broadcast_to(idx, x.shape)
+        val, logd = np.empty_like(x), np.empty_like(x)
+        for j, atom in enumerate(self.atoms):
+            sel = idx == j
+            if sel.any():
+                jet = atom.jet(x[sel])
+                val[sel], logd[sel] = jet.value, np.log(jet.d1)
+        return val, logd
 
 
 def make_step_distribution(atoms, probs, symmetric: bool = False, names=None) -> StepDistribution:

@@ -44,3 +44,42 @@ def sanov_mu(sanov_atoms):
     return make_step_distribution(
         sanov_atoms, [0.25] * 4, symmetric=True, names=["a", "a'", "b", "b'"]
     )
+
+
+def reference_apply_indexed(mu, idx, x, want_d1=False):
+    """The grouped per-atom loop that `StepDistribution.step` replaced, kept
+    as its oracle: apply atom idx[i] to x[i] for all i, values by `apply`,
+    derivatives (want_d1) by `jet`."""
+    out = np.empty_like(x)
+    d1 = np.empty_like(x) if want_d1 else None
+    for j in range(len(mu)):
+        sel = idx == j
+        if not np.any(sel):
+            continue
+        if want_d1:
+            jet = mu.atoms[j].jet(x[sel])
+            out[sel] = jet.value
+            d1[sel] = jet.d1
+        else:
+            out[sel] = mu.atoms[j].apply(x[sel])
+    return (out, d1) if want_d1 else out
+
+
+@pytest.fixture(scope="session")
+def conjugated_mu():
+    from circlelab.maps import make_generator
+    from circlelab.walk import make_step_distribution
+
+    A = make_generator([[1, 2], [0, 1]], [[0.01, 0.02]])
+    B = make_generator([[1, 0], [2, 1]], [[0.01, 0.02]])
+    return make_step_distribution([A, A.inverse(), B, B.inverse()], [0.25] * 4)
+
+
+@pytest.fixture(scope="session")
+def lifted_mu(sanov_atoms):
+    from circlelab.maps import LiftedMap
+    from circlelab.walk import make_step_distribution
+
+    A, B = sanov_atoms[0], sanov_atoms[2]
+    atoms = [LiftedMap(A, 2), LiftedMap(A, 2).inverse(), LiftedMap(B, 2), LiftedMap(B, 2).inverse()]
+    return make_step_distribution(atoms, [0.25] * 4)

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from circlelab.cli import main, run_experiment
@@ -222,3 +223,64 @@ def test_malformed_extra_atoms_row_is_a_config_error(tmp_path, capsys, row):
             build(cfg)
     assert _run_exit_code(tmp_path, cfg) == 3
     assert "extra_atoms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, key, value", [
+    ("stationary", "method", "montecarlo"),
+    ("lyapunov", "method", "transfer_iter"),
+    ("boundary", "method", "MC"),
+    ("near-identity", "expectation", "discret"),
+])
+def test_unknown_method_or_expectation_exit3(tmp_path, capsys, scenario, key, value):
+    cfg = {**builtin_config("dense"), "scenario": scenario, key: value, "grid_size": 256,
+           "samples": 2_000, "n_steps": 50, "trajectories": 4, "integral_samples": 1_000,
+           "m_min": 5, "m_max": 5, "search_seeds": 1, "probe_horizon": 2, "probe_trials": 1}
+    assert _run_exit_code(tmp_path, cfg) == 3
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_shared_measure_reads_mc_samples(tmp_path, monkeypatch):
+    from circlelab import experiments
+
+    measures = []
+    estimate = experiments.estimate_stationary_measure
+
+    def recording(*args, **kwargs):
+        measures.append(estimate(*args, **kwargs))
+        return measures[-1]
+
+    monkeypatch.setattr(experiments, "estimate_stationary_measure", recording)
+    cfg = builtin_config("schottky")
+    cfg.update(mc_samples=3_000, samples=7_000, mc_steps=20, word_length_cap=10,
+               probe_horizon=2, probe_trials=1)
+    run_experiment(cfg, out_dir=tmp_path / "out")
+    # `samples` counts estimator samples; the Monte Carlo nu takes `mc_samples`
+    assert [(nu.info.method, nu.info.samples) for nu in measures] == [("monte_carlo", 3_000)]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("l_generator", "q"),                # not a generator
+    ("l_word", "l.q^-1"),                # a word with an unknown generator
+    ("l_generator", "c"),                # a conjugated generator
+    ("l_generator", "r"),                # a rotation, not hyperbolic
+    ("l_generator", 3),                  # not a word
+])
+def test_near_identity_bad_l_is_a_config_error(tmp_path, capsys, key, value):
+    cfg = builtin_config("dense")
+    del cfg["l_generator"]
+    cfg["generators"]["c"] = {"matrix": [[2, 0], [0, 0.5]], "conjugator": [[0.01, 0.0]]}
+    cfg.update({key: value, "grid_size": 256, "m_min": 5, "m_max": 5, "search_seeds": 1,
+                "samples": 256})
+    assert _run_exit_code(tmp_path, cfg) == 3
+    assert key in capsys.readouterr().err
+
+
+def test_near_identity_l_word_resolves_to_the_generator_product():
+    from circlelab.configs import build_generators, build_l_generator
+
+    cfg = builtin_config("dense")
+    l_gen = build_generators(cfg)["l"]
+    assert np.array_equal(build_l_generator(cfg).matrix, l_gen.matrix)
+    del cfg["l_generator"]
+    cfg["l_word"] = "l.l"
+    assert np.allclose(build_l_generator(cfg).matrix, l_gen.matrix @ l_gen.matrix, atol=1e-15)

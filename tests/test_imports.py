@@ -1,5 +1,6 @@
-"""Static checks on src/circlelab: every module-level import is used, and
-every module-level private function or class is referenced somewhere.
+"""Static checks on src/circlelab: every module-level import is used,
+every module-level private function or class is referenced somewhere, and
+every local that a function assigns by name is read.
 
 `__init__.py` is exempt from the import check; its imports are the
 package's public names.
@@ -41,6 +42,27 @@ def unreferenced_privates(sources: dict) -> list:
             and node.name.startswith("_") and node.name not in referenced]
 
 
+def unread_locals(source: str) -> list:
+    """`function:name` for each `name = ...` inside a function that the
+    function (nested functions included) never reads."""
+    found = []
+
+    def scan(node, fn, reads):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                reads_in = {n.id for n in ast.walk(child)
+                            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                scan(child, child.name, reads_in | {"_"})
+                continue
+            if (fn and isinstance(child, ast.Assign) and len(child.targets) == 1
+                    and isinstance(child.targets[0], ast.Name) and child.targets[0].id not in reads):
+                found.append(f"{fn}:{child.targets[0].id}")
+            scan(child, fn, reads)
+
+    scan(ast.parse(source), None, set())
+    return found
+
+
 def test_checker_flags_only_unused_names():
     src = "from __future__ import annotations\nimport numpy as np\nfrom os import path, sep\nx = np.pi + len(sep)\n"
     assert unused_imports(src) == ["path"]
@@ -49,6 +71,19 @@ def test_checker_flags_only_unused_names():
 def test_no_unused_module_level_imports():
     found = {p.name: unused_imports(p.read_text())
              for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_local_checker_flags_only_unread_names():
+    src = ("top = 1\n"
+           "def f(x):\n    dead = x + 1\n    kept = x\n    a, b = x, x\n    _ = a\n"
+           "    def g():\n        late = kept\n        return x\n    return g\n"
+           "class C:\n    def m(self):\n        self.y = 1\n        z = 2\n        return z\n")
+    assert unread_locals(src) == ["f:dead", "g:late"]
+
+
+def test_no_unread_locals():
+    found = {p.name: unread_locals(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {}
 
 

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from conftest import reference_apply_indexed
 
 from circlelab.circle import Arc
 from circlelab.maps import LiftedMap, MobiusMap, Word, make_generator, rotation
 from circlelab.measure import (
+    _TAG_BOUNDARY,
     _TAG_DIRAC,
+    _TAG_LYAPUNOV,
+    _TAG_STATIONARY,
     _smallest_arc_width,
     GridMeasure,
     MeasureGapError,
@@ -286,3 +290,58 @@ def test_dirac_probe_matches_word_reference_mobius(sanov_mu):
     curve = dirac_convergence_probe(sanov_mu, nu, horizon=12, trials=3, seed=2)
     ref = probe_by_words(sanov_mu, nu, 12, 3, seed=2)
     assert np.max(np.abs(curve.median_width - ref)) <= 1e-12
+
+
+# -- the stepping kernel against the grouped per-atom loop it replaced ----------
+
+def reference_lyapunov(mu, nu, n_steps, trajectories, integral_samples, seed):
+    """(pathwise, integral) lambda by the grouped-jet loop, on the same streams."""
+    rng_i = stream(seed, _TAG_LYAPUNOV, 1)
+    x = nu.sample(rng_i, integral_samples)
+    _, d1 = reference_apply_indexed(mu, mu.sample_indices(rng_i, integral_samples), x, want_d1=True)
+    integral = float(np.log(d1).mean())
+    rng_p = stream(seed, _TAG_LYAPUNOV, 2)
+    xs = nu.sample(rng_p, trajectories)
+    acc = np.zeros(trajectories)
+    for _ in range(n_steps):
+        xs, d1 = reference_apply_indexed(mu, mu.sample_indices(rng_p, trajectories), xs, want_d1=True)
+        acc += np.log(d1)
+    return float((acc / n_steps).mean()), integral
+
+
+@pytest.mark.parametrize("family", ["sanov_mu", "conjugated_mu"])
+def test_lyapunov_matches_the_grouped_jet_loop(family, request):
+    mu = request.getfixturevalue(family)
+    nu = estimate_stationary_measure(mu, grid_size=1024, seed=3)
+    est = lyapunov_exponent(mu, nu, n_steps=300, trajectories=16, integral_samples=5_000, seed=5)
+    path, integral = reference_lyapunov(mu, nu, 300, 16, 5_000, seed=5)
+    assert abs(est.value - path) <= 1e-12 * abs(path)
+    assert abs(est.integral - integral) <= 1e-12 * abs(integral)
+
+
+@pytest.mark.parametrize("family", ["sanov_mu", "conjugated_mu"])
+def test_monte_carlo_stationary_matches_the_grouped_loop(family, request):
+    mu = request.getfixturevalue(family)
+    nu = estimate_stationary_measure(mu, "monte_carlo", 1024, mc_samples=4_000, mc_steps=40, seed=3)
+    rng = stream(3, _TAG_STATIONARY)
+    x = rng.random(4_000)
+    for _ in range(40):
+        x = reference_apply_indexed(mu, mu.sample_indices(rng, 4_000), x)
+    assert np.array_equal(nu.cdf, GridMeasure.from_samples(x, 1024).cdf)
+
+
+@pytest.mark.parametrize("family", ["sanov_mu", "conjugated_mu"])
+def test_boundary_entropy_matches_the_grouped_loop(family, request):
+    mu = request.getfixturevalue(family)
+    nu = estimate_stationary_measure(mu, grid_size=1024, seed=3)
+    be = boundary_entropy(mu, nu, samples=5_000, delta_cells=8, seed=4)
+    rng = stream(4, _TAG_BOUNDARY)
+    x = nu.sample(rng, 5_000)
+    idx = mu.sample_indices(rng, 5_000)
+    for cells, value in ((8, be.value), (4, be.refined_value)):
+        d = cells / nu.N
+        num = nu.interval_mass(reference_apply_indexed(mu, idx, (x - d) % 1.0),
+                               reference_apply_indexed(mu, idx, (x + d) % 1.0))
+        den = nu.interval_mass(x - d, x + d)
+        ok = (num > 0) & (den > 0)
+        assert value == float((-np.log(num[ok] / den[ok])).mean())

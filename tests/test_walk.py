@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import reference_apply_indexed
 
 from circlelab.distortion import atom_seminorms
 from circlelab.maps import MobiusMap, Word, make_generator, rotation
@@ -110,3 +111,63 @@ def test_canonical_key_free_reduction_idempotent(sanov_atoms):
     assert canonical_key(w) == canonical_key(Word([]))
     w2 = Word([A, B, Bi])     # reduces to A
     assert canonical_key(w2) == canonical_key(Word([A]))
+
+
+# -- the stepping kernel -------------------------------------------------------
+
+
+def _indices_and_points(mu, shape, seed):
+    rng = np.random.default_rng(seed)
+    return mu.sample_indices(rng, shape), rng.random(shape)
+
+
+def test_step_matches_atom_jets_on_mobius_families(sanov_mu, sanov_atoms):
+    idx, x = _indices_and_points(sanov_mu, 20_000, 1)
+    val, logd = sanov_mu.step(idx, x)
+    ref_val, ref_d1 = reference_apply_indexed(sanov_mu, idx, x, want_d1=True)
+    assert np.array_equal(val, ref_val)
+    assert np.max(np.abs(logd - np.log(ref_d1))) <= 1e-15
+    # a word atom steps through its product matrix, not factor by factor
+    A, Ai, B, Bi = sanov_atoms
+    mu = make_step_distribution([A, Bi, Word((A, B)), Word((Bi, Ai))], [0.25] * 4)
+    idx, x = _indices_and_points(mu, 20_000, 2)
+    val, logd = mu.step(idx, x)
+    ref_val, ref_d1 = reference_apply_indexed(mu, idx, x, want_d1=True)
+    single = idx < 2
+    assert np.array_equal(val[single], ref_val[single])
+    assert np.max(np.abs(logd[single] - np.log(ref_d1[single]))) <= 1e-15
+    assert np.max(np.abs((val - ref_val + 0.5) % 1.0 - 0.5)) <= 4e-15
+    assert np.max(np.abs(logd - np.log(ref_d1))) <= 1e-14
+
+
+@pytest.mark.parametrize("family", ["conjugated_mu", "lifted_mu"])
+def test_step_matches_atom_jets_on_other_families(family, request):
+    mu = request.getfixturevalue(family)
+    assert mu.matrices() is None
+    idx, x = _indices_and_points(mu, 5_000, 3)
+    val, logd = mu.step(idx, x)
+    ref_val, ref_d1 = reference_apply_indexed(mu, idx, x, want_d1=True)
+    assert np.array_equal(val, ref_val)
+    assert np.array_equal(logd, np.log(ref_d1))
+    assert np.array_equal(val, reference_apply_indexed(mu, idx, x))   # apply and jet agree
+
+
+@pytest.mark.parametrize("family", ["sanov_mu", "conjugated_mu"])
+def test_step_broadcasts_indices_over_stacked_points(family, request):
+    mu = request.getfixturevalue(family)
+    idx, _ = _indices_and_points(mu, 500, 4)
+    x = np.random.default_rng(5).random((3, 500))
+    val, logd = mu.step(idx, x)
+    assert val.shape == logd.shape == (3, 500)
+    for row in range(3):
+        v, ld = mu.step(idx, x[row])
+        assert np.array_equal(val[row], v) and np.array_equal(logd[row], ld)
+
+
+def test_matrices_are_cached_and_read_only(sanov_mu, conjugated_mu):
+    mats = sanov_mu.matrices()
+    assert mats is sanov_mu.matrices()
+    assert not mats.flags.writeable
+    with pytest.raises(ValueError):
+        mats[0, 0, 0] = 2.0
+    assert conjugated_mu.matrices() is None
