@@ -14,6 +14,7 @@ convolution powers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +29,7 @@ _TAG_LYAPUNOV = 0x4C594150
 _TAG_BOUNDARY = 0x424E4452
 _TAG_SBM = 0x53424D31
 _TAG_DIRAC = 0x44495243
+_LYAPUNOV_BLOCK = 256
 
 
 class StationarityError(RuntimeError):
@@ -78,8 +80,21 @@ class GridMeasure:
         """
         return self.max_cell_mass > self.atom_tolerance
 
+    @cached_property
+    def _cells(self):
+        # grid and cell slopes, padded by a flat cell at +inf; built on first
+        # query, since most pushforward measures are never queried
+        return np.append(self.grid, np.inf), np.append(np.diff(self.cdf) / np.diff(self.grid), 0.0)
+
     def cdf_at(self, x):
-        return np.interp(np.asarray(x, dtype=float) % 1.0, self.grid, self.cdf)
+        """np.interp(x % 1, grid, cdf) bit for bit, its cell found in O(1):
+        floor(xN), moved by one where that rounds across a grid point."""
+        x = np.asarray(x, dtype=float) % 1.0
+        g, slopes = self._cells
+        j = (x * self.N).astype(np.intp)
+        j -= g[j] > x
+        j += g[j + 1] <= x
+        return slopes[j] * (x - g[j]) + self.cdf[j]
 
     def cdf_lifted(self, y):
         y = np.asarray(y, dtype=float)
@@ -303,9 +318,12 @@ def lyapunov_exponent(
     rng_p = stream(seed, _TAG_LYAPUNOV, 2)
     xs = nu.sample(rng_p, trajectories)
     acc = np.zeros(trajectories)
-    for _ in range(n_steps):
-        xs, logd = mu.step(mu.sample_indices(rng_p, trajectories), xs)
-        acc += logd
+    # indices drawn in blocks of steps: the same draws, in the same order, as
+    # one draw per step; the block bounds the index array's memory
+    for start in range(0, n_steps, _LYAPUNOV_BLOCK):
+        for idx in mu.sample_indices(rng_p, (min(_LYAPUNOV_BLOCK, n_steps - start), trajectories)):
+            xs, logd = mu.step(idx, xs)
+            acc += logd
     slopes = acc / n_steps
     lam_path = float(slopes.mean())
     se_path = float(slopes.std(ddof=1) / np.sqrt(trajectories)) if trajectories > 1 else 0.0

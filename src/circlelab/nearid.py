@@ -79,20 +79,23 @@ def kappa_m_solve(gap: float, tau: float = 1.0) -> float:
     return float(k)
 
 
+def ck_distances(map_like, arc: Arc, grid_size: int = 129) -> tuple:
+    """(C1, C2, C3) distances to the identity over the arc grid, from one jet:
+    C1 = max(dist(phi(x), x), |phi' - 1|), and Ck adds |phi^(k)|."""
+    xs = arc.grid(grid_size)
+    j = eval_jet3(map_like, xs)
+    c1 = max(np.max(circle_dist(j.value, xs)), np.max(np.abs(j.d1 - 1.0)))
+    c2 = max(c1, np.max(np.abs(j.d2)))
+    return float(c1), float(c2), float(max(c2, np.max(np.abs(j.d3))))
+
+
 def ck_distance_to_identity(map_like, arc: Arc, k: int = 1, grid_size: int = 129) -> float:
     """max over the arc grid of dist(phi(x), x), |phi' - 1|, |phi''|, |phi'''|
     up to order k.
     """
     if k not in (1, 2, 3):
         raise ValueError("order k must be 1, 2, or 3")
-    xs = arc.grid(grid_size)
-    j = eval_jet3(map_like, xs)
-    parts = [np.max(circle_dist(j.value, xs)), np.max(np.abs(j.d1 - 1.0))]
-    if k >= 2:
-        parts.append(np.max(np.abs(j.d2)))
-    if k >= 3:
-        parts.append(np.max(np.abs(j.d3)))
-    return float(max(parts))
+    return ck_distances(map_like, arc, grid_size)[k - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +177,7 @@ def search_near_identity_pairs(
     h_nu: float,
     samples: int = 8192,
     length_factor: float = 2.0,
-    eps: float | None = None,
+    eps: float = 0.1,
     tau: float = 1.0,
     seed: int = 0,
     c2_quantile: float = 0.9,
@@ -196,8 +199,6 @@ def search_near_identity_pairs(
     if mats is None:
         raise ValueError("the pair search requires a pure Mobius family")
     sem = atom_seminorms(mu, tau)
-    if eps is None:
-        eps = 0.1
     x_star = chart.fixed_point
 
     reports = []
@@ -294,7 +295,7 @@ def search_near_identity_pairs(
         kap_h = chart_distortion(h_word, chart, -eta, eta, grid_size)
         phi = Word(g_word.factors + h_word.inverse().factors)   # h^{-1} o g
         half = chart.chart_arc(eta / 2)
-        cks = tuple(ck_distance_to_identity(phi, half, k) for k in (1, 2, 3))
+        cks = ck_distances(phi, half)
         c_m = float(np.exp(-2.0 * kappa_m - 1.0 / m) * (1.0 - alpha ** m))
         reports.append(NearIdentityReport(
             m=m, walk_length=n,
@@ -318,21 +319,13 @@ def brute_force_min_c1(mu: StepDistribution, arcs, max_len: int, grid_size: int 
     Words are enumerated by depth-first search with incremental value and
     derivative arrays shared across prefixes.
     """
-    grids = [arc.grid(grid_size) for arc in arcs]
-    points = np.concatenate(grids)
-    slices = []
-    off = 0
-    for g in grids:
-        slices.append(slice(off, off + len(g)))
-        off += len(g)
+    points = np.concatenate([arc.grid(grid_size) for arc in arcs])
     inv = mu.inverse_index
     best = {"value": np.inf, "word": None}
 
     def visit(vals, d1, word):
-        dist = circle_dist(vals, points)
-        dev = np.abs(d1 - 1.0)
-        per_point = np.maximum(dist, dev)
-        c1 = min(float(np.max(per_point[s])) for s in slices)
+        per_point = np.maximum(circle_dist(vals, points), np.abs(d1 - 1.0))
+        c1 = float(np.min(np.max(per_point.reshape(len(arcs), grid_size), axis=1)))
         if c1 < best["value"]:
             best["value"] = c1
             best["word"] = tuple(word)
@@ -383,23 +376,15 @@ def _chart_eval(word: Word, chart: LinearChart, ys):
     return np.asarray(chart.to_chart(word.apply(chart.from_chart(ys))), dtype=float)
 
 
-def _chart_word_inverse(word: Word, chart: LinearChart, y_target, lo, hi):
-    """Solve (chart-framed word)(y) = y_target by bisection on [lo, hi]."""
-    f = lambda y: float(_chart_eval(word, chart, np.array([y]))[0]) - y_target
-    a, b = lo, hi
-    fa, fb = f(a), f(b)
-    if fa * fb > 0:
+def chart_preimages(word: Word, chart: LinearChart, image, targets, eta: float):
+    """Chart-frame preimages under the word of targets in image = (word(-eta),
+    word(eta)): one evaluation of the inverse word, clipped to [-eta, eta].
+    A target outside image is a violation."""
+    lo, hi = image
+    targets = np.asarray(targets, dtype=float)
+    if np.any((lo - targets) * (hi - targets) > 0):
         raise EndgameViolation("overlap preimage escapes the interval")
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fa * fm <= 0:
-            b = mid
-        else:
-            a, fa = mid, fm
-        if b - a < 1e-14:
-            break
-    return 0.5 * (a + b)
+    return np.clip(_chart_eval(word.inverse(), chart, targets), -eta, eta)
 
 
 def endgame_estimates(report: NearIdentityReport, pairs: int = 100,
@@ -437,21 +422,18 @@ def endgame_estimates(report: NearIdentityReport, pairs: int = 100,
         raise EndgameViolation("distortion sandwich failed")
 
     # overlap interval J = g(I) cap h(I) and its preimages
-    gI = (_chart_eval(g, chart, np.array([-eta]))[0], _chart_eval(g, chart, np.array([eta]))[0])
-    hI = (_chart_eval(h, chart, np.array([-eta]))[0], _chart_eval(h, chart, np.array([eta]))[0])
-    j_lo, j_hi = max(gI[0], hI[0]), min(gI[1], hI[1])
-    if j_hi <= j_lo:
+    ends = np.array([-eta, eta])
+    gI, hI = _chart_eval(g, chart, ends), _chart_eval(h, chart, ends)
+    J = (max(gI[0], hI[0]), min(gI[1], hI[1]))
+    if J[1] <= J[0]:
         raise EndgameViolation("images of I do not overlap")
-    alpha_m = _chart_word_inverse(g, chart, j_lo, -eta, eta)
-    beta_m = _chart_word_inverse(g, chart, j_hi, -eta, eta)
-    gamma_m = _chart_word_inverse(h, chart, j_lo, -eta, eta)
-    delta_m = _chart_word_inverse(h, chart, j_hi, -eta, eta)
+    alpha_m, beta_m = chart_preimages(g, chart, gI, J, eta)
+    gamma_m, delta_m = chart_preimages(h, chart, hI, J, eta)
     frac_g = (beta_m - alpha_m) / (2 * eta)
     frac_h = (delta_m - gamma_m) / (2 * eta)
     c_m = report.c_m
-    if condition2_violated:
-        pass  # the c_m bound uses condition 2; do not enforce
-    elif frac_g < c_m * (1 - 1e-9) or frac_h < c_m * (1 - 1e-9):
+    # the c_m bound uses condition 2: not enforced when that fails
+    if not condition2_violated and min(frac_g, frac_h) < c_m * (1 - 1e-9):
         raise EndgameViolation(
             f"overlap fractions {frac_g:.4f}/{frac_h:.4f} below c_m = {c_m:.4f}")
 
@@ -471,8 +453,7 @@ def endgame_estimates(report: NearIdentityReport, pairs: int = 100,
         raise EndgameViolation(f"|log phi'| = {sup_log:.4f} exceeds {bound:.4f}")
 
     # L phi = L g - (g'/h'(h^{-1} g)) (L h)(h^{-1} g);  S likewise with squares
-    hinv = h.inverse()
-    jh_at = hinv.jet(np.asarray(jg.value, dtype=float))     # h^{-1}(g(x))
+    jh_at = h.inverse().jet(np.asarray(jg.value, dtype=float))     # h^{-1}(g(x))
     jh = h.jet(np.asarray(jh_at.value, dtype=float))
     ratio = jg.d1 / jh.d1
     L_pred = log_derivative(jg) - ratio * log_derivative(jh)

@@ -27,7 +27,7 @@ import numpy as np
 from .circle import Arc
 from .jets import Jet3, compose, log_derivative, schwarzian
 from .maps import eval_jet3
-from .nearid import ck_distance_to_identity
+from .nearid import ck_distances
 
 
 class LineMobius:
@@ -345,8 +345,9 @@ def c3_convergence_check(phi_family, arc: Arc, grid_size: int = 257,
     for m, phi in enumerate(phi_family, start=1):
         ms.append(m)
         sup_S.append(float(np.max(np.abs(schwarzian(eval_jet3(phi, xs))))))
-        c1.append(ck_distance_to_identity(phi, arc, 1, grid_size))
-        c3.append(ck_distance_to_identity(phi, arc, 3, grid_size))
+        d1, _, d3 = ck_distances(phi, arc, grid_size)
+        c1.append(d1)
+        c3.append(d3)
         norm = mobius_normalize(phi, arc, grid_size)
         a = -(norm.x_m - arc.left) % 1.0
         a = a if a <= 0 else a - 1.0

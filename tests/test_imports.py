@@ -1,6 +1,6 @@
 """Static checks on src/circlelab: every module-level import is used,
 every module-level private function or class is referenced somewhere, and
-every local that a function assigns by name is read.
+every local that a function assigns by name is read (in tests/ too).
 
 `__init__.py` is exempt from the import check; its imports are the
 package's public names.
@@ -9,7 +9,8 @@ package's public names.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "circlelab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "circlelab"
 
 
 def unused_imports(source: str) -> list:
@@ -83,7 +84,8 @@ def test_local_checker_flags_only_unread_names():
 
 
 def test_no_unread_locals():
-    found = {p.name: unread_locals(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    found = {str(p.relative_to(TESTS.parent)): unread_locals(p.read_text())
+             for p in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {}
 
 

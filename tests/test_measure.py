@@ -50,6 +50,43 @@ def test_interval_mass_wraparound():
     assert abs(nu.arc_mass(Arc(0.95, 0.3)) - 0.3) < 1e-12
 
 
+@pytest.mark.parametrize("N", [256, 1000, 2048, 3000, 8192])
+def test_cdf_at_is_np_interp_bit_for_bit(N):
+    rng = np.random.default_rng(N)
+    cdf = np.sort(rng.random(N + 1))
+    cdf[N // 3: N // 3 + 40] = cdf[N // 3]            # a flat run
+    cdf[N // 2: N // 2 + 3] = cdf[N // 2]
+    cdf[0], cdf[-1] = 0.0, 1.0
+    for nu in (GridMeasure(cdf), GridMeasure(cdf ** 20), GridMeasure.lebesgue(N)):
+        g = nu.grid
+        x = np.concatenate([
+            rng.random(4000),                            # random points
+            g, np.nextafter(g, -np.inf), np.nextafter(g, np.inf),   # grid points, +-1 ulp
+            [-1e-20, -0.0, 1.0, 1.0 - 2 ** -53, -1e-300],   # x % 1 rounding to 1.0 or 0
+            rng.random(2000) * 10.0 - 5.0,               # lifted values
+            (N // 3 + rng.random(200) * 40) / N,         # inside the flat run
+        ])
+        assert np.array_equal(nu.cdf_at(x), np.interp(x % 1.0, g, nu.cdf))
+        for xi in map(float, x[::97]):
+            v, ref = nu.cdf_at(xi), np.interp(xi % 1.0, g, nu.cdf)
+            assert isinstance(v, float) and v == ref
+
+
+def test_cdf_at_on_grid_points_where_floor_rounds_down():
+    # at N = 3000, floor(grid[j] * N) is j - 1 for 156 grid points; a large
+    # jump in the cell left of such a point exposes a wrong cell choice
+    N = 3000
+    grid = np.arange(N + 1) / N
+    cells = np.nonzero(np.floor(grid * N) < np.arange(N + 1))[0]
+    assert len(cells) > 100
+    rng = np.random.default_rng(1)
+    for j in cells[::8]:
+        for a, jump in rng.random((10, 2)) * 0.5:
+            nu = GridMeasure(np.concatenate([np.linspace(0.0, a, j), np.linspace(a + jump, 1.0, N + 1 - j)]))
+            x = grid[j - 1: j + 2]
+            assert np.array_equal(nu.cdf_at(x), np.interp(x, grid, nu.cdf))
+
+
 def test_quantile_inverts_cdf():
     rng = np.random.default_rng(0)
     cdf = np.concatenate([[0], np.sort(rng.random(510)), [1]])
@@ -153,8 +190,7 @@ def test_rn_two_step_chain(sanov_mu):
     assert abs(lhs - rhs) < 0.1
 
 
-def test_rn_measure_gap_error(sanov_mu):
-    nu = estimate_stationary_measure(sanov_mu, grid_size=8192, seed=3)
+def test_rn_measure_gap_error():
     # the window far from the support of a Dirac-like zone: use a synthetic gap
     cdf = np.concatenate([np.linspace(0, 0.5, 1025), np.full(2047, 0.5), np.linspace(0.5, 1, 1025)])
     gap_nu = GridMeasure(cdf)   # nu-null gap over (1/4, 3/4)
@@ -317,6 +353,24 @@ def test_lyapunov_matches_the_grouped_jet_loop(family, request):
     path, integral = reference_lyapunov(mu, nu, 300, 16, 5_000, seed=5)
     assert abs(est.value - path) <= 1e-12 * abs(path)
     assert abs(est.integral - integral) <= 1e-12 * abs(integral)
+
+
+def test_lyapunov_block_draw_equals_per_step_draws(sanov_mu):
+    rng_block, rng_steps = stream(5, _TAG_LYAPUNOV, 2), stream(5, _TAG_LYAPUNOV, 2)
+    block = sanov_mu.sample_indices(rng_block, (300, 16))
+    per_step = np.stack([sanov_mu.sample_indices(rng_steps, 16) for _ in range(300)])
+    assert np.array_equal(block, per_step)
+    assert rng_block.random() == rng_steps.random()
+    # so the pathwise lambda is bit for bit the per-step loop's
+    nu = estimate_stationary_measure(sanov_mu, grid_size=1024, seed=3)
+    est = lyapunov_exponent(sanov_mu, nu, n_steps=300, trajectories=16, integral_samples=2_000, seed=5)
+    rng_p = stream(5, _TAG_LYAPUNOV, 2)
+    xs = nu.sample(rng_p, 16)
+    acc = np.zeros(16)
+    for _ in range(300):
+        xs, logd = sanov_mu.step(sanov_mu.sample_indices(rng_p, 16), xs)
+        acc += logd
+    assert est.value == float((acc / 300).mean())
 
 
 @pytest.mark.parametrize("family", ["sanov_mu", "conjugated_mu"])

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from circlelab.circle import Arc
+from circlelab.circle import Arc, circle_dist
 from circlelab.distortion import atom_seminorms, prefix_scan
-from circlelab.maps import MobiusMap, Word, linearizing_chart, mobius_value_logd, rotation
+from circlelab.maps import MobiusMap, Word, eval_jet3, linearizing_chart, mobius_value_logd, rotation
 from circlelab.measure import estimate_stationary_measure, lyapunov_exponent
 from circlelab.nearid import (
     DistortionWindowError,
     EndgameViolation,
     NearIdentityReport,
+    _chart_eval,
+    chart_preimages,
     ck_distance_to_identity,
+    ck_distances,
     endgame_estimates,
     kappa_m_solve,
     search_near_identity_pairs,
@@ -34,6 +37,15 @@ def dense_setup():
     lam = lyapunov_exponent(mu, nu, n_steps=3000, trajectories=32,
                             integral_samples=20_000, seed=3).value
     return mu, l, nu, lam
+
+
+@pytest.fixture(scope="module")
+def dense_reports(dense_setup):
+    # one search per m draws its own stream, so any m_range gives these reports
+    mu, l, nu, lam = dense_setup
+    return search_near_identity_pairs(
+        mu, l, eta=0.02, m_range=range(5, 13), nu=nu, lam=lam, h_nu=0.05,
+        samples=8192, seed=7)
 
 
 # -- kappa_m solver ------------------------------------------------------------
@@ -93,13 +105,37 @@ def test_ck_small_rotation_exact():
     assert abs(ck_distance_to_identity(w, Arc(0.3, 0.1), 1) - 1e-4) < 1e-12
 
 
+def reference_ck_distance(map_like, arc, k, grid_size=129):
+    """The per-order computation `ck_distances` replaced: one jet per k."""
+    xs = arc.grid(grid_size)
+    j = eval_jet3(map_like, xs)
+    parts = [np.max(circle_dist(j.value, xs)), np.max(np.abs(j.d1 - 1.0))]
+    if k >= 2:
+        parts.append(np.max(np.abs(j.d2)))
+    if k >= 3:
+        parts.append(np.max(np.abs(j.d3)))
+    return float(max(parts))
+
+
+def test_ck_distances_equal_the_per_order_computation(dense_reports):
+    g = MobiusMap([[1, 2], [0, 1]])
+    maps = [(Word((rotation(1e-4),)), Arc(0.3, 0.1)), (Word((g, rotation(0.3))), Arc(0.1, 0.2))]
+    for r in dense_reports[0]:
+        phi = Word(r.g_word.factors + r.h_word.inverse().factors)
+        half = r.chart.chart_arc(r.eta / 2)
+        maps.append((phi, half))
+        assert r.ck_distances == tuple(reference_ck_distance(phi, half, k) for k in (1, 2, 3))
+    for phi, arc in maps:
+        for n in (33, 129):
+            ref = tuple(reference_ck_distance(phi, arc, k, n) for k in (1, 2, 3))
+            assert ck_distances(phi, arc, n) == ref
+            assert all(ck_distance_to_identity(phi, arc, k, n) == ref[k - 1] for k in (1, 2, 3))
+
+
 # -- the search -------------------------------------------------------------------
 
-def test_search_dense_finds_pairs(dense_setup):
-    mu, l, nu, lam = dense_setup
-    reports, misses = search_near_identity_pairs(
-        mu, l, eta=0.02, m_range=range(5, 13), nu=nu, lam=lam, h_nu=0.05,
-        samples=8192, seed=7)
+def test_search_dense_finds_pairs(dense_reports):
+    reports, misses = dense_reports
     found_m = {r.m for r in reports}
     assert found_m == set(range(5, 13)), f"misses: {[(x.m, x.reason) for x in misses]}"
     for r in reports:
@@ -173,11 +209,51 @@ def test_prefix_scan_reproduces_the_inline_search_scan(dense_setup):
 
 # -- endgame ---------------------------------------------------------------------
 
-def test_endgame_on_dense_pair(dense_setup):
-    mu, l, nu, lam = dense_setup
-    reports, _ = search_near_identity_pairs(
-        mu, l, eta=0.02, m_range=[10], nu=nu, lam=lam, h_nu=0.05,
-        samples=8192, seed=7)
+def bisection_preimage(word, chart, y_target, lo, hi):
+    """The bisection `chart_preimages` replaced, kept as its oracle."""
+    def f(y):
+        return float(_chart_eval(word, chart, np.array([y]))[0]) - y_target
+    a, b = lo, hi
+    fa = f(a)
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        if fa * fm <= 0:
+            b = mid
+        else:
+            a, fa = mid, fm
+        if b - a < 1e-14:
+            break
+    return 0.5 * (a + b)
+
+
+def test_chart_preimages_match_the_bisection(dense_reports):
+    checked = 0
+    for r in dense_reports[0]:
+        ends = np.array([-r.eta, r.eta])
+        gI, hI = _chart_eval(r.g_word, r.chart, ends), _chart_eval(r.h_word, r.chart, ends)
+        J = (max(gI[0], hI[0]), min(gI[1], hI[1]))
+        for word, image in ((r.g_word, gI), (r.h_word, hI)):
+            targets = np.concatenate([J, np.linspace(image[0], image[1], 7)[1:-1]])
+            pre = chart_preimages(word, r.chart, image, targets, r.eta)
+            ref = [bisection_preimage(word, r.chart, t, -r.eta, r.eta) for t in targets]
+            assert np.max(np.abs(pre - ref)) <= 1e-13
+            assert np.all(np.abs(pre) <= r.eta)
+            checked += 1
+    assert checked == 2 * len(dense_reports[0]) >= 16
+
+
+def test_chart_preimage_outside_the_image_is_a_violation(dense_reports):
+    r = dense_reports[0][0]
+    gI = _chart_eval(r.g_word, r.chart, np.array([-r.eta, r.eta]))
+    width = gI[1] - gI[0]
+    for target in (gI[1] + 1e-3 * width, gI[0] - 1e-3 * width):
+        with pytest.raises(EndgameViolation, match="escapes"):
+            chart_preimages(r.g_word, r.chart, gI, [0.5 * (gI[0] + gI[1]), target], r.eta)
+
+
+def test_endgame_on_dense_pair(dense_reports):
+    reports = [r for r in dense_reports[0] if r.m == 10]
     assert reports
     rep = endgame_estimates(reports[0])
     assert rep.sandwich_ok
@@ -187,12 +263,8 @@ def test_endgame_on_dense_pair(dense_setup):
     assert not rep.ratio_check_skipped
 
 
-def test_endgame_identical_pair_trivial(dense_setup):
-    mu, l, nu, lam = dense_setup
-    reports, _ = search_near_identity_pairs(
-        mu, l, eta=0.02, m_range=[8], nu=nu, lam=lam, h_nu=0.05,
-        samples=8192, seed=7)
-    r = reports[0]
+def test_endgame_identical_pair_trivial(dense_reports):
+    r = next(r for r in dense_reports[0] if r.m == 8)
     twin = NearIdentityReport(
         m=r.m, walk_length=r.walk_length, pair_keys=(r.pair_keys[0], r.pair_keys[0]),
         kappa_m=r.kappa_m, c_m=r.c_m, ck_distances=(0, 0, 0),
@@ -205,12 +277,9 @@ def test_endgame_identical_pair_trivial(dense_setup):
     assert rep.overlap_fraction_g > 0.99
 
 
-def test_endgame_condition2_violation_skips_ratio_check(dense_setup):
-    mu, l, nu, lam = dense_setup
-    reports, _ = search_near_identity_pairs(
-        mu, l, eta=0.02, m_range=[8], nu=nu, lam=lam, h_nu=0.05,
-        samples=8192, seed=7)
-    r = reports[0]
+def test_endgame_condition2_violation_skips_ratio_check(dense_setup, dense_reports):
+    l = dense_setup[1]
+    r = next(r for r in dense_reports[0] if r.m == 8)
     # replace h by h o l^3: the fixed-point derivatives now differ by
     # 3 |log alpha| >> 1/m, a tenfold condition-2 violation
     h_bad = Word((l,) * 3 + r.h_word.factors)
