@@ -6,14 +6,18 @@ unimodular generator families the keys are exact and are the whole
 state (each step unpacks the matrices from them); for bounded real
 families an explicitly opt-in quantized mode rounds matrix entries to a
 fixed resolution and also keeps the float matrices.  Each convolution
-step is a vectorized multiply / sort / segment-sum that leaves the keys
-sorted and unique, so the last step's arrays are the table; horizons
-around n = 14 on four-atom free families (supports of several million
-reduced words) stay within seconds and a couple of GB.
+step is a vectorized multiply / value-sort / segment-sum that leaves the
+keys sorted and unique, so the last step's arrays are the table.  The
+sort is `np.lexsort((lo, hi))`'s permutation, built from `np.sort` passes
+over the keys' 32-bit halves (`_key_order`), so each element's mass is
+summed in the same order as lexsort's.  Horizons around n = 14 on
+four-atom free families (supports of several million reduced words)
+stay within seconds and about a GB.
 
-Alongside the matrix key the table tracks one freely reduced
+On request (`words=True`) the table also tracks one freely reduced
 representative word per element (letters are atom indices; appending an
 atom cancels against the last letter when it is that atom's inverse).
+Only the convolution CSV reads them, so they are off by default.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .walk import StepDistribution
 
 _OFF = np.int64(1) << np.int64(30)
 _ENTRY_LIMIT = int(_OFF) - 1
+_HALF_MASK = (np.int64(1) << np.int64(32)) - 1
 
 
 class ConvolutionBudgetError(RuntimeError):
@@ -50,8 +55,8 @@ def _pack(mats: np.ndarray):
 
 def _unpack(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """The int64 matrices whose keys are (hi, lo); the inverse of `_pack`."""
-    mask = (np.int64(1) << np.int64(32)) - 1
-    flat = np.stack([hi >> np.int64(32), hi & mask, lo >> np.int64(32), lo & mask], axis=-1)
+    flat = np.stack([hi >> np.int64(32), hi & _HALF_MASK, lo >> np.int64(32), lo & _HALF_MASK],
+                    axis=-1)
     return (flat - _OFF).reshape(-1, 2, 2)
 
 
@@ -68,6 +73,54 @@ def _keys(mats: np.ndarray, quant: float | None):
     return _pack(mats * np.where(lead < 0, -1, 1)[:, None, None])
 
 
+def _key_order(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """`np.lexsort((lo, hi))` of packed keys, as value sorts of uint64 words.
+
+    The keys' 32-bit halves are sorted least significant first (d, c, b,
+    a).  A pass sorts (half - min) << index_bits | position with `np.sort`
+    and reads its permutation from the low bits: the position breaks ties,
+    so each pass is stable and the passes compose to lexsort's permutation.
+    Neighbouring halves share a pass while their widths and the index bits
+    fit in 64; a half is below 2**31, so one always fits on its own.
+    """
+    index_bits = (len(hi) - 1).bit_length()
+    keys = (lo.view(np.uint64), hi.view(np.uint64))   # packed keys are nonnegative
+
+    def half(k):   # k = 0..3 for d, c, b, a
+        key = keys[k // 2]
+        return key & np.uint64(_HALF_MASK) if k % 2 == 0 else key >> np.uint64(32)
+
+    bounds = [(h.min(), h.max()) for h in map(half, range(4))]
+    widths = [int(top - bottom).bit_length() for bottom, top in bounds]
+    passes = [[0]]
+    for k in range(1, 4):
+        if sum(widths[i] for i in passes[-1]) + widths[k] + index_bits <= 64:
+            passes[-1].append(k)
+        else:
+            passes.append([k])
+
+    position = np.arange(len(hi), dtype=np.uint64)
+    order = None
+    for halves in passes:
+        word = np.zeros(len(hi), dtype=np.uint64)
+        shift = index_bits
+        for k in halves:
+            if not widths[k]:   # a constant half orders nothing
+                continue
+            h = half(k)
+            h -= bounds[k][0]
+            h <<= np.uint64(shift)
+            word |= h
+            shift += widths[k]
+        if order is not None:
+            word = word[order]
+        word |= position
+        word.sort()
+        word &= np.uint64((1 << index_bits) - 1)
+        order = word.view(np.int64) if order is None else order[word.view(np.int64)]
+    return order
+
+
 def _integer_matrices(mu: StepDistribution) -> np.ndarray:
     mats = mu.matrices()
     if mats is None:
@@ -78,16 +131,31 @@ def _integer_matrices(mu: StepDistribution) -> np.ndarray:
     return ints.astype(np.int64)
 
 
+def _append_letter(words: np.ndarray, lengths: np.ndarray, j: int, inv: int):
+    """Reduced words times atom j: cancel the last letter when it is j's inverse, else append."""
+    w = words.copy()
+    cancel = np.zeros(len(lengths), dtype=bool)
+    if inv >= 0:
+        has = lengths > 0
+        cancel[has] = w[np.nonzero(has)[0], lengths[has] - 1] == inv + 1
+    idx_c = np.nonzero(cancel)[0]
+    w[idx_c, lengths[idx_c] - 1] = 0
+    idx_a = np.nonzero(~cancel)[0]
+    w[idx_a, lengths[idx_a]] = j + 1
+    return w, lengths + np.where(cancel, -1, 1).astype(lengths.dtype)
+
+
 @dataclass
 class ConvolutionTable:
-    """The measure mu^{*n}: packed keys (sorted by (hi, lo), unique), masses, representative words."""
+    """The measure mu^{*n}: packed keys (sorted by (hi, lo), unique), masses,
+    and, when built with words=True, representative words."""
 
     n: int
     hi: np.ndarray
     lo: np.ndarray
     masses: np.ndarray
-    words: np.ndarray      # (support, n) uint8 letters, 1-based atom indices
-    lengths: np.ndarray
+    words: np.ndarray | None      # (support, n) uint8 letters, 1-based atom indices
+    lengths: np.ndarray | None
     quant: float | None = None   # key resolution in quantized mode
 
     @property
@@ -97,24 +165,37 @@ class ConvolutionTable:
     def entropy(self) -> float:
         return entropy_of(self.masses)
 
-    def mass_of_matrix(self, matrix) -> float:
-        """Mass of the element given by its matrix (0.0 if absent).
+    def masses_of_matrices(self, matrices) -> np.ndarray:
+        """Masses of the elements given by stacked (k, 2, 2) matrices (0.0 where absent).
 
         Integer tables take integer matrices; quantized tables accept the
-        real matrix and apply the table's own key resolution.
+        real matrices and apply the table's own key resolution.  One
+        vectorized binary search on the sorted (hi, lo) pairs.
         """
-        hi, lo = _keys(np.asarray(matrix).reshape(1, 2, 2), self.quant)
-        left = np.searchsorted(self.hi, hi[0], side="left")
-        right = np.searchsorted(self.hi, hi[0], side="right")
-        if left == right:
-            return 0.0
-        k = left + np.searchsorted(self.lo[left:right], lo[0], side="left")
-        if k < right and self.lo[k] == lo[0]:
-            return float(self.masses[k])
-        return 0.0
+        hi, lo = _keys(np.asarray(matrices), self.quant)
+        a = np.searchsorted(self.hi, hi, side="left")
+        right = np.searchsorted(self.hi, hi, side="right")
+        # lower bound of lo within each run [a, right) of equal hi
+        b = right
+        last = len(self.lo) - 1
+        while np.any(a < b):
+            mid = (a + b) // 2
+            below = (a < b) & (self.lo[np.minimum(mid, last)] < lo)
+            a = np.where(below, mid + 1, a)
+            b = np.where(below, b, np.minimum(mid, b))
+        k = np.minimum(a, last)
+        found = (a < right) & (self.lo[k] == lo)
+        return np.where(found, self.masses[k], 0.0)
+
+    def mass_of_matrix(self, matrix) -> float:
+        """Mass of the element given by its matrix (0.0 if absent)."""
+        return float(self.masses_of_matrices(np.asarray(matrix).reshape(1, 2, 2))[0])
 
     def word_strings(self, names, limit: int | None = None):
         """(reduced word, mass) rows; words rendered with atom names."""
+        if self.words is None:
+            raise ValueError("representative words were not built; "
+                             "pass words=True to convolve_exact")
         count = self.support_size if limit is None else min(limit, self.support_size)
         order = np.argsort(self.masses)[::-1][:count]
         rows = []
@@ -146,13 +227,15 @@ class ConvolutionSeries:
 
 
 def convolve_exact(mu: StepDistribution, n: int, max_support: int = 40_000_000,
-                   quantized: bool = False, quant: float = 1e-8) -> ConvolutionSeries:
+                   quantized: bool = False, quant: float = 1e-8,
+                   words: bool = False) -> ConvolutionSeries:
     """Exact distribution of mu^{*k} for all k <= n.
 
     With quantized=True, real matrices are admitted and keyed at
     resolution `quant` (documented approximation for bounded families
     such as rotation groups); otherwise non-integer generators are
-    rejected.
+    rejected.  words=True also builds one reduced representative word
+    per element (`ConvolutionTable.word_strings`).
     """
     if n < 0:
         raise ValueError("horizon must be >= 0")
@@ -167,13 +250,12 @@ def convolve_exact(mu: StepDistribution, n: int, max_support: int = 40_000_000,
     n_atoms = len(mu)
     inv_letter = mu.inverse_index  # -1 when the inverse is not an atom
 
-    # state: sorted unique keys, masses, words (and float matrices when quantized)
+    # state: sorted unique keys, masses (and words, float matrices when asked for)
     cur_f = np.eye(2)[None, :, :]
     hi, lo = _keys(cur_f, quant)
     masses = np.array([1.0])
-    width = max(n, 1)
-    words = np.zeros((1, width), dtype=np.uint8)
-    lengths = np.zeros(1, dtype=np.int32)
+    word_arr = np.zeros((1, max(n, 1)), dtype=np.uint8) if words else None
+    lengths = np.zeros(1, dtype=np.int32) if words else None
 
     entropies = [0.0]
     support_sizes = [1]
@@ -186,67 +268,55 @@ def convolve_exact(mu: StepDistribution, n: int, max_support: int = 40_000_000,
                 f"support would exceed budget at n={step}; largest feasible horizon is {step - 1}",
             )
         cur = cur_f if quantized else _unpack(hi, lo)
-        cand_mass = []
-        cand_hi = []
-        cand_lo = []
-        cand_words = []
-        cand_lens = []
-        cand_mats_f = []
+        # candidates, atom-major: block j holds the support times atom j
+        cand_hi = np.empty(n_atoms * m, dtype=np.int64)
+        cand_lo = np.empty(n_atoms * m, dtype=np.int64)
+        cand_mass = np.empty(n_atoms * m)
+        if quantized:
+            cand_f = np.empty((n_atoms * m, 2, 2))
+        if words:
+            cand_words = np.empty((n_atoms * m, word_arr.shape[1]), dtype=np.uint8)
+            cand_lens = np.empty(n_atoms * m, dtype=lengths.dtype)
         for j in range(n_atoms):
+            block = slice(j * m, (j + 1) * m)
             prod = cur @ atoms[j]
             try:
-                hi_j, lo_j = _keys(prod, quant)
+                cand_hi[block], cand_lo[block] = _keys(prod, quant)
             except OverflowError:
                 raise ConvolutionBudgetError(
                     step - 1,
                     f"matrix entries overflow the packed keys at n={step}; "
                     f"largest feasible horizon is {step - 1}",
                 ) from None
-            cand_hi.append(hi_j)
-            cand_lo.append(lo_j)
             if quantized:
-                cand_mats_f.append(prod)
-            cand_mass.append(masses * mu.probs[j])
-            w = words.copy()
-            ln = lengths.copy()
-            if inv_letter[j] >= 0:
-                last = np.zeros(m, dtype=np.uint8)
-                has = ln > 0
-                last[has] = w[np.nonzero(has)[0], ln[has] - 1]
-                cancel = has & (last == inv_letter[j] + 1)
-            else:
-                cancel = np.zeros(m, dtype=bool)
-            idx_c = np.nonzero(cancel)[0]
-            w[idx_c, ln[idx_c] - 1] = 0
-            ln_new = ln - 1 * cancel
-            idx_a = np.nonzero(~cancel)[0]
-            w[idx_a, ln[idx_a]] = j + 1
-            ln_new = ln_new + 1 * (~cancel)
-            cand_words.append(w)
-            cand_lens.append(ln_new)
+                cand_f[block] = prod
+            cand_mass[block] = masses * mu.probs[j]
+            if words:
+                cand_words[block], cand_lens[block] = _append_letter(
+                    word_arr, lengths, j, inv_letter[j])
+        del cur, prod, hi, lo, masses
 
-        hi = np.concatenate(cand_hi)
-        lo = np.concatenate(cand_lo)
-        mass = np.concatenate(cand_mass)
-        wds = np.concatenate(cand_words)
-        lns = np.concatenate(cand_lens)
-
-        order = np.lexsort((lo, hi))
-        hi, lo, mass, wds, lns = hi[order], lo[order], mass[order], wds[order], lns[order]
+        order = _key_order(cand_hi, cand_lo)
+        hi = cand_hi[order]
+        del cand_hi
+        lo = cand_lo[order]
+        del cand_lo
         new_group = np.empty(len(hi), dtype=bool)
         new_group[0] = True
         new_group[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
         starts = np.nonzero(new_group)[0]
+        del new_group
         hi = hi[starts]
         lo = lo[starts]
-        masses = np.add.reduceat(mass, starts)
-        words = wds[starts]
-        lengths = lns[starts]
+        masses = np.add.reduceat(cand_mass[order], starts)
+        first = order[starts]
+        if words:
+            word_arr, lengths = cand_words[first], cand_lens[first]
         if quantized:
-            cur_f = np.concatenate(cand_mats_f)[order[starts]]
+            cur_f = cand_f[first]
 
         entropies.append(entropy_of(masses))
         support_sizes.append(len(masses))
 
-    table = ConvolutionTable(n, hi, lo, masses, words, lengths, quant)
+    table = ConvolutionTable(n, hi, lo, masses, word_arr, lengths, quant)
     return ConvolutionSeries(n, np.array(entropies), np.array(support_sizes), table, quantized)

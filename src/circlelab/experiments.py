@@ -152,7 +152,7 @@ def scenario_entropy_gap(cfg, seed, workers, out_dir):
     write_csv(out_dir, "entropy_table.csv", ["n", "H", "support"],
               zip(range(len(ae.entropies)), ae.entropies, ae.support_sizes))
     _nu_csv(out_dir, nu)
-    series = convolve_exact(mu, min(n_max, 6), quantized=quantized)
+    series = convolve_exact(mu, min(n_max, 6), quantized=quantized, words=True)
     write_convolution_csv(out_dir, "convolution.csv", series.table, mu.names)
     invs = [
         invariant("entropy_inequality", rep.inequality_ok,

@@ -495,7 +495,7 @@ def asymptotic_entropy(
     diagnostic: the mean of -(1/n) log mu^{*n}(r_n), whose exact
     expectation is H(mu^{*n})/n, must agree within 3 sigma.
     """
-    series = convolve_exact(mu, n_max, max_support=max_support, quantized=quantized)
+    series = convolve_exact(mu, n_max, max_support=max_support, quantized=quantized, words=False)
     h_fit, window, powers = extrapolate_entropy_differences(series.entropies, n_max)
     plain = float(series.entropies[-1] - series.entropies[-2]) if n_max >= 1 else 0.0
 
@@ -509,7 +509,7 @@ def asymptotic_entropy(
     for _ in range(n_max):
         idx = mu.sample_indices(rng, sbm_samples)
         cur = cur @ mats[idx]
-    vals = np.array([series.table.mass_of_matrix(c) for c in cur])
+    vals = series.table.masses_of_matrices(cur)
     if np.any(vals <= 0):
         raise AssertionError("sampled walk endpoint missing from the exact convolution support")
     logs = -np.log(vals) / n_max

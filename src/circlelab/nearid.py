@@ -79,11 +79,15 @@ def kappa_m_solve(gap: float, tau: float = 1.0) -> float:
     return float(k)
 
 
-def ck_distances(map_like, arc: Arc, grid_size: int = 129) -> tuple:
+def ck_distances(map_like, arc: Arc, grid_size: int = 129, jet=None) -> tuple:
     """(C1, C2, C3) distances to the identity over the arc grid, from one jet:
-    C1 = max(dist(phi(x), x), |phi' - 1|), and Ck adds |phi^(k)|."""
+    C1 = max(dist(phi(x), x), |phi' - 1|), and Ck adds |phi^(k)|.
+
+    `jet`, when given, is map_like's 3-jet on `arc.grid(grid_size)`,
+    already evaluated by the caller; it is not evaluated again.
+    """
     xs = arc.grid(grid_size)
-    j = eval_jet3(map_like, xs)
+    j = eval_jet3(map_like, xs) if jet is None else jet
     c1 = max(np.max(circle_dist(j.value, xs)), np.max(np.abs(j.d1 - 1.0)))
     c2 = max(c1, np.max(np.abs(j.d2)))
     return float(c1), float(c2), float(max(c2, np.max(np.abs(j.d3))))

@@ -125,16 +125,16 @@ class Normalization:
         }
 
 
-def mobius_normalize(phi, arc: Arc, grid_size: int = 513) -> Normalization:
+def mobius_normalize(phi, arc: Arc, grid_size: int = 513, jet=None) -> Normalization:
     """Locate the mean-value point x_m of L phi on the arc, build the
     Mobius map with the same 2-jet there, and return the normalized map.
 
     x_m solves L phi(x) = (log phi'(x_+) - log phi'(x_-)) / |I| by
     bisection on the grid; when phi' is constant on the grid the
-    midpoint is used (A is then affine).
+    midpoint is used (A is then affine).  `jet`, when given, is phi's
+    3-jet on `arc.grid(grid_size)`, already evaluated by the caller.
     """
-    xs = arc.grid(grid_size)
-    j = eval_jet3(phi, xs)
+    j = eval_jet3(phi, arc.grid(grid_size)) if jet is None else jet
     L = np.asarray(log_derivative(j), dtype=float)
     logd = np.log(np.asarray(j.d1, dtype=float))
     target = (logd[-1] - logd[0]) / arc.length
@@ -344,11 +344,12 @@ def c3_convergence_check(phi_family, arc: Arc, grid_size: int = 257,
     ms = []
     for m, phi in enumerate(phi_family, start=1):
         ms.append(m)
-        sup_S.append(float(np.max(np.abs(schwarzian(eval_jet3(phi, xs))))))
-        d1, _, d3 = ck_distances(phi, arc, grid_size)
+        jet = eval_jet3(phi, xs)
+        sup_S.append(float(np.max(np.abs(schwarzian(jet)))))
+        d1, _, d3 = ck_distances(phi, arc, grid_size, jet=jet)
         c1.append(d1)
         c3.append(d3)
-        norm = mobius_normalize(phi, arc, grid_size)
+        norm = mobius_normalize(phi, arc, grid_size, jet=jet)
         a = -(norm.x_m - arc.left) % 1.0
         a = a if a <= 0 else a - 1.0
         b = arc.length + a

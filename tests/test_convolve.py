@@ -6,6 +6,8 @@ import pytest
 from circlelab.convolve import (
     _ENTRY_LIMIT,
     ConvolutionBudgetError,
+    _key_order,
+    _keys,
     _pack,
     _unpack,
     convolve_exact,
@@ -100,7 +102,7 @@ def test_masses_sum_to_one(sanov_mu):
 
 
 def test_representative_words_are_reduced(sanov_mu):
-    s = convolve_exact(sanov_mu, 5)
+    s = convolve_exact(sanov_mu, 5, words=True)
     inv = sanov_mu.inverse_index
     for w, ln in zip(s.table.words, s.table.lengths):
         letters = w[:ln].astype(int) - 1
@@ -203,3 +205,72 @@ def test_overflow_of_packed_keys_is_a_budget_error(atoms, quantized, feasible):
     with pytest.raises(ConvolutionBudgetError) as ei:
         convolve_exact(mu, 5, quantized=quantized)
     assert ei.value.feasible_n == feasible
+
+
+def test_words_are_opt_in_and_change_nothing_else(sanov_mu):
+    off = convolve_exact(sanov_mu, 8)
+    on = convolve_exact(sanov_mu, 8, words=True)
+    for a, b in [(off.table.hi, on.table.hi), (off.table.lo, on.table.lo),
+                 (off.table.masses, on.table.masses), (off.entropies, on.entropies),
+                 (off.support_sizes, on.support_sizes)]:
+        assert np.array_equal(a, b)
+    assert off.table.words is None and on.table.words.shape == (on.table.support_size, 8)
+
+
+def test_word_strings_without_words_is_an_error(sanov_mu):
+    table = convolve_exact(sanov_mu, 3).table
+    with pytest.raises(ValueError, match="words were not built"):
+        table.word_strings(sanov_mu.names)
+    assert convolve_exact(sanov_mu, 3, words=True).table.word_strings(sanov_mu.names, 2)
+
+
+def random_tied_keys(rng, count, spread):
+    """Packed keys of random (not sign-normalized) matrices with entries in
+    [-spread, spread]: small spreads give many exact ties."""
+    return _pack(rng.integers(-spread, spread + 1, size=(count, 2, 2), dtype=np.int64))
+
+
+def rotation_candidates():
+    """The keys one quantized convolution step sorts: the n = 6 support of
+    the rotation pair times each atom, concatenated atom-major."""
+    mu = rotation_pair()
+    t = convolve_exact(mu, 6, quantized=True).table
+    cur = _unpack(t.hi, t.lo) * t.quant
+    keys = [_keys(cur @ g, t.quant) for g in mu.matrices()]
+    return np.concatenate([k[0] for k in keys]), np.concatenate([k[1] for k in keys])
+
+
+@pytest.mark.parametrize("case", ["ties", "single", "near-limit", "rotations"])
+def test_key_order_is_lexsort(case):
+    rng = np.random.default_rng(11)
+    if case == "ties":
+        hi, lo = random_tied_keys(rng, 50_000, 3)
+    elif case == "single":
+        hi, lo = random_tied_keys(rng, 1, 3)
+    elif case == "near-limit":
+        # every half spans about 2**31, so no two halves share a pass
+        lim = _ENTRY_LIMIT
+        ends = rng.choice([-lim, -lim + 1, -1, 0, 1, lim - 1, lim], size=(20_000, 2, 2))
+        hi, lo = _pack(ends.astype(np.int64))
+    else:
+        hi, lo = rotation_candidates()
+    assert len(np.unique(hi)) < len(hi) or case == "single"
+    assert np.array_equal(_key_order(hi, lo), np.lexsort((lo, hi)))
+
+
+def test_masses_of_matrices_is_a_lookup_of_the_keys(sanov_mu):
+    t = convolve_exact(sanov_mu, 6).table
+    mats = _unpack(t.hi, t.lo)
+    # absent elements: same first row with another second row, and odd-length elements
+    shifted = mats.copy()
+    shifted[:, 1] += shifted[:, 0]
+    odd = convolve_exact(sanov_mu, 5).table
+    batch = np.concatenate([mats, shifted, _unpack(odd.hi, odd.lo)])
+    table = dict(zip(zip(t.hi.tolist(), t.lo.tolist()), t.masses.tolist()))
+    hi, lo = _keys(batch, None)
+    expected = [table.get(key, 0.0) for key in zip(hi.tolist(), lo.tolist())]
+    found = t.masses_of_matrices(batch)
+    assert np.array_equal(found, expected)
+    assert np.array_equal(found[: len(mats)], t.masses)
+    assert np.all(found[2 * len(mats):] == 0.0)
+    assert t.mass_of_matrix(batch[0]) == found[0]

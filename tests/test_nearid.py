@@ -129,6 +129,7 @@ def test_ck_distances_equal_the_per_order_computation(dense_reports):
         for n in (33, 129):
             ref = tuple(reference_ck_distance(phi, arc, k, n) for k in (1, 2, 3))
             assert ck_distances(phi, arc, n) == ref
+            assert ck_distances(phi, arc, n, jet=eval_jet3(phi, arc.grid(n))) == ref
             assert all(ck_distance_to_identity(phi, arc, k, n) == ref[k - 1] for k in (1, 2, 3))
 
 
