@@ -44,9 +44,6 @@ class Semiconjugation:
     def s(self, x):
         return self.nu.cdf_at(x)
 
-    def s_inverse(self, u):
-        return self.nu.quantile(u)
-
     def induced_map(self, gen_index: int, u):
         grid = np.linspace(0.0, 1.0, len(self.induced_grids[gen_index]))
         lifted = unwrap_increasing(self.induced_grids[gen_index])

@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .configs import BUILTIN_CONFIGS, ConfigError, builtin_config, catalog
+from .configs import BUILTIN_CONFIGS, ConfigError, builtin_config, catalog, parse_config
 from .convolve import ConvolutionBudgetError
 from .distortion import PoleInDiskError
 from .measure import EstimatorDisagreement, MeasureGapError, StationarityError
@@ -44,12 +44,11 @@ def run_experiment(config, seed=None, workers: int = 1, out_dir="out") -> int:
 
     try:
         cfg = load_config(config) if isinstance(config, str) else dict(config)
-        scenario = cfg.get("scenario")
-        if scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {scenario!r}; choose one of {sorted(SCENARIOS)}")
+        values = parse_config(cfg)
+        scenario = cfg["scenario"]
         if seed is None:
-            seed = int(cfg.get("seed", 0))
-        results, invs = SCENARIOS[scenario](cfg, int(seed), int(workers), out_dir)
+            seed = values["seed"]
+        results, invs = SCENARIOS[scenario](cfg, values, int(seed), int(workers), out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

@@ -1,16 +1,27 @@
-"""Bundled example configurations and config parsing.
+"""Config schema, config parsing and the bundled examples.
 
-A config is a JSON object with the keys
+A config is a JSON object.  Every scenario takes the common keys
 
-    scenario    one of: stationary, lyapunov, entropy-gap, boundary,
-                distortion, near-identity, schwarzian, full-theorem-suite
-    seed        master seed (overridable on the command line)
-    generators  name -> {"matrix": [[a,b],[c,d]], "conjugator": [[cos,sin],...]?}
-    mu          {"atoms": [[word, weight], ...], "symmetric": bool}
-                where word is dot-separated generator names, each
-                optionally suffixed ^-1 (e.g. "a.b^-1")
-    lift        optional {"degree": k}: lift the family to the k-fold cover
-    grid_size, samples, and per-scenario parameters
+    scenario     one of: stationary, lyapunov, entropy-gap, boundary,
+                 distortion, near-identity, schwarzian, full-theorem-suite
+    seed         master seed (overridable on the command line)
+    description  free text
+    generators   name -> {"matrix": [[a,b],[c,d]], "conjugator": [[cos,sin],...]?}
+                 or name -> {"rotation": theta}
+    mu           {"atoms": [[word, weight], ...], "symmetric": bool}
+                 where word is dot-separated generator names, each
+                 optionally suffixed ^-1 (e.g. "a.b^-1")
+    lift         optional {"degree": k}: lift the family to the k-fold cover
+    extra_atoms  optional [[word, weight], ...] rows added after the lift;
+                 a word "rotation:theta" is a rotation of the cover
+
+and the keys of its row of `SCHEMA`, each with a type and a default
+(README's "Config schema" lists them).  `parse_config` checks a config
+against the table before any estimate runs: a key the scenario does not
+read, or a value of the wrong type, is a `ConfigError` naming the key.
+full-theorem-suite takes the keys of its six parts (`SUITE_PARTS`), each
+part with its own defaults.  The shapes of generators, atom rows and
+`l_generator`/`l_word` words are checked by the builders that read them.
 
 The bundled examples cover the standard situations: a discrete free
 integer pair ("sanov"), a strongly contracting hyperbolic Schottky pair
@@ -36,6 +47,165 @@ def _require(cfg: dict, key: str, where: str = "config"):
     if key not in cfg:
         raise ConfigError(f"missing key '{key}' in {where}")
     return cfg[key]
+
+
+# ---------------------------------------------------------------------------
+# the config schema
+# ---------------------------------------------------------------------------
+
+ARCS = "arcs"    # the kind of a list of [left, length] rows
+
+# key -> (kind, default).  A kind is int, float, bool or str; a tuple of
+# the allowed values; ARCS; the table of an object's own keys ("*" for any
+# name); or None for a value whose shape its builder checks.  A default of
+# None marks an optional key without a default.
+KEYS = {
+    "seed": (int, 0),
+    "description": (str, None),
+    "generators": ({"*": {"matrix": None, "conjugator": None, "rotation": float}}, None),
+    "mu": ({"atoms": None, "symmetric": bool}, None),
+    "lift": ({"degree": int}, None),
+    "extra_atoms": (None, None),
+    "method": (("transfer_iteration", "transfer", "monte_carlo", "both"), "transfer_iteration"),
+    "grid_size": (int, 8192),
+    "mc_samples": (int, 200_000),
+    "mc_steps": (int, 300),
+    "tol": (float, 1e-3),
+    "n_steps": (int, 10_000),
+    "trajectories": (int, 100),
+    "n_seeds": (int, 1),
+    "integral_samples": (int, 100_000),
+    "n_max": (int, 12),
+    "quantized": (bool, False),
+    "delta_cells": (int, 8),
+    "samples": (int, 50_000),
+    "epsilon": (float, 1e-4),
+    "word_length_cap": (int, 40),
+    "gap_mass_tolerance": (float, 1e-3),
+    "q_max": (int, 4),
+    "probe_horizon": (int, 50),
+    "probe_trials": (int, 10),
+    "h_hint": (float, None),
+    "lyapunov_steps": (int, 5000),
+    "kappa": (float, 0.5),
+    "tau": (float, 1.0),
+    "x": (float, 0.3),
+    "n_walks": (int, 100),
+    "horizon_real": (int, 200),
+    "horizon_complex": (int, 100),
+    "expectation": (("dense", "discrete"), "dense"),
+    "l_generator": (str, None),
+    "l_word": (str, None),
+    "m_min": (int, 5),
+    "m_max": (int, 20),
+    "eta": (float, 0.02),
+    "search_seeds": (int, 11),
+    "h_nu_hint": (float, 0.05),
+    "length_factor": (float, 2.0),
+    "discreteness_floor": (float, 1e-3),
+    "brute_force_length": (int, 0),
+    "limit_arcs": (ARCS, ((0.1024, 0.1476), (0.25, 0.1476), (0.6024, 0.1476), (0.75, 0.1476))),
+    "omega": (float, 0.3),
+    "step": (float, 1e-3),
+    "family_size": (int, 10),
+}
+COMMON = ("seed", "description", "generators", "mu", "lift", "extra_atoms")
+
+
+def _keys(*names, **defaults) -> dict:
+    """The common keys and the named ones, with the scenario's own defaults."""
+    table = {key: KEYS[key] for key in (*COMMON, *names, *defaults)}
+    table.update({key: (KEYS[key][0], value) for key, value in defaults.items()})
+    return table
+
+
+_MEASURE = ("method", "grid_size", "mc_samples", "mc_steps")    # nu, by `method`
+
+# scenario -> key -> (kind, default): the keys each scenario reads
+SCHEMA = {
+    "stationary": _keys(*_MEASURE, "tol"),
+    "lyapunov": _keys(*_MEASURE, "n_steps", "trajectories", "n_seeds", "integral_samples"),
+    "entropy-gap": _keys("grid_size", "n_max", "quantized", "delta_cells", samples=100_000),
+    "boundary": _keys(*_MEASURE, "epsilon", "word_length_cap", "gap_mass_tolerance", "q_max",
+                      "samples", "probe_horizon", "probe_trials"),
+    "distortion": _keys("h_hint", "grid_size", "lyapunov_steps", "samples", "kappa", "tau", "x",
+                        "n_walks", "horizon_real", "horizon_complex"),
+    "near-identity": _keys("expectation", "l_generator", "l_word", "m_min", "m_max", "eta",
+                           "search_seeds", "h_nu_hint", "length_factor", "discreteness_floor",
+                           "brute_force_length", "limit_arcs", grid_size=2048, samples=16_384),
+    "schwarzian": _keys("omega", "step", "family_size"),
+}
+SUITE = "full-theorem-suite"
+SUITE_PARTS = ("stationary", "lyapunov", "entropy-gap", "boundary", "distortion", "schwarzian")
+
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+def _value(key: str, kind, value):
+    """value checked against kind and converted; a ConfigError naming key
+    otherwise.  An int takes integral floats, and no kind but bool takes a
+    bool."""
+    if kind is None:
+        return value
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"'{key}' must be an object, got {value!r}")
+        if "*" not in kind:
+            unknown = [k for k in value if k not in kind]
+            if unknown:
+                raise ConfigError(f"unknown key '{key}.{unknown[0]}'; {key} takes {', '.join(kind)}")
+        return {k: _value(f"{key}.{k}", kind.get(k, kind.get("*")), v) for k, v in value.items()}
+    if isinstance(kind, tuple):
+        if isinstance(value, str) and value in kind:
+            return value
+        raise ConfigError(f"'{key}' must be one of {', '.join(kind)}, got {value!r}")
+    if kind is ARCS:
+        if isinstance(value, (list, tuple)) and all(
+                isinstance(row, (list, tuple)) and len(row) == 2 and all(map(_is_number, row))
+                for row in value):
+            return tuple((float(left), float(length)) for left, length in value)
+        raise ConfigError(f"'{key}' must be a list of [left, length] rows, got {value!r}")
+    if kind is bool and isinstance(value, bool) or kind is str and isinstance(value, str):
+        return value
+    if kind is float and _is_number(value):
+        return float(value)
+    if kind is int and _is_number(value) and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    raise ConfigError(f"'{key}' must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _values(cfg: dict, table: dict) -> dict:
+    return {key: _value(key, kind, cfg[key]) if key in cfg else default
+            for key, (kind, default) in table.items()}
+
+
+def parse_config(cfg) -> dict:
+    """cfg's values, checked against its scenario's row of SCHEMA, with the
+    defaults of the keys it leaves out.
+
+    The declared keys are checked first, then a key the scenario does not
+    read is a ConfigError naming it.  A full-theorem-suite config's values
+    are the common keys plus one entry per part: the part's name mapped to
+    the part's own values.
+    """
+    if not isinstance(cfg, dict):
+        raise ConfigError("a config must be a JSON object")
+    scenario = cfg.get("scenario")
+    if scenario != SUITE and not (isinstance(scenario, str) and scenario in SCHEMA):
+        raise ConfigError(f"unknown scenario {scenario!r}; choose one of {sorted([*SCHEMA, SUITE])}")
+    parts = SUITE_PARTS if scenario == SUITE else (scenario,)
+    values = {part: _values(cfg, SCHEMA[part]) for part in parts}
+    declared = {"scenario"}.union(*(SCHEMA[part] for part in parts))
+    unknown = [key for key in cfg if key not in declared]
+    if unknown:
+        raise ConfigError(f"unknown key '{unknown[0]}' for scenario {scenario}")
+    if scenario != SUITE:
+        return values[scenario]
+    return {**_values(cfg, _keys()), **values}
 
 
 def build_generators(cfg: dict) -> dict:
@@ -74,8 +244,6 @@ def build_l_generator(cfg: dict) -> MobiusMap:
     if key not in cfg:
         raise ConfigError("missing key 'l_generator' (or 'l_word') in near-identity config")
     token = cfg[key]
-    if not isinstance(token, str):
-        raise ConfigError(f"'{key}' must be a word of generator names, got {token!r}")
     l_gen = _parse_word(token, build_generators(cfg), f"'{key}'")
     l_gen = l_gen.as_mobius() if isinstance(l_gen, Word) else l_gen
     if not isinstance(l_gen, MobiusMap) or l_gen.classify() != "hyperbolic":

@@ -1,8 +1,10 @@
 """Named experiment scenarios binding the estimators together.
 
-Each scenario consumes a parsed config, produces a JSON-able result
-dict plus CSV side files, and appends invariant records that the CLI's
-`verify` can re-check.  All randomness flows through (seed, stream)
+Each scenario takes the raw config, which the builders read, and its
+values from `configs.parse_config`, which hold every other key typed and
+with its default; it produces a JSON-able result dict plus CSV side
+files, and appends invariant records that the CLI's `verify` can
+re-check.  All randomness flows through (seed, stream)
 addresses, so reports are byte-identical for a fixed (config, seed)
 regardless of worker count.
 """
@@ -19,7 +21,7 @@ from .boundary import (
     semiconjugation_map,
 )
 from .circle import Arc
-from .configs import ConfigError, build_l_generator, build_step_distribution
+from .configs import SUITE_PARTS, ConfigError, build_l_generator, build_step_distribution
 from .distortion import interval_mass_decay, verify_complex_distortion, verify_real_distortion, walk_constants
 from .maps import MobiusMap
 from .convolve import convolve_exact
@@ -32,7 +34,7 @@ from .measure import (
     estimate_stationary_measure,
     lyapunov_exponent,
 )
-from .nearid import brute_force_min_c1, endgame_estimates, search_near_identity_pairs
+from .nearid import ENDGAME_TOL, brute_force_min_c1, endgame_estimates, search_near_identity_pairs
 from .parallel import pmap
 from .reports import invariant, write_convolution_csv, write_csv, write_walk_csv
 from .schwarzian import c3_convergence_check, mobius_normalize, solve_and_reconstruct
@@ -49,45 +51,30 @@ def default_epsilon(h: float, h_nu: float) -> float:
     return gap / 2.0 if gap > 0.02 else 0.1
 
 
-def _require_mobius(cfg, mu, scenario: str):
+def _require_mobius(p, mu, scenario: str):
     """ConfigError naming the keys that make the family non-Mobius."""
     if mu.matrices() is None:
-        keys = [f"generators.{n}.conjugator" for n, g in cfg["generators"].items() if g.get("conjugator")]
-        if cfg.get("lift"):
+        keys = [f"generators.{n}.conjugator" for n, g in p["generators"].items() if g.get("conjugator")]
+        if p["lift"]:
             keys.append("lift")
         raise ConfigError(f"the {scenario} scenario needs a pure Mobius family, but {', '.join(keys)} is set")
 
 
-def _choice(cfg, key: str, allowed: tuple):
-    """cfg[key], which must be one of allowed; allowed[0] when key is absent."""
-    value = cfg.get(key, allowed[0])
-    if value not in allowed:
-        raise ConfigError(f"'{key}' must be one of {', '.join(allowed)}, got {value!r}")
-    return value
-
-
-_METHODS = ("transfer_iteration", "transfer", "monte_carlo", "both")
-
-
-def scenario_stationary(cfg, seed, workers, out_dir):
-    method = _choice(cfg, "method", _METHODS)
+def scenario_stationary(cfg, p, seed, workers, out_dir):
     mu = build_step_distribution(cfg)
-    N = int(cfg.get("grid_size", 8192))
-    tol = float(cfg.get("tol", 1e-3))
+    N, tol = p["grid_size"], p["tol"]
     results = {}
     invs = []
     nu_t = nu_mc = None
-    if method in ("transfer_iteration", "transfer", "both"):
+    if p["method"] in ("transfer_iteration", "transfer", "both"):
         nu_t = estimate_stationary_measure(mu, "transfer_iteration", N, tol=tol, seed=seed)
         results["transfer"] = nu_t.info.__dict__.copy()
         invs.append(invariant("stationarity_residual_transfer", nu_t.info.residual <= tol,
                               residual=nu_t.info.residual, tol=tol))
         _nu_csv(out_dir, nu_t)
-    if method in ("monte_carlo", "both"):
+    if p["method"] in ("monte_carlo", "both"):
         nu_mc = estimate_stationary_measure(
-            mu, "monte_carlo", N,
-            mc_samples=int(cfg.get("mc_samples", 200_000)),
-            mc_steps=int(cfg.get("mc_steps", 300)), seed=seed)
+            mu, "monte_carlo", N, mc_samples=p["mc_samples"], mc_steps=p["mc_steps"], seed=seed)
         results["monte_carlo"] = nu_mc.info.__dict__.copy()
         _nu_csv(out_dir, nu_mc, "nu_cdf_mc.csv")
     if nu_t is not None and nu_mc is not None:
@@ -98,30 +85,24 @@ def scenario_stationary(cfg, seed, workers, out_dir):
     return results, invs
 
 
-def _shared_measure(cfg, mu, seed):
+def _shared_measure(p, mu, seed):
     """nu by Monte Carlo when method is monte_carlo, else by transfer iteration."""
-    N = int(cfg.get("grid_size", 8192))
-    if _choice(cfg, "method", _METHODS) == "monte_carlo":
+    if p["method"] == "monte_carlo":
         return estimate_stationary_measure(
-            mu, "monte_carlo", N, mc_samples=int(cfg.get("mc_samples", 200_000)),
-            mc_steps=int(cfg.get("mc_steps", 300)), seed=seed)
-    return estimate_stationary_measure(mu, "transfer_iteration", N, seed=seed)
+            mu, "monte_carlo", p["grid_size"], mc_samples=p["mc_samples"],
+            mc_steps=p["mc_steps"], seed=seed)
+    return estimate_stationary_measure(mu, "transfer_iteration", p["grid_size"], seed=seed)
 
 
-def scenario_lyapunov(cfg, seed, workers, out_dir):
+def scenario_lyapunov(cfg, p, seed, workers, out_dir):
     mu = build_step_distribution(cfg)
-    nu = _shared_measure(cfg, mu, seed)
-    n_steps = int(cfg.get("n_steps", 10_000))
-    traj = int(cfg.get("trajectories", 100))
-    n_seeds = int(cfg.get("n_seeds", 1))
-    ints = int(cfg.get("integral_samples", 100_000))
+    nu = _shared_measure(p, mu, seed)
 
     def one(s):
-        est = lyapunov_exponent(mu, nu, n_steps=n_steps, trajectories=traj,
-                                integral_samples=ints, seed=seed + s)
-        return est
+        return lyapunov_exponent(mu, nu, n_steps=p["n_steps"], trajectories=p["trajectories"],
+                                 integral_samples=p["integral_samples"], seed=seed + s)
 
-    ests = pmap(one, range(n_seeds), workers)
+    ests = pmap(one, range(p["n_seeds"]), workers)
     vals = np.array([e.value for e in ests])
     results = {
         "estimates": [e.as_dict() for e in ests],
@@ -131,7 +112,7 @@ def scenario_lyapunov(cfg, seed, workers, out_dir):
     invs = [invariant("lyapunov_estimators_agree",
                       all(e.agreement_sigma <= 3.0 for e in ests),
                       sigmas=[e.agreement_sigma for e in ests])]
-    if n_seeds > 1:
+    if p["n_seeds"] > 1:
         invs.append(invariant("lyapunov_reproducible", results["spread"] <= 0.02,
                               spread=results["spread"]))
     write_csv(out_dir, "lyapunov.csv", ["seed", "pathwise", "stderr", "integral", "integral_stderr"],
@@ -139,16 +120,14 @@ def scenario_lyapunov(cfg, seed, workers, out_dir):
     return results, invs
 
 
-def scenario_entropy_gap(cfg, seed, workers, out_dir):
+def scenario_entropy_gap(cfg, p, seed, workers, out_dir):
     mu = build_step_distribution(cfg)
-    N = int(cfg.get("grid_size", 8192))
-    n_max = int(cfg.get("n_max", 12))
-    quantized = bool(cfg.get("quantized", False))
-    nu = estimate_stationary_measure(mu, grid_size=N, seed=seed)
-    be = boundary_entropy(mu, nu, samples=int(cfg.get("samples", 100_000)),
-                          delta_cells=int(cfg.get("delta_cells", 8)), seed=seed)
+    n_max = p["n_max"]
+    quantized = p["quantized"]
+    nu = estimate_stationary_measure(mu, grid_size=p["grid_size"], seed=seed)
+    be = boundary_entropy(mu, nu, samples=p["samples"], delta_cells=p["delta_cells"], seed=seed)
     ae = asymptotic_entropy(mu, n_max, seed=seed, quantized=quantized)
-    rep = entropy_gap_report(mu, boundary=be, asymptotic=ae)
+    rep = entropy_gap_report(boundary=be, asymptotic=ae)
     write_csv(out_dir, "entropy_table.csv", ["n", "H", "support"],
               zip(range(len(ae.entropies)), ae.entropies, ae.support_sizes))
     _nu_csv(out_dir, nu)
@@ -164,14 +143,13 @@ def scenario_entropy_gap(cfg, seed, workers, out_dir):
     return results, invs
 
 
-def scenario_boundary(cfg, seed, workers, out_dir):
+def scenario_boundary(cfg, p, seed, workers, out_dir):
     mu = build_step_distribution(cfg)
-    nu = _shared_measure(cfg, mu, seed)
+    nu = _shared_measure(p, mu, seed)
     sc = semiconjugation_map(nu, mu)
-    prox = proximality_test(mu, float(cfg.get("epsilon", 1e-4)),
-                            int(cfg.get("word_length_cap", 40)))
-    cls = minimal_set_classify(nu, mass_tolerance=float(cfg.get("gap_mass_tolerance", 1e-3)))
-    quo = finite_quotient_detect(nu, mu, int(cfg.get("q_max", 4)))
+    prox = proximality_test(mu, p["epsilon"], p["word_length_cap"])
+    cls = minimal_set_classify(nu, mass_tolerance=p["gap_mass_tolerance"])
+    quo = finite_quotient_detect(nu, mu, p["q_max"])
     results = {
         "semiconjugation": sc.as_dict(),
         "proximality": prox.as_dict(),
@@ -183,8 +161,8 @@ def scenario_boundary(cfg, seed, workers, out_dir):
     defect_bound = 5.0 / nu.N + 2.0 * nu.max_cell_mass
     invs = [invariant("equivariance_defect", bool(np.all(sc.defects <= defect_bound)),
                       defects=list(sc.defects), bound=defect_bound)]
-    if "lift" in cfg:
-        degree = int(cfg["lift"]["degree"])
+    if p["lift"]:
+        degree = p["lift"]["degree"]
         invs.append(invariant("quotient_degree_detected", quo.degree == degree,
                               detected=quo.degree, expected=degree))
         from .configs import build_projected_base
@@ -194,7 +172,7 @@ def scenario_boundary(cfg, seed, workers, out_dir):
         base_mu = build_projected_base(cfg)
         base_nu = estimate_stationary_measure(base_mu, grid_size=nu.N, seed=seed)
         base_quo = finite_quotient_detect(base_nu, base_mu, q_max=1)
-        samples = int(cfg.get("samples", 50_000))
+        samples = p["samples"]
         h_quot, se_quot = quotient_boundary_entropy(quo, nu, mu, samples=samples, seed=seed)
         h_base, se_base = quotient_boundary_entropy(base_quo, base_nu, base_mu,
                                                     samples=samples, seed=seed + 1)
@@ -206,34 +184,28 @@ def scenario_boundary(cfg, seed, workers, out_dir):
                               base=h_base, quotient=h_quot, tol=tol))
     write_csv(out_dir, "gap_report.csv", ["left", "length", "mass"],
               [(g.left, g.length, m) for g, m in zip(cls.gaps, cls.gap_masses)])
-    probe = dirac_convergence_probe(mu, nu, horizon=int(cfg.get("probe_horizon", 50)),
-                                    trials=int(cfg.get("probe_trials", 10)), seed=seed)
+    probe = dirac_convergence_probe(mu, nu, horizon=p["probe_horizon"],
+                                    trials=p["probe_trials"], seed=seed)
     results["dirac_probe"] = probe.as_dict()
     write_csv(out_dir, "dirac_probe.csv", ["n", "median_width"],
               zip(probe.ns, probe.median_width))
     return results, invs
 
 
-def scenario_distortion(cfg, seed, workers, out_dir):
+def scenario_distortion(cfg, p, seed, workers, out_dir):
     mu = build_step_distribution(cfg)
-    _require_mobius(cfg, mu, "distortion")
-    h_hint = cfg.get("h_hint")
-    if "h_hint" in cfg and type(h_hint) not in (int, float):
-        raise ConfigError(f"'h_hint' must be a number, got {h_hint!r}")
-    N = int(cfg.get("grid_size", 8192))
-    nu = estimate_stationary_measure(mu, grid_size=N, seed=seed)
-    lam_est = lyapunov_exponent(mu, nu, n_steps=int(cfg.get("lyapunov_steps", 5000)),
+    _require_mobius(p, mu, "distortion")
+    nu = estimate_stationary_measure(mu, grid_size=p["grid_size"], seed=seed)
+    lam_est = lyapunov_exponent(mu, nu, n_steps=p["lyapunov_steps"],
                                 trajectories=48, integral_samples=50_000, seed=seed)
-    be = boundary_entropy(mu, nu, samples=int(cfg.get("samples", 50_000)), seed=seed)
+    be = boundary_entropy(mu, nu, samples=p["samples"], seed=seed)
     lam, h_nu = lam_est.value, be.value
-    kappa = float(cfg.get("kappa", 0.5))
-    tau = float(cfg.get("tau", 1.0))
-    x = float(cfg.get("x", 0.3))
-    n_walks = int(cfg.get("n_walks", 100))
-    N_real = int(cfg.get("horizon_real", 200))
-    N_cx = int(cfg.get("horizon_complex", 100))
+    kappa, tau, x = p["kappa"], p["tau"], p["x"]
+    n_walks = p["n_walks"]
+    N_real = p["horizon_real"]
+    N_cx = p["horizon_complex"]
     J = Arc.from_endpoints(float(nu.quantile(0.30)), float(nu.quantile(0.40)))
-    eps = default_epsilon(h_nu + 0.2 if h_hint is None else float(h_hint), h_nu)
+    eps = default_epsilon(h_nu + 0.2 if p["h_hint"] is None else p["h_hint"], h_nu)
 
     def one(k):
         walk = sample_walk(mu, N_real, seed, k)
@@ -273,31 +245,25 @@ def scenario_distortion(cfg, seed, workers, out_dir):
     return results, invs
 
 
-def scenario_near_identity(cfg, seed, workers, out_dir):
-    mode = _choice(cfg, "expectation", ("dense", "discrete"))
+def scenario_near_identity(cfg, p, seed, workers, out_dir):
+    mode = p["expectation"]
     mu = build_step_distribution(cfg)
-    _require_mobius(cfg, mu, "near-identity")
+    _require_mobius(p, mu, "near-identity")
     l_gen = build_l_generator(cfg)
-    N = int(cfg.get("grid_size", 2048))
-    nu = estimate_stationary_measure(mu, grid_size=N, seed=seed)
+    nu = estimate_stationary_measure(mu, grid_size=p["grid_size"], seed=seed)
     lam_est = lyapunov_exponent(mu, nu, n_steps=3000, trajectories=32,
                                 integral_samples=20_000, seed=seed)
     lam = lam_est.value
     if lam >= 0:
         raise ValueError("near-identity search requires a negative Lyapunov exponent")
-    m_range = range(int(cfg.get("m_min", 5)), int(cfg.get("m_max", 20)) + 1)
-    eta = float(cfg.get("eta", 0.02))
-    n_seeds = int(cfg.get("search_seeds", 11))
+    m_range = range(p["m_min"], p["m_max"] + 1)
 
     def one(s):
         return search_near_identity_pairs(
-            mu, l_gen, eta=eta, m_range=m_range, nu=nu, lam=lam,
-            h_nu=float(cfg.get("h_nu_hint", 0.05)),
-            samples=int(cfg.get("samples", 16_384)),
-            length_factor=float(cfg.get("length_factor", 2.0)),
-            seed=seed + s)
+            mu, l_gen, eta=p["eta"], m_range=m_range, nu=nu, lam=lam, h_nu=p["h_nu_hint"],
+            samples=p["samples"], length_factor=p["length_factor"], seed=seed + s)
 
-    searches = pmap(one, range(n_seeds), workers)
+    searches = pmap(one, range(p["search_seeds"]), workers)
     per_m = {m: [] for m in m_range}
     miss_count = {m: 0 for m in m_range}
     records = []
@@ -324,21 +290,29 @@ def scenario_near_identity(cfg, seed, workers, out_dir):
     write_csv(out_dir, "near_identity_summary.csv",
               ["m", "pairs_found", "median_C1", "median_C2", "median_C3"], summary_rows)
 
-    endgame_ok = True
-    endgame_count = 0
-    for reports, _ in searches[:1]:
-        for r in reports:
-            endgame_estimates(r)
-            endgame_count += 1
+    # the endgame inequalities on the first seed's pairs, as worst margins:
+    # overlap fraction over c_m (>= 1), sup |log phi'| over its bound (<= 1)
+    # and the L/S composition formula error (<= ENDGAME_TOL)
+    endgames = [(r, endgame_estimates(r)) for reports, _ in searches[:1] for r in reports]
+    endgame = {"checked": len(endgames)}
+    if endgames:
+        endgame.update(
+            min_overlap_over_c_m=min(min(e.overlap_fraction_g, e.overlap_fraction_h) / r.c_m
+                                     for r, e in endgames),
+            max_log_phi_over_bound=max(e.sup_log_phi_prime / e.log_phi_bound for _, e in endgames),
+            max_ls_formula_error=max(e.ls_formula_error for _, e in endgames))
+    endgame_ok = not endgames or (endgame["min_overlap_over_c_m"] >= 1 - ENDGAME_TOL
+                                  and endgame["max_log_phi_over_bound"] <= 1 + ENDGAME_TOL
+                                  and endgame["max_ls_formula_error"] <= ENDGAME_TOL)
     results = {
         "lyapunov": lam_est.as_dict(),
         "pairs_per_m": {int(m): len(per_m[m]) for m in m_range},
         "misses_per_m": {int(m): miss_count[m] for m in m_range},
         "median_c1": {int(m): medians.get(m, float("nan")) for m in m_range},
         "reports": records,
-        "endgame_checked": endgame_count,
+        "endgame_checked": len(endgames),
     }
-    invs = [invariant("endgame_inequalities", endgame_ok, checked=endgame_count)]
+    invs = [invariant("endgame_inequalities", endgame_ok, **endgame)]
     if mode == "dense":
         all_found = all(len(per_m[m]) > 0 for m in m_range)
         invs.append(invariant("pairs_found_all_m", all_found,
@@ -349,15 +323,14 @@ def scenario_near_identity(cfg, seed, workers, out_dir):
                                   medians[hi_m] <= medians[lo_m] / 2.0,
                                   first=medians[lo_m], last=medians[hi_m]))
     elif mode == "discrete":
-        floor = float(cfg.get("discreteness_floor", 1e-3))
+        floor = p["discreteness_floor"]
         emitted = [r.ck_distances[0] for m in m_range for r in per_m[m]]
         ok = all(v > floor for v in emitted)
         invs.append(invariant("no_pair_below_discreteness_floor", ok,
                               emitted=len(emitted), floor=floor))
-        bf_len = int(cfg.get("brute_force_length", 0))
+        bf_len = p["brute_force_length"]
         if bf_len > 0:
-            arcs = [Arc(a, b) for a, b in cfg.get(
-                "limit_arcs", [[0.1024, 0.1476], [0.25, 0.1476], [0.6024, 0.1476], [0.75, 0.1476]])]
+            arcs = [Arc(a, b) for a, b in p["limit_arcs"]]
             min_c1, word = brute_force_min_c1(mu, arcs, bf_len)
             results["brute_force_min_c1"] = min_c1
             invs.append(invariant("brute_force_discreteness", min_c1 > floor,
@@ -365,9 +338,9 @@ def scenario_near_identity(cfg, seed, workers, out_dir):
     return results, invs
 
 
-def scenario_schwarzian(cfg, seed, workers, out_dir):
-    omega = float(cfg.get("omega", 0.3))
-    step = float(cfg.get("step", 1e-3))
+def scenario_schwarzian(cfg, p, seed, workers, out_dir):
+    omega = p["omega"]
+    step = p["step"]
     sol = solve_and_reconstruct(
         lambda y: np.full_like(np.asarray(y, dtype=float), 2 * omega * omega),
         (-1.0, 1.0), step)
@@ -383,7 +356,7 @@ def scenario_schwarzian(cfg, seed, workers, out_dir):
                                  (a, arc.length + a), step / 2)
     roundtrip = float(np.max(np.abs(sol2.k - norm.k.apply(sol2.ys))))
     fam = [MobiusMap([[np.exp(0.1 / m), 0.07 / m], [0.0, np.exp(-0.1 / m)]])
-           for m in range(1, int(cfg.get("family_size", 10)) + 1)]
+           for m in range(1, p["family_size"] + 1)]
     verdict = c3_convergence_check(fam, Arc(0.05, 0.15), grid_size=129, ode_step=step)
     write_csv(out_dir, "curves.csv", ["m", "sup_S", "c1_dist", "c3_dist", "sup_v_prime"],
               zip(verdict.ms, verdict.sup_S, verdict.c1_dist, verdict.c3_dist, verdict.sup_vp))
@@ -405,17 +378,12 @@ def scenario_schwarzian(cfg, seed, workers, out_dir):
     return results, invs
 
 
-def scenario_full(cfg, seed, workers, out_dir):
+def scenario_full(cfg, p, seed, workers, out_dir):
+    """The six parts in turn, each with its own values p[part]."""
     results = {}
     invs = []
-    for name, fn in [("stationary", scenario_stationary),
-                     ("lyapunov", scenario_lyapunov),
-                     ("entropy-gap", scenario_entropy_gap),
-                     ("boundary", scenario_boundary),
-                     ("distortion", scenario_distortion),
-                     ("schwarzian", scenario_schwarzian)]:
-        sub, sub_invs = fn(cfg, seed, workers, out_dir)
-        results[name] = sub
+    for part in SUITE_PARTS:
+        results[part], sub_invs = SCENARIOS[part](cfg, p[part], seed, workers, out_dir)
         invs.extend(sub_invs)
     return results, invs
 

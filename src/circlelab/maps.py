@@ -153,9 +153,6 @@ class MobiusMap:
             return "elliptic"
         return "parabolic"
 
-    def is_identity(self, tol=1e-12) -> bool:
-        return bool(np.allclose(self.matrix, np.eye(2), atol=tol) or np.allclose(self.matrix, -np.eye(2), atol=tol))
-
     def direction_matrix(self) -> np.ndarray:
         """Matrix acting on direction vectors (cos pi x, sin pi x)."""
         a, b, c, d = self.matrix.ravel()

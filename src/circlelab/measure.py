@@ -552,52 +552,34 @@ class EntropyReport:
 
 
 def entropy_gap_report(
-    mu: StepDistribution,
-    nu: GridMeasure | None = None,
-    n_max: int = 12,
-    grid_size: int = 8192,
-    samples: int = 100_000,
-    delta_cells: int = 8,
-    seed: int = 0,
+    boundary: BoundaryEntropyEstimate,
+    asymptotic: AsymptoticEntropyEstimate,
     tol: float = 0.2,
-    quantized: bool = False,
-    boundary: BoundaryEntropyEstimate | None = None,
-    asymptotic: AsymptoticEntropyEstimate | None = None,
 ) -> EntropyReport:
     """Bundle h, h_nu, and their ratio; the Poisson-boundary criterion
     holds exactly when the ratio is 1, flagged within +-tol.
-
-    Precomputed boundary/asymptotic estimates may be supplied to avoid
-    recomputing the convolution powers.
     """
-    if boundary is None:
-        if nu is None:
-            nu = estimate_stationary_measure(mu, grid_size=grid_size, seed=seed)
-        boundary = boundary_entropy(mu, nu, samples=samples, delta_cells=delta_cells, seed=seed)
-    be = boundary
-    ae = asymptotic if asymptotic is not None else asymptotic_entropy(
-        mu, n_max, seed=seed, quantized=quantized)
     # spread between the fitted estimate and the plain difference is the
     # honest systematic scale of the extrapolation
-    h_se = abs(ae.value - ae.plain_difference) / 2.0
-    h = ae.value
-    h_nu = be.value
+    h_se = abs(asymptotic.value - asymptotic.plain_difference) / 2.0
+    h = asymptotic.value
+    h_nu = boundary.value
     undefined = h <= max(3.0 * h_se, 1e-3)
     if undefined:
         ratio = ratio_se = None
         consistent = None
     else:
         ratio = h_nu / h
-        ratio_se = abs(ratio) * float(np.hypot(be.stderr / max(h_nu, 1e-12), h_se / h))
+        ratio_se = abs(ratio) * float(np.hypot(boundary.stderr / max(h_nu, 1e-12), h_se / h))
         consistent = bool(1.0 - tol <= ratio <= 1.0 + tol)
-    ineq = (h_nu >= -2.0 * be.stderr) and (h_nu <= h + 2.0 * np.hypot(be.stderr, h_se))
+    ineq = (h_nu >= -2.0 * boundary.stderr) and (h_nu <= h + 2.0 * np.hypot(boundary.stderr, h_se))
     return EntropyReport(
         h_asymptotic=h,
         h_asymptotic_stderr=h_se,
         h_boundary=h_nu,
-        h_boundary_stderr=be.stderr,
-        n_used=n_max,
-        boundary_samples=be.samples,
+        h_boundary_stderr=boundary.stderr,
+        n_used=asymptotic.n_max,
+        boundary_samples=boundary.samples,
         ratio=ratio,
         ratio_stderr=ratio_se,
         poisson_consistent=consistent,

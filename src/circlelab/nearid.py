@@ -35,6 +35,7 @@ from .rng import stream
 from .walk import StepDistribution, canonical_key
 
 _TAG_SEARCH = 0x4E454152
+ENDGAME_TOL = 1e-9       # relative slack of the endgame bounds; the L/S formulas' error bound
 
 
 class DistortionWindowError(ValueError):
@@ -421,7 +422,7 @@ def endgame_estimates(report: NearIdentityReport, pairs: int = 100,
         lhs = np.exp(-kap) * d0 * (xs[:, 1] - xs[:, 0])
         rhs = np.exp(kap) * d0 * (xs[:, 1] - xs[:, 0])
         diff = gy - gx
-        ok &= bool(np.all(diff >= lhs * (1 - 1e-9) - 1e-15) and np.all(diff <= rhs * (1 + 1e-9) + 1e-15))
+        ok &= bool(np.all(diff >= lhs * (1 - ENDGAME_TOL) - 1e-15) and np.all(diff <= rhs * (1 + ENDGAME_TOL) + 1e-15))
     if not ok:
         raise EndgameViolation("distortion sandwich failed")
 
@@ -437,7 +438,7 @@ def endgame_estimates(report: NearIdentityReport, pairs: int = 100,
     frac_h = (delta_m - gamma_m) / (2 * eta)
     c_m = report.c_m
     # the c_m bound uses condition 2: not enforced when that fails
-    if not condition2_violated and min(frac_g, frac_h) < c_m * (1 - 1e-9):
+    if not condition2_violated and min(frac_g, frac_h) < c_m * (1 - ENDGAME_TOL):
         raise EndgameViolation(
             f"overlap fractions {frac_g:.4f}/{frac_h:.4f} below c_m = {c_m:.4f}")
 
@@ -453,7 +454,7 @@ def endgame_estimates(report: NearIdentityReport, pairs: int = 100,
     sup_log = float(np.max(np.abs(ld)))
     bound = 2 * kap + 1.0 / m
     skipped = bool(condition2_violated)
-    if not skipped and sup_log > bound * (1 + 1e-9):
+    if not skipped and sup_log > bound * (1 + ENDGAME_TOL):
         raise EndgameViolation(f"|log phi'| = {sup_log:.4f} exceeds {bound:.4f}")
 
     # L phi = L g - (g'/h'(h^{-1} g)) (L h)(h^{-1} g);  S likewise with squares
@@ -468,7 +469,7 @@ def endgame_estimates(report: NearIdentityReport, pairs: int = 100,
         float(np.max(np.abs(Lphi - L_pred)) / max(1.0, np.max(np.abs(Lphi)))),
         float(np.max(np.abs(Sphi - S_pred)) / max(1.0, np.max(np.abs(Sphi)))),
     )
-    if err > 1e-9:
+    if err > ENDGAME_TOL:
         raise EndgameViolation(f"L/S composition formulas mismatch: {err:.2e}")
 
     return EndgameReport(m, True, float(frac_g), float(frac_h), sup_log, float(bound),

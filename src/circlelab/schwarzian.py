@@ -165,13 +165,9 @@ def mobius_normalize(phi, arc: Arc, grid_size: int = 513, jet=None) -> Normaliza
         x_m = float((arc.left + 0.5 * (t_lo + t_hi)) % 1.0)
 
     jm = eval_jet3(phi, x_m)
-    # lift x_m's image consistently with the NormalizedMap convention
-    A = LineMobius.from_2jet(x_m, float(np.asarray(jm.value)), float(np.asarray(jm.d1)),
-                             float(np.asarray(jm.d2)))
-    # the lift reference may shift A's value by an integer; rebuild from the
-    # lifted value used by the normalized map
-    k = NormalizedMap(phi, x_m, A)
-    ref = k._ref
+    # A takes phi(x_m) as lifted by the normalized map, which may differ
+    # from the jet's value by an integer
+    ref = float(np.asarray(phi.apply(x_m)))
     A = LineMobius.from_2jet(x_m, ref, float(np.asarray(jm.d1)), float(np.asarray(jm.d2)))
     k = NormalizedMap(phi, x_m, A)
     j0 = k.jet(0.0)

@@ -1,0 +1,110 @@
+"""The config schema: `configs.SCHEMA`, `parse_config` and README's table."""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from circlelab.cli import main, run_experiment
+from circlelab.configs import COMMON, KEYS, SCHEMA, SUITE, SUITE_PARTS, parse_config
+from circlelab.experiments import SCENARIOS
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+FREE_PAIR = {
+    "generators": {"a": {"matrix": [[1, 2], [0, 1]]}, "b": {"matrix": [[1, 0], [2, 1]]}},
+    "mu": {"atoms": [["a", 0.25], ["a^-1", 0.25], ["b", 0.25], ["b^-1", 0.25]],
+           "symmetric": True},
+}
+ENTROPY = {"scenario": "entropy-gap", "seed": 7, "n_max": 8, **FREE_PAIR}
+
+
+@pytest.mark.parametrize("key, change", [
+    ("n_maxx", {"n_maxx": 9}),
+    ("n_walks", {"n_walks": 8}),                                  # a distortion key
+    ("eta", {"scenario": SUITE, "eta": 0.02}),                    # read by no part
+    ("mu.symetric", {"mu": {**FREE_PAIR["mu"], "symetric": True}}),
+    ("grid_size", {"grid_size": "big"}),
+    ("grid_size", {"grid_size": 300.9}),
+    ("n_max", {"n_max": True}),
+    ("quantized", {"quantized": "false"}),
+    ("seed", {"seed": "x"}),
+], ids=["misspelled", "other-scenario", "suite", "nested", "string-int", "fractional-int",
+        "bool-int", "string-bool", "seed"])
+def test_bad_key_exits_3_and_names_it(tmp_path, capsys, key, change):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({**ENTROPY, **change}))
+    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 3
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_floats_and_integers_give_the_same_results(tmp_path):
+    cfg = {"scenario": "distortion", "seed": 7, "grid_size": 1024, "samples": 5_000,
+           "lyapunov_steps": 300, "horizon_real": 30, "horizon_complex": 15, **FREE_PAIR}
+    results = []
+    for name, typed in (("a", {"kappa": 1, "n_walks": 8.0}), ("b", {"kappa": 1.0, "n_walks": 8})):
+        assert run_experiment({**cfg, **typed}, out_dir=tmp_path / name) == 0
+        results.append(json.loads((tmp_path / name / "report.json").read_text())["results"])
+    assert results[0] == results[1]
+    assert results[0]["walks"] == 8
+
+
+def test_values_are_typed_with_their_scenario_defaults():
+    values = parse_config({**ENTROPY, "grid_size": 1024.0})
+    assert values["grid_size"] == 1024 and type(values["grid_size"]) is int
+    assert (values["n_max"], values["samples"], values["quantized"], values["seed"]) == (8, 100_000, False, 7)
+    suite = parse_config({"scenario": SUITE, "tol": 1})
+    assert suite["seed"] == 0
+    assert set(suite) - set(KEYS) == set(SUITE_PARTS)
+    assert suite["stationary"]["tol"] == 1.0 and type(suite["stationary"]["tol"]) is float
+    assert suite["entropy-gap"]["samples"] == 100_000
+    assert suite["boundary"]["samples"] == suite["distortion"]["samples"] == 50_000
+    near = parse_config({"scenario": "near-identity"})
+    assert (near["grid_size"], near["samples"], near["limit_arcs"][0]) == (2048, 16_384, (0.1024, 0.1476))
+    assert parse_config({"scenario": "distortion"})["h_hint"] is None
+
+
+def test_every_scenario_has_a_row():
+    assert set(SCENARIOS) == {*SCHEMA, SUITE}
+    assert set(SUITE_PARTS) <= set(SCHEMA)
+    for table in SCHEMA.values():
+        assert set(COMMON) <= set(table) <= set(KEYS)
+
+
+def _nested_keys(key, kind):
+    if not isinstance(kind, dict):
+        return [key]
+    return [key] + [k for sub, sub_kind in kind.items()
+                    for k in _nested_keys(f"{key}.{'<name>' if sub == '*' else sub}", sub_kind)]
+
+
+def _readme_table() -> dict:
+    """README's schema block: section -> {key: default text}."""
+    text = README.read_text()
+    block = re.search(r"### Config schema.*?```text\n(.*?)```", text, re.S).group(1)
+    table = {}
+    for line in block.splitlines():
+        if line.startswith("  "):
+            key, default = line.split()[:2]
+            table[section][key] = default
+        else:
+            section = line.strip()
+            table[section] = {}
+    return table
+
+
+def test_readme_schema_block_is_the_table():
+    readme = _readme_table()
+    common = ["scenario"] + [k for key in COMMON for k in _nested_keys(key, KEYS[key][0])]
+    assert list(readme) == ["common", *SCHEMA]
+    assert sorted(readme["common"]) == sorted(common)
+    for key in COMMON:
+        assert readme["common"][key] == ("-" if KEYS[key][1] is None else json.dumps(KEYS[key][1]))
+    for scenario, table in SCHEMA.items():
+        own = {key: spec for key, spec in table.items() if key not in COMMON}
+        assert sorted(readme[scenario]) == sorted(own), scenario
+        for key, (_, default) in own.items():
+            shown = "-" if default is None else json.dumps(default, separators=(",", ":"))
+            assert readme[scenario][key] == shown, (scenario, key)

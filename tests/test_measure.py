@@ -261,8 +261,10 @@ def test_counting_bound_from_table(sanov_mu):
 
 
 def test_entropy_gap_rotations_undefined():
-    rep = entropy_gap_report(rotations_mu(), n_max=10, grid_size=1024,
-                             samples=4000, seed=3, quantized=True)
+    mu = rotations_mu()
+    nu = estimate_stationary_measure(mu, grid_size=1024, seed=3)
+    rep = entropy_gap_report(boundary=boundary_entropy(mu, nu, samples=4000, seed=3),
+                             asymptotic=asymptotic_entropy(mu, 10, seed=3, quantized=True))
     assert rep.ratio_undefined
     assert abs(rep.h_boundary) < 1e-8
     assert rep.h_asymptotic < 0.05

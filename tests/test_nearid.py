@@ -1,7 +1,13 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
+from circlelab import experiments
 from circlelab.circle import Arc, circle_dist
+from circlelab.cli import run_experiment
+from circlelab.configs import builtin_config
 from circlelab.distortion import atom_seminorms, prefix_scan
 from circlelab.maps import MobiusMap, Word, eval_jet3, linearizing_chart, mobius_value_logd, rotation
 from circlelab.measure import estimate_stationary_measure, lyapunov_exponent
@@ -294,3 +300,33 @@ def test_endgame_condition2_violation_skips_ratio_check(dense_setup, dense_repor
     rep = endgame_estimates(bad, condition2_violated=True)
     assert rep.ratio_check_skipped
     assert rep.sandwich_ok
+
+
+@pytest.mark.parametrize("worse", [None, {"ls_formula_error": 1e-6},
+                                   {"sup_log_phi_prime": 1e3}, {"overlap_fraction_h": 0.0}])
+def test_endgame_invariant_records_its_worst_margins(tmp_path, monkeypatch, worse):
+    estimate = experiments.endgame_estimates
+    if worse is not None:
+        # a margin past its bound must fail the invariant, not only raise
+        monkeypatch.setattr(experiments, "endgame_estimates",
+                            lambda r: dataclasses.replace(estimate(r), **worse))
+    cfg = {**builtin_config("dense"), "samples": 2048, "search_seeds": 1, "m_min": 5, "m_max": 6}
+    code = run_experiment(cfg, out_dir=tmp_path / "out")
+    inv = json.loads((tmp_path / "out" / "report.json").read_text())["invariants"][0]
+    assert inv["name"] == "endgame_inequalities"
+    detail = inv["detail"]
+    assert detail["checked"] == 2
+    assert set(detail) == {"checked", "min_overlap_over_c_m", "max_log_phi_over_bound",
+                           "max_ls_formula_error"}
+    assert inv["ok"] == (worse is None) and code == (0 if worse is None else 2)
+    if worse is None:
+        assert detail["min_overlap_over_c_m"] > 1 and detail["max_log_phi_over_bound"] < 1
+        assert detail["max_ls_formula_error"] < 1e-9
+
+
+def test_endgame_invariant_without_pairs_records_no_margins(tmp_path):
+    cfg = {**builtin_config("dense"), "samples": 16, "search_seeds": 1, "m_min": 5, "m_max": 5,
+           "expectation": "discrete"}
+    run_experiment(cfg, out_dir=tmp_path / "out")
+    inv = json.loads((tmp_path / "out" / "report.json").read_text())["invariants"][0]
+    assert inv == {"name": "endgame_inequalities", "ok": True, "detail": {"checked": 0}}
