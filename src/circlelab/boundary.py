@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import Arc, circle_dist, unwrap_increasing
+from .circle import Arc, circle_dist, unwrap_increasing, wrap
 from .measure import GridMeasure
 from .walk import StepDistribution
 
@@ -47,7 +47,7 @@ class Semiconjugation:
     def induced_map(self, gen_index: int, u):
         grid = np.linspace(0.0, 1.0, len(self.induced_grids[gen_index]))
         lifted = unwrap_increasing(self.induced_grids[gen_index])
-        return np.interp(np.asarray(u, dtype=float) % 1.0, grid, lifted) % 1.0
+        return wrap(np.interp(wrap(u), grid, lifted))
 
     def as_dict(self):
         return {
@@ -74,7 +74,7 @@ def semiconjugation_map(nu: GridMeasure, mu: StepDistribution | None = None) -> 
             # defect on the original grid
             sx = nu.cdf_at(sample_x)
             lifted = unwrap_increasing(m_vals)
-            m_at_sx = np.interp(sx, ugrid, lifted) % 1.0
+            m_at_sx = wrap(np.interp(sx, ugrid, lifted))
             s_gx = nu.cdf_at(np.asarray(atom.apply(sample_x), dtype=float))
             defects.append(float(np.max(circle_dist(s_gx, m_at_sx))))
     return Semiconjugation(nu, induced, np.asarray(defects), names)
@@ -105,7 +105,7 @@ class ProximalityResult:
 
 
 def default_test_arcs(count: int = 8, length: float = 0.11):
-    return [Arc((j / count + 0.013) % 1.0, length) for j in range(count)]
+    return [Arc(float(wrap(j / count + 0.013)), length) for j in range(count)]
 
 
 def proximality_test(
@@ -144,7 +144,7 @@ def proximality_test(
                         g = mu.atoms[j]
                         ga = float(np.asarray(g.apply(a)))
                         gb = float(np.asarray(g.apply(b)))
-                        ln = (gb - ga) % 1.0
+                        ln = float(wrap(gb - ga))
                         cand = (prefix + (j,), ga, gb)
                         nxt.append(cand)
                         if best is None or ln < best[1]:
@@ -155,13 +155,13 @@ def proximality_test(
             lo = float(np.asarray(g.apply(lo)))
             hi = float(np.asarray(g.apply(hi)))
             word.append(step)
-            new_len = (hi - lo) % 1.0
+            new_len = float(wrap(hi - lo))
             if new_len >= best_len:
                 # no continuation contracts: greedy has stalled
                 if best[1] >= best_len:
                     break
             best_len = min(best_len, new_len)
-        cur_len = (hi - lo) % 1.0
+        cur_len = float(wrap(hi - lo))
         achieved.append(min(best_len, cur_len))
         witnesses.append(list(word) if cur_len < epsilon else None)
     achieved = np.asarray(achieved)
@@ -287,8 +287,8 @@ def finite_quotient_detect(
     for q in range(q_max, 0, -1):
         worst = 0.0
         for k in range(len(mu.atoms)):
-            lhs = sc.induced_map(k, (ugrid + 1.0 / q) % 1.0)
-            rhs = (straightened[k] + 1.0 / q) % 1.0
+            lhs = sc.induced_map(k, wrap(ugrid + 1.0 / q))
+            rhs = wrap(straightened[k] + 1.0 / q)
             worst = max(worst, float(np.max(circle_dist(lhs, rhs))))
         defects[q] = worst
         if worst <= tolerance:
@@ -328,8 +328,8 @@ def quotient_boundary_entropy(
         sel = idx == k
         if not np.any(sel):
             continue
-        lo = d * sc.induced_map(k, (u[sel] - delta) / d) % 1.0
-        hi = d * sc.induced_map(k, (u[sel] + delta) / d) % 1.0
-        num = (hi - lo) % 1.0
+        lo = wrap(d * sc.induced_map(k, (u[sel] - delta) / d))
+        hi = wrap(d * sc.induced_map(k, (u[sel] + delta) / d))
+        num = wrap(hi - lo)
         vals[sel] = -np.log(num / (2 * delta))
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples))

@@ -48,7 +48,7 @@ def run_experiment(config, seed=None, workers: int = 1, out_dir="out") -> int:
         scenario = cfg["scenario"]
         if seed is None:
             seed = values["seed"]
-        results, invs = SCENARIOS[scenario](cfg, values, int(seed), int(workers), out_dir)
+        results, invs = SCENARIOS[scenario](cfg, values, int(seed), int(workers), out_dir, {})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

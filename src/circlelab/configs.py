@@ -33,6 +33,9 @@ plus irrational-rotation group ("dense"), an isometric control
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+from .circle import wrap
 from .maps import LiftedMap, MobiusMap, Word, make_generator, rotation
 from .walk import StepDistribution, make_step_distribution
 
@@ -55,10 +58,21 @@ def _require(cfg: dict, key: str, where: str = "config"):
 
 ARCS = "arcs"    # the kind of a list of [left, length] rows
 
-# key -> (kind, default).  A kind is int, float, bool or str; a tuple of
-# the allowed values; ARCS; the table of an object's own keys ("*" for any
-# name); or None for a value whose shape its builder checks.  A default of
-# None marks an optional key without a default.
+
+@dataclass(frozen=True)
+class Bounded:
+    """The kind of a number with a lower limit: >= low, or > low when strict."""
+
+    kind: type
+    low: float
+    strict: bool = False
+
+
+# key -> (kind, default).  A kind is int, float, bool or str; a Bounded
+# int or float; a tuple of the allowed values; ARCS; the table of an
+# object's own keys ("*" for any name); or None for a value whose shape
+# its builder checks.  A default of None marks an optional key without a
+# default.
 KEYS = {
     "seed": (int, 0),
     "description": (str, None),
@@ -67,7 +81,7 @@ KEYS = {
     "lift": ({"degree": int}, None),
     "extra_atoms": (None, None),
     "method": (("transfer_iteration", "transfer", "monte_carlo", "both"), "transfer_iteration"),
-    "grid_size": (int, 8192),
+    "grid_size": (Bounded(int, 256), 8192),
     "mc_samples": (int, 200_000),
     "mc_steps": (int, 300),
     "tol": (float, 1e-3),
@@ -77,12 +91,12 @@ KEYS = {
     "integral_samples": (int, 100_000),
     "n_max": (int, 12),
     "quantized": (bool, False),
-    "delta_cells": (int, 8),
+    "delta_cells": (Bounded(int, 2), 8),
     "samples": (int, 50_000),
-    "epsilon": (float, 1e-4),
+    "epsilon": (Bounded(float, 0.0, strict=True), 1e-4),
     "word_length_cap": (int, 40),
     "gap_mass_tolerance": (float, 1e-3),
-    "q_max": (int, 4),
+    "q_max": (Bounded(int, 1), 4),
     "probe_horizon": (int, 50),
     "probe_trials": (int, 10),
     "h_hint": (float, None),
@@ -146,6 +160,11 @@ def _value(key: str, kind, value):
     otherwise.  An int takes integral floats, and no kind but bool takes a
     bool."""
     if kind is None:
+        return value
+    if isinstance(kind, Bounded):
+        value = _value(key, kind.kind, value)
+        if value < kind.low or kind.strict and value == kind.low:
+            raise ConfigError(f"'{key}' must be {'>' if kind.strict else '>='} {kind.low}, got {value!r}")
         return value
     if isinstance(kind, dict):
         if not isinstance(value, dict):
@@ -424,7 +443,7 @@ def build_projected_base(cfg: dict) -> StepDistribution:
     for word, weight in _weighted_rows(cfg.get("extra_atoms", []), "extra_atoms"):
         if not word.startswith("rotation:"):
             raise ConfigError("extra_atoms in lifted configs must be rotations")
-        th = (k * _rotation_angle(word)) % 1.0
+        th = float(wrap(k * _rotation_angle(word)))
         atoms.append(rotation(th))
         probs.append(weight)
         names.append(f"rotation:{th}")

@@ -67,10 +67,13 @@ def _keys(mats: np.ndarray, quant: float | None):
     if mats.dtype != np.int64:
         mats = np.round(mats).astype(np.int64)
     flat = mats.reshape(-1, 4)
-    lead = np.where(flat[:, 0] != 0, flat[:, 0],
-                    np.where(flat[:, 1] != 0, flat[:, 1],
-                             np.where(flat[:, 2] != 0, flat[:, 2], flat[:, 3])))
-    return _pack(mats * np.where(lead < 0, -1, 1)[:, None, None])
+    # the first nonzero entry, filled in only on the rows still at zero
+    lead = flat[:, 0].copy()
+    zero = np.nonzero(lead == 0)[0]
+    for k in (1, 2, 3):
+        lead[zero] = flat[zero, k]
+        zero = zero[lead[zero] == 0]
+    return _pack(flat * np.where(lead < 0, -1, 1)[:, None])
 
 
 def _key_order(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:

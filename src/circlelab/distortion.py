@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import Arc
+from .circle import Arc, wrap
 from .jets import compose, identity_jet, log_derivative, schwarzian
 from .maps import MobiusMap, holder_seminorm, rho_lower_bound, sup_abs_L, sup_abs_S
 from .measure import GridMeasure
@@ -128,37 +128,42 @@ def prefix_scan(mu: StepDistribution, steps, x: float, arc, nu: GridMeasure) -> 
     under-resolved cell, is the local CDF density times the length, taken
     in the log domain, so deep-contracted windows keep honest positive
     masses.  Every step goes through `mu.step`.
+
+    The histories are built step-major, (n + 1, batch), so each step
+    writes whole contiguous rows; `PrefixScan` gets their transposes.
     """
     steps = np.asarray(steps)
     batch, n = steps.shape
     pts = np.zeros((4, batch))      # x, lo, hi, and the midpoint below the switch
     pts[0], pts[1], pts[2] = x, arc[0], arc[1]
-    logd = np.zeros((batch, n + 1))
-    log_mass = np.empty((batch, n + 1))
+    logd = np.zeros((n + 1, batch))
+    log_mass = np.empty((n + 1, batch))
     tiny = np.zeros(batch, dtype=bool)
     log_len = np.zeros(batch)
-    with np.errstate(divide="ignore"):     # log of a zero density is -inf
+    # log of a zero density is -inf; a window mass that is not positive is
+    # logged with its row and then overwritten by the fallback below
+    with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(n + 1):
             if k:
                 # the midpoints ride along once some row tracks them
                 carry = 4 if tiny.any() else 3
                 pts[:carry], ld = mu.step(steps[:, k - 1], pts[:carry])
-                logd[:, k] = logd[:, k - 1] + ld[0]
+                np.add(logd[k - 1], ld[0], out=logd[k])
                 if carry == 4:
-                    log_len = log_len + ld[3]
+                    log_len += ld[3]
             ends = ~tiny      # rows whose mass is read between the endpoints
             if ends.any():
-                length = (pts[2] - pts[1]) % 1.0
-                pts[3] = np.where(ends, (pts[1] + 0.5 * length) % 1.0, pts[3])
+                length = wrap(pts[2] - pts[1])
+                pts[3] = np.where(ends, wrap(pts[1] + 0.5 * length), pts[3])
                 log_len = np.where(ends, np.log(np.maximum(length, 1e-300)), log_len)
                 tiny |= length < _TINY_ARC
                 mass = nu.interval_mass(pts[1], pts[2])
                 ends &= ~tiny & (mass > 0.0)
-                log_mass[ends, k] = np.log(mass[ends])
+                np.log(mass, out=log_mass[k])
             f = np.nonzero(~ends)[0]
             if f.size:
-                log_mass[f, k] = log_len[f] + np.log(nu.cell_density(pts[3, f]))
-    return PrefixScan(steps, pts[0], logd, log_mass)
+                log_mass[k, f] = log_len[f] + np.log(nu.cell_density(pts[3, f]))
+    return PrefixScan(steps, pts[0], logd.T, log_mass.T)
 
 
 @dataclass
@@ -225,7 +230,8 @@ def walk_constants(
         raise ValueError("C1 needs nu(J) > 0")
     sem = atom_seminorms(mu, tau, seminorm_grid)
     steps = walk.steps[:horizon]
-    scan = prefix_scan(mu, steps[None, :], float(x) % 1.0, (J.left, J.right), nu)
+    x = float(wrap(x))
+    scan = prefix_scan(mu, steps[None, :], x, (J.left, J.right), nu)
     log_C1 = float(np.min(scan.c1_terms(h_nu, eps)))
     C1 = float(np.exp(log_C1)) if np.isfinite(log_C1) else 0.0
     C2 = float(scan.c2(lam)[0])
@@ -248,7 +254,7 @@ def walk_constants(
         C5=C5, C3_complex=C3cx, C3_complex_tail=C3cx_tail,
         r_real=np.nan, r_complex=np.nan,
         horizon=horizon, tau=tau, kappa_reference=kappa_reference,
-        lam=lam, x=float(x) % 1.0,
+        lam=lam, x=x,
     )
     rep.r_real = float(rep.radius_real(kappa_reference))
     rep.r_complex = float(rep.radius_complex(kappa_reference)) if not np.isnan(C3cx) else np.nan
@@ -307,7 +313,7 @@ def verify_real_distortion(
     if not np.isfinite(r):
         r = 0.25  # distortion-free family: any window works
     r = min(r, 0.249)
-    xs = (float(x) + np.linspace(-r, r, grid_size)) % 1.0
+    xs = wrap(float(x) + np.linspace(-r, r, grid_size))
     jets = identity_jet(xs)
     L_bound = constants.C2 * (constants.C4_log + constants.C4_log_tail) * np.exp(kappa)
     S_bound = constants.C2 ** 2 * (constants.C4_schwarzian + constants.C4_schwarzian_tail) * np.exp(2 * kappa)

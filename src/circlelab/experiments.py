@@ -2,11 +2,13 @@
 
 Each scenario takes the raw config, which the builders read, and its
 values from `configs.parse_config`, which hold every other key typed and
-with its default; it produces a JSON-able result dict plus CSV side
-files, and appends invariant records that the CLI's `verify` can
-re-check.  All randomness flows through (seed, stream)
-addresses, so reports are byte-identical for a fixed (config, seed)
-regardless of worker count.
+with its default, plus `measures`: the transfer-iteration stationary
+measures of the config's family already estimated in this run, by grid
+size, so the parts of full-theorem-suite iterate each one once.  It
+produces a JSON-able result dict plus CSV side files, and appends
+invariant records that the CLI's `verify` can re-check.  All randomness
+flows through (seed, stream) addresses, so reports are byte-identical for
+a fixed (config, seed) regardless of worker count.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .boundary import (
     quotient_boundary_entropy,
     semiconjugation_map,
 )
-from .circle import Arc
+from .circle import Arc, wrap
 from .configs import SUITE_PARTS, ConfigError, build_l_generator, build_step_distribution
 from .distortion import interval_mass_decay, verify_complex_distortion, verify_real_distortion, walk_constants
 from .maps import MobiusMap
@@ -33,6 +35,7 @@ from .measure import (
     entropy_gap_report,
     estimate_stationary_measure,
     lyapunov_exponent,
+    require_stationary,
 )
 from .nearid import ENDGAME_TOL, brute_force_min_c1, endgame_estimates, search_near_identity_pairs
 from .parallel import pmap
@@ -51,6 +54,17 @@ def default_epsilon(h: float, h_nu: float) -> float:
     return gap / 2.0 if gap > 0.02 else 0.1
 
 
+def _transfer_measure(measures: dict, mu, grid_size: int, tol: float = 1e-3) -> GridMeasure:
+    """The transfer-iteration nu of the config's family mu on grid_size
+    cells, estimated on the run's first request and checked against each
+    request's tol."""
+    if grid_size not in measures:
+        measures[grid_size] = estimate_stationary_measure(mu, "transfer_iteration", grid_size, tol=tol)
+    nu = measures[grid_size]
+    require_stationary(nu, tol)
+    return nu
+
+
 def _require_mobius(p, mu, scenario: str):
     """ConfigError naming the keys that make the family non-Mobius."""
     if mu.matrices() is None:
@@ -60,14 +74,14 @@ def _require_mobius(p, mu, scenario: str):
         raise ConfigError(f"the {scenario} scenario needs a pure Mobius family, but {', '.join(keys)} is set")
 
 
-def scenario_stationary(cfg, p, seed, workers, out_dir):
+def scenario_stationary(cfg, p, seed, workers, out_dir, measures):
     mu = build_step_distribution(cfg)
     N, tol = p["grid_size"], p["tol"]
     results = {}
     invs = []
     nu_t = nu_mc = None
     if p["method"] in ("transfer_iteration", "transfer", "both"):
-        nu_t = estimate_stationary_measure(mu, "transfer_iteration", N, tol=tol, seed=seed)
+        nu_t = _transfer_measure(measures, mu, N, tol)
         results["transfer"] = nu_t.info.__dict__.copy()
         invs.append(invariant("stationarity_residual_transfer", nu_t.info.residual <= tol,
                               residual=nu_t.info.residual, tol=tol))
@@ -85,18 +99,18 @@ def scenario_stationary(cfg, p, seed, workers, out_dir):
     return results, invs
 
 
-def _shared_measure(p, mu, seed):
+def _shared_measure(p, mu, seed, measures):
     """nu by Monte Carlo when method is monte_carlo, else by transfer iteration."""
     if p["method"] == "monte_carlo":
         return estimate_stationary_measure(
             mu, "monte_carlo", p["grid_size"], mc_samples=p["mc_samples"],
             mc_steps=p["mc_steps"], seed=seed)
-    return estimate_stationary_measure(mu, "transfer_iteration", p["grid_size"], seed=seed)
+    return _transfer_measure(measures, mu, p["grid_size"])
 
 
-def scenario_lyapunov(cfg, p, seed, workers, out_dir):
+def scenario_lyapunov(cfg, p, seed, workers, out_dir, measures):
     mu = build_step_distribution(cfg)
-    nu = _shared_measure(p, mu, seed)
+    nu = _shared_measure(p, mu, seed, measures)
 
     def one(s):
         return lyapunov_exponent(mu, nu, n_steps=p["n_steps"], trajectories=p["trajectories"],
@@ -120,11 +134,11 @@ def scenario_lyapunov(cfg, p, seed, workers, out_dir):
     return results, invs
 
 
-def scenario_entropy_gap(cfg, p, seed, workers, out_dir):
+def scenario_entropy_gap(cfg, p, seed, workers, out_dir, measures):
     mu = build_step_distribution(cfg)
     n_max = p["n_max"]
     quantized = p["quantized"]
-    nu = estimate_stationary_measure(mu, grid_size=p["grid_size"], seed=seed)
+    nu = _transfer_measure(measures, mu, p["grid_size"])
     be = boundary_entropy(mu, nu, samples=p["samples"], delta_cells=p["delta_cells"], seed=seed)
     ae = asymptotic_entropy(mu, n_max, seed=seed, quantized=quantized)
     rep = entropy_gap_report(boundary=be, asymptotic=ae)
@@ -143,9 +157,9 @@ def scenario_entropy_gap(cfg, p, seed, workers, out_dir):
     return results, invs
 
 
-def scenario_boundary(cfg, p, seed, workers, out_dir):
+def scenario_boundary(cfg, p, seed, workers, out_dir, measures):
     mu = build_step_distribution(cfg)
-    nu = _shared_measure(p, mu, seed)
+    nu = _shared_measure(p, mu, seed, measures)
     sc = semiconjugation_map(nu, mu)
     prox = proximality_test(mu, p["epsilon"], p["word_length_cap"])
     cls = minimal_set_classify(nu, mass_tolerance=p["gap_mass_tolerance"])
@@ -192,10 +206,10 @@ def scenario_boundary(cfg, p, seed, workers, out_dir):
     return results, invs
 
 
-def scenario_distortion(cfg, p, seed, workers, out_dir):
+def scenario_distortion(cfg, p, seed, workers, out_dir, measures):
     mu = build_step_distribution(cfg)
     _require_mobius(p, mu, "distortion")
-    nu = estimate_stationary_measure(mu, grid_size=p["grid_size"], seed=seed)
+    nu = _transfer_measure(measures, mu, p["grid_size"])
     lam_est = lyapunov_exponent(mu, nu, n_steps=p["lyapunov_steps"],
                                 trajectories=48, integral_samples=50_000, seed=seed)
     be = boundary_entropy(mu, nu, samples=p["samples"], seed=seed)
@@ -245,12 +259,12 @@ def scenario_distortion(cfg, p, seed, workers, out_dir):
     return results, invs
 
 
-def scenario_near_identity(cfg, p, seed, workers, out_dir):
+def scenario_near_identity(cfg, p, seed, workers, out_dir, measures):
     mode = p["expectation"]
     mu = build_step_distribution(cfg)
     _require_mobius(p, mu, "near-identity")
     l_gen = build_l_generator(cfg)
-    nu = estimate_stationary_measure(mu, grid_size=p["grid_size"], seed=seed)
+    nu = _transfer_measure(measures, mu, p["grid_size"])
     lam_est = lyapunov_exponent(mu, nu, n_steps=3000, trajectories=32,
                                 integral_samples=20_000, seed=seed)
     lam = lam_est.value
@@ -338,7 +352,7 @@ def scenario_near_identity(cfg, p, seed, workers, out_dir):
     return results, invs
 
 
-def scenario_schwarzian(cfg, p, seed, workers, out_dir):
+def scenario_schwarzian(cfg, p, seed, workers, out_dir, measures):
     omega = p["omega"]
     step = p["step"]
     sol = solve_and_reconstruct(
@@ -351,7 +365,7 @@ def scenario_schwarzian(cfg, p, seed, workers, out_dir):
     phi = TrigConjugacy([[0.004, 0.01]])
     arc = Arc(0.15, 0.25)
     norm = mobius_normalize(phi, arc)
-    a = -((norm.x_m - arc.left) % 1.0)
+    a = -float(wrap(norm.x_m - arc.left))
     sol2 = solve_and_reconstruct(lambda y: np.asarray(norm.k.schwarzian(y)),
                                  (a, arc.length + a), step / 2)
     roundtrip = float(np.max(np.abs(sol2.k - norm.k.apply(sol2.ys))))
@@ -378,12 +392,12 @@ def scenario_schwarzian(cfg, p, seed, workers, out_dir):
     return results, invs
 
 
-def scenario_full(cfg, p, seed, workers, out_dir):
+def scenario_full(cfg, p, seed, workers, out_dir, measures):
     """The six parts in turn, each with its own values p[part]."""
     results = {}
     invs = []
     for part in SUITE_PARTS:
-        results[part], sub_invs = SCENARIOS[part](cfg, p[part], seed, workers, out_dir)
+        results[part], sub_invs = SCENARIOS[part](cfg, p[part], seed, workers, out_dir, measures)
         invs.extend(sub_invs)
     return results, invs
 

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circle import wrap
+
 TWO_PI_SQ = 2.0 * np.pi ** 2
 
 
@@ -41,7 +43,7 @@ class Jet3:
 
 
 def identity_jet(x) -> Jet3:
-    x = np.asarray(x, dtype=float) % 1.0
+    x = wrap(x)
     one = np.ones_like(x)
     zero = np.zeros_like(x)
     return Jet3(x, one, zero, zero)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .circle import Arc
+from .circle import Arc, wrap
 from .jets import Jet3, compose, identity_jet, log_derivative, schwarzian
 
 _DET_TOL = 1e-12
@@ -83,7 +83,7 @@ class MobiusMap:
 
     def apply(self, x):
         U, V, _, _ = self._uv(x)
-        return (np.arctan2(V, U) / np.pi) % 1.0
+        return wrap(np.arctan2(V, U) / np.pi)
 
     __call__ = apply
 
@@ -95,7 +95,7 @@ class MobiusMap:
         R = U * U + V * V
         Rp = 2.0 * (U * Up + V * Vp)
         Rpp = 2.0 * (Up * Up + Vp * Vp) - 2.0 * R
-        val = (np.arctan2(V, U) / np.pi) % 1.0
+        val = wrap(np.arctan2(V, U) / np.pi)
         d1 = 1.0 / R
         d2 = -np.pi * Rp / R ** 2
         d3 = np.pi ** 2 * (2.0 * Rp ** 2 / R ** 3 - Rpp / R ** 2)
@@ -115,7 +115,7 @@ class MobiusMap:
         U = d * cs + c * sn
         V = b * cs + a * sn
         w = _c_arctan(V / U) / np.pi
-        return w.real % 1.0 + 1j * w.imag
+        return wrap(w.real) + 1j * w.imag
 
     def cderiv(self, z):
         """Complex derivative of the extension (branch independent)."""
@@ -175,7 +175,7 @@ def mobius_value_logd(mats: np.ndarray, x):
     cs, sn = np.cos(phi), np.sin(phi)
     U = mats[..., 1, 1] * cs + mats[..., 1, 0] * sn
     V = mats[..., 0, 1] * cs + mats[..., 0, 0] * sn
-    return (np.arctan2(V, U) / np.pi) % 1.0, -np.log(U * U + V * V)
+    return wrap(np.arctan2(V, U) / np.pi), -np.log(U * U + V * V)
 
 
 class TrigConjugacy:
@@ -228,7 +228,7 @@ class TrigConjugacy:
         return sn @ (w * self.coeffs[:, 0]) + cs @ (-w * self.coeffs[:, 1])
 
     def apply(self, x):
-        return self._lift(x) % 1.0
+        return wrap(self._lift(x))
 
     __call__ = apply
 
@@ -238,14 +238,14 @@ class TrigConjugacy:
     def inverse_value(self, y):
         """Solve lift(x) = y in lift coordinates; returns x mod 1."""
         y = np.asarray(y, dtype=float)
-        ylift = self._lift0 + (y - self._lift0) % 1.0
+        ylift = self._lift0 + wrap(y - self._lift0)
         x = np.clip(self._inv_seed(ylift), 0.0, 1.0)
         for _ in range(30):
             f = self._lift(x) - ylift
             x = x - f / self._lift_d1(x)
             if np.max(np.abs(f)) < 1e-15:
                 break
-        return x % 1.0
+        return wrap(x)
 
     def inverse(self) -> "TrigConjugacyInverse":
         return TrigConjugacyInverse(self)
@@ -332,24 +332,24 @@ class LiftedMap:
     def _lift_parts(self, x):
         x = np.asarray(x, dtype=float)
         kx = self.k * x
-        u = kx % 1.0
+        u = wrap(kx)
         p = np.round(kx - u)
         b = np.asarray(self.base.apply(u), dtype=float)
         # canonical lift value in [base(0), base(0)+1), branch consistent
         # with u even when u sits an ulp below the wrap point
-        b = self._base0 + (b - self._base0) % 1.0
+        b = self._base0 + wrap(b - self._base0)
         return u, p, b
 
     def apply(self, x):
         u, p, b = self._lift_parts(x)
-        return ((b + p + self.j) / self.k) % 1.0
+        return wrap((b + p + self.j) / self.k)
 
     __call__ = apply
 
     def jet(self, x) -> Jet3:
         u, p, b = self._lift_parts(x)
         jb = self.base.jet(u)
-        val = ((b + p + self.j) / self.k) % 1.0
+        val = wrap((b + p + self.j) / self.k)
         return Jet3(val, jb.d1, self.k * jb.d2, self.k ** 2 * jb.d3)
 
     def inverse(self) -> "_LiftedInverse":
@@ -369,7 +369,7 @@ class _LiftedInverse:
     def _solve(self, y):
         y = np.asarray(y, dtype=float)
         w = self.fwd.k * y - self.fwd.j
-        u = np.asarray(self.base_inv.apply(w % 1.0), dtype=float)
+        u = np.asarray(self.base_inv.apply(wrap(w)), dtype=float)
         # sheet index; near lift-value integers the floor is ambiguous by
         # an ulp and the branch u landed on decides the pairing
         w_rel = w - self.fwd._base0
@@ -381,7 +381,7 @@ class _LiftedInverse:
 
     def apply(self, y):
         u, p = self._solve(y)
-        return ((u + p) / self.fwd.k) % 1.0
+        return wrap((u + p) / self.fwd.k)
 
     __call__ = apply
 
@@ -389,7 +389,7 @@ class _LiftedInverse:
         u, p = self._solve(y)
         jb = self.fwd.base.jet(u)
         c1, c2, c3 = jb.d1, jb.d2, jb.d3
-        val = ((u + p) / self.fwd.k) % 1.0
+        val = wrap((u + p) / self.fwd.k)
         # inverse-function derivatives of the lifted map
         return Jet3(
             val,
@@ -421,7 +421,7 @@ class Word:
         self.factors = tuple(flat)
 
     def apply(self, x):
-        y = np.asarray(x, dtype=float) % 1.0
+        y = wrap(x)
         for f in self.factors:
             y = f.apply(y)
         return y
@@ -480,7 +480,7 @@ def make_generator(matrix, conjugator=None):
         gen = ConjugatedMap(mob, TrigConjugacy(conjugator))
     probe = np.linspace(0.05, 0.95, 7)
     back = gen.inverse().apply(gen.apply(probe))
-    err = np.max(np.abs((back - probe + 0.5) % 1.0 - 0.5))
+    err = np.max(np.abs(wrap(back - probe + 0.5) - 0.5))
     if err > 1e-10:
         raise ValueError(f"generator inverse round-trip error {err:.2e} exceeds 1e-10")
     return gen
@@ -525,7 +525,7 @@ class LinearChart:
         Pinv = np.linalg.inv(self.P)
         u = Pinv[0, 0] + Pinv[0, 1] * (np.pi * y / self.sigma)
         v = Pinv[1, 0] + Pinv[1, 1] * (np.pi * y / self.sigma)
-        return (np.arctan2(v, u) / np.pi) % 1.0
+        return wrap(np.arctan2(v, u) / np.pi)
 
     def chart_arc(self, halfwidth: float) -> Arc:
         """Circle arc corresponding to [-halfwidth, +halfwidth] in chart coords."""
@@ -564,8 +564,8 @@ def linearizing_chart(gen) -> LinearChart:
     w_att = eigvec(lam_big)   # derivative 1/lam^2 < 1 at this direction
     w_rep = eigvec(lam_small)
     P = np.linalg.inv(np.column_stack([w_att, w_rep]))
-    x_att = float(np.arctan2(w_att[1], w_att[0]) / np.pi % 1.0)
-    x_rep = float(np.arctan2(w_rep[1], w_rep[0]) / np.pi % 1.0)
+    x_att = float(wrap(np.arctan2(w_att[1], w_att[0]) / np.pi))
+    x_rep = float(wrap(np.arctan2(w_rep[1], w_rep[0]) / np.pi))
     alpha = 1.0 / lam_big ** 2
     # normalize chart'(x_att) = 1
     cs, sn = np.cos(np.pi * x_att), np.sin(np.pi * x_att)

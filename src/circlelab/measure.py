@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circle import Arc, unwrap_increasing
+from .circle import Arc, unwrap_increasing, wrap
 from .convolve import convolve_exact
 from .maps import MobiusMap
 from .rng import stream
@@ -87,9 +87,9 @@ class GridMeasure:
         return np.append(self.grid, np.inf), np.append(np.diff(self.cdf) / np.diff(self.grid), 0.0)
 
     def cdf_at(self, x):
-        """np.interp(x % 1, grid, cdf) bit for bit, its cell found in O(1):
+        """np.interp(wrap(x), grid, cdf) bit for bit, its cell found in O(1):
         floor(xN), moved by one where that rounds across a grid point."""
-        x = np.asarray(x, dtype=float) % 1.0
+        x = wrap(x)
         g, slopes = self._cells
         j = (x * self.N).astype(np.intp)
         j -= g[j] > x
@@ -103,7 +103,7 @@ class GridMeasure:
     def interval_mass(self, lo, hi):
         """Mass of the positively oriented arc from lo to hi."""
         lo = np.asarray(lo, dtype=float)
-        span = (np.asarray(hi, dtype=float) - lo) % 1.0
+        span = wrap(np.asarray(hi, dtype=float) - lo)
         return self.cdf_lifted(lo + span) - self.cdf_lifted(lo)
 
     def arc_mass(self, arc: Arc):
@@ -111,7 +111,7 @@ class GridMeasure:
 
     def cell_density(self, x):
         """Density of the piecewise-linear CDF on the cell containing x."""
-        i = np.minimum(((np.asarray(x, dtype=float) % 1.0) * self.N).astype(int), self.N - 1)
+        i = np.minimum((wrap(x) * self.N).astype(int), self.N - 1)
         return (self.cdf[i + 1] - self.cdf[i]) * self.N
 
     def quantile(self, u):
@@ -120,7 +120,7 @@ class GridMeasure:
         c0 = self.cdf[idx - 1]
         c1 = self.cdf[idx]
         w = np.where(c1 > c0, (u - c0) / np.where(c1 > c0, c1 - c0, 1.0), 0.0)
-        return (self.grid[idx - 1] + np.clip(w, 0.0, 1.0) / self.N) % 1.0
+        return wrap(self.grid[idx - 1] + np.clip(w, 0.0, 1.0) / self.N)
 
     def sample(self, rng: np.random.Generator, size):
         return self.quantile(rng.random(size))
@@ -133,7 +133,7 @@ class GridMeasure:
 
     @staticmethod
     def from_samples(xs, N: int) -> "GridMeasure":
-        xs = np.sort(np.asarray(xs, dtype=float) % 1.0)
+        xs = np.sort(wrap(xs))
         grid = np.arange(N + 1) / N
         cdf = np.searchsorted(xs, grid, side="right") / len(xs)
         cdf[0] = 0.0
@@ -253,7 +253,7 @@ def estimate_stationary_measure(
             # atom counts, so sample those directly (same distribution,
             # O(samples) instead of O(samples * steps))
             counts = rng.multinomial(mc_steps, mu.probs, size=mc_samples)
-            x = (x + counts @ angles) % 1.0
+            x = wrap(x + counts @ angles)
         else:
             for _ in range(mc_steps):
                 x, _ = mu.step(mu.sample_indices(rng, mc_samples), x)
@@ -265,15 +265,22 @@ def estimate_stationary_measure(
         raise ValueError(f"unknown method {method!r}")
 
     residual = float(np.max(np.abs(_transfer_apply(mu, nu, inv_lifts) - nu.cdf)))
-    if method in ("transfer_iteration", "transfer") and residual > tol:
-        raise StationarityError(
-            residual,
-            f"stationarity residual {residual:.3e} exceeds tol {tol:.1e} after "
-            f"{iterations} iterations (elementary input or insufficient grid?)",
-        )
     nu.info = StationaryInfo(method, residual, iterations, grid_size, samples,
                              nu.max_cell_mass, nu.atom_warning)
+    if method in ("transfer_iteration", "transfer"):
+        require_stationary(nu, tol)
     return nu
+
+
+def require_stationary(nu: GridMeasure, tol: float) -> None:
+    """StationarityError when the recorded residual of nu exceeds tol."""
+    info = nu.info
+    if info.residual > tol:
+        raise StationarityError(
+            info.residual,
+            f"stationarity residual {info.residual:.3e} exceeds tol {tol:.1e} after "
+            f"{info.iterations} iterations (elementary input or insufficient grid?)",
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +406,7 @@ def boundary_entropy(
     def estimate(cells):
         d = cells / nu.N
         den = nu.interval_mass(x - d, x + d)
-        (lo, hi), _ = mu.step(idx, np.stack([(x - d) % 1.0, (x + d) % 1.0]))
+        (lo, hi), _ = mu.step(idx, np.stack([wrap(x - d), wrap(x + d)]))
         num = nu.interval_mass(lo, hi)
         ok = (num > 0) & (den > 0)
         vals = -np.log(num[ok] / den[ok])
@@ -635,7 +642,7 @@ def dirac_convergence_probe(
     for t in range(trials):
         rng = stream(seed, _TAG_DIRAC, t)
         widths[t, 0] = _smallest_arc_width(nu.cdf, nu.grid, quantile)
-        pre = nu.grid % 1.0
+        pre = wrap(nu.grid)
         for n in range(1, horizon + 1):
             pre = inverses[int(mu.sample_indices(rng, 1)[0])].apply(pre)
             pushed = nu.pushforward_from_preimages(pre)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .circle import Arc, circle_dist
+from .circle import Arc, circle_dist, wrap
 from .distortion import atom_seminorms, prefix_scan
 from .jets import log_derivative, schwarzian
 from .maps import LinearChart, MobiusMap, Word, eval_jet3, linearizing_chart, mobius_value_logd
@@ -273,24 +273,19 @@ def search_near_identity_pairs(
                                      n_buckets, occupancy))
             continue
 
-        # sweep for intersecting images of I_{2m}
+        # sweep for intersecting images of I_{2m}: neighbours in
+        # left-endpoint order, the first intersecting pair wins
         lefts, _ = mobius_value_logd(Wn, np.full(len(in_bucket), arc_lo))
         rights, _ = mobius_value_logd(Wn, np.full(len(in_bucket), arc_hi))
-        lens = (rights - lefts) % 1.0
         order = np.argsort(lefts, kind="stable")
-        pair = None
-        for oi in range(len(order) - 1):
-            i = order[oi]
-            j = order[oi + 1]
-            if (lefts[j] - lefts[i]) % 1.0 <= lens[i]:
-                pair = (in_bucket[i], in_bucket[j])
-                break
-        if pair is None:
+        first, second = order[:-1], order[1:]
+        hits = np.nonzero(wrap(lefts[second] - lefts[first]) <= wrap(rights - lefts)[first])[0]
+        if not hits.size:
             misses.append(SearchMiss(m, n, "no intersecting images in the fullest bucket",
                                      n_buckets, occupancy))
             continue
 
-        ig, ih = pair
+        ig, ih = in_bucket[first[hits[0]]], in_bucket[second[hits[0]]]
         g_bar = Word(tuple(mu.atoms[s] for s in steps[ig]))
         h_bar = Word(tuple(mu.atoms[s] for s in steps[ih]))
         g_word = Word((l_gen,) * m + g_bar.factors)   # g_m = g_bar o l^m

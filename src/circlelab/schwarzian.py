@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import Arc
+from .circle import Arc, wrap
 from .jets import Jet3, compose, log_derivative, schwarzian
 from .maps import eval_jet3
 from .nearid import ck_distances
@@ -90,9 +90,9 @@ class NormalizedMap:
         self._ref = float(np.asarray(phi.apply(self.x_m)))
 
     def _lift_jet(self, x) -> Jet3:
-        j = eval_jet3(self.phi, np.asarray(x, dtype=float) % 1.0)
+        j = eval_jet3(self.phi, wrap(x))
         val = np.asarray(j.value, dtype=float)
-        lifted = self._ref + ((val - self._ref + 0.5) % 1.0 - 0.5)
+        lifted = self._ref + (wrap(val - self._ref + 0.5) - 0.5)
         return Jet3(lifted, j.d1, j.d2, j.d3)
 
     def jet(self, y) -> Jet3:
@@ -149,7 +149,7 @@ def mobius_normalize(phi, arc: Arc, grid_size: int = 513, jet=None) -> Normaliza
         t_hi = (i + 1) * arc.length / (grid_size - 1)
 
         def f(t):
-            jt = eval_jet3(phi, (arc.left + t) % 1.0)
+            jt = eval_jet3(phi, wrap(arc.left + t))
             return float(log_derivative(jt)) - target
 
         f_lo = f(t_lo)
@@ -162,7 +162,7 @@ def mobius_normalize(phi, arc: Arc, grid_size: int = 513, jet=None) -> Normaliza
                 t_lo, f_lo = t_mid, f_mid
             if t_hi - t_lo < 1e-15:
                 break
-        x_m = float((arc.left + 0.5 * (t_lo + t_hi)) % 1.0)
+        x_m = float(wrap(arc.left + 0.5 * (t_lo + t_hi)))
 
     jm = eval_jet3(phi, x_m)
     # A takes phi(x_m) as lifted by the normalized map, which may differ
@@ -346,7 +346,7 @@ def c3_convergence_check(phi_family, arc: Arc, grid_size: int = 257,
         c1.append(d1)
         c3.append(d3)
         norm = mobius_normalize(phi, arc, grid_size, jet=jet)
-        a = -(norm.x_m - arc.left) % 1.0
+        a = float(wrap(-(norm.x_m - arc.left)))
         a = a if a <= 0 else a - 1.0
         b = arc.length + a
         sol = solve_and_reconstruct(lambda y: np.asarray(norm.k.schwarzian(y)),

@@ -113,7 +113,17 @@ def test_bundled_configs_pass_their_scenarios(tmp_path, name):
     assert run_experiment(builtin_config(name), out_dir=tmp_path / name) == 0
 
 
-def test_full_theorem_suite_scenario(tmp_path):
+def test_full_theorem_suite_scenario(tmp_path, monkeypatch):
+    import circlelab.experiments as experiments
+
+    methods = []
+    estimate = experiments.estimate_stationary_measure
+
+    def recording(mu, method="transfer_iteration", grid_size=8192, **kw):
+        methods.append((method, grid_size))
+        return estimate(mu, method, grid_size, **kw)
+
+    monkeypatch.setattr(experiments, "estimate_stationary_measure", recording)
     cfg = {
         "scenario": "full-theorem-suite", "seed": 7, "grid_size": 1024,
         "samples": 10_000, "n_max": 8, "method": "both",
@@ -132,6 +142,21 @@ def test_full_theorem_suite_scenario(tmp_path):
         assert part in data["results"]
     assert (tmp_path / "out" / "convolution.csv").exists()
     assert (tmp_path / "out" / "walk_0.csv").exists()
+    # five parts read the transfer-iteration nu on the same grid: one estimate
+    assert sorted(methods) == [("monte_carlo", 1024), ("transfer_iteration", 1024)]
+
+
+def test_a_shared_transfer_measure_is_checked_against_each_tol():
+    from circlelab.experiments import _transfer_measure
+    from circlelab.measure import StationarityError
+
+    mu = build_step_distribution(builtin_config("sanov"))
+    measures = {}
+    nu = _transfer_measure(measures, mu, 256)
+    assert _transfer_measure(measures, mu, 256, tol=1.0) is nu
+    with pytest.raises(StationarityError, match="exceeds tol 0.0e"):
+        _transfer_measure(measures, mu, 256, tol=0.0)
+    assert _transfer_measure(measures, mu, 512) is not nu
 
 
 def test_same_seed_same_bytes(tmp_path):

@@ -30,8 +30,13 @@ ENTROPY = {"scenario": "entropy-gap", "seed": 7, "n_max": 8, **FREE_PAIR}
     ("n_max", {"n_max": True}),
     ("quantized", {"quantized": "false"}),
     ("seed", {"seed": "x"}),
+    ("grid_size", {"grid_size": 255}),
+    ("delta_cells", {"delta_cells": 1}),
+    ("q_max", {"scenario": "boundary", "q_max": 0}),     # checked before the n_max boundary does not read
+    ("epsilon", {"scenario": "boundary", "epsilon": 0.0}),
 ], ids=["misspelled", "other-scenario", "suite", "nested", "string-int", "fractional-int",
-        "bool-int", "string-bool", "seed"])
+        "bool-int", "string-bool", "seed", "grid_size-range", "delta_cells-range", "q_max-range",
+        "epsilon-range"])
 def test_bad_key_exits_3_and_names_it(tmp_path, capsys, key, change):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({**ENTROPY, **change}))

@@ -1,6 +1,7 @@
 """Static checks on src/circlelab: every module-level import is used,
-every module-level private function or class is referenced somewhere, and
-every local that a function assigns by name is read (in tests/ too).
+every module-level private function or class is referenced somewhere,
+every local that a function assigns by name is read (in tests/ too), and
+every reduction mod 1 goes through `circle.wrap`.
 
 `__init__.py` is exempt from the import check; its imports are the
 package's public names.
@@ -62,6 +63,58 @@ def unread_locals(source: str) -> list:
 
     scan(ast.parse(source), None, set())
     return found
+
+
+def _reduces_mod_one(node) -> bool:
+    """`x % 1`, `x % 1.0` or `x %= 1`."""
+    if isinstance(node, ast.BinOp):
+        op, right = node.op, node.right
+    elif isinstance(node, ast.AugAssign):
+        op, right = node.op, node.value
+    else:
+        return False
+    return (isinstance(op, ast.Mod) and isinstance(right, ast.Constant)
+            and type(right.value) in (int, float) and right.value == 1)
+
+
+def _names(node) -> set:
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.ImportFrom):
+        return {a.name for a in node.names}
+    return set()
+
+
+def mod_one_sites(source: str, exempt: str | None = None) -> list:
+    """Lines with `% 1`, `% 1.0` or a mod/remainder/fmod function (np.mod,
+    np.remainder, np.fmod, math.fmod) outside the function named exempt."""
+    found = []
+
+    def scan(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef) and child.name == exempt:
+                continue
+            if _reduces_mod_one(child) or _names(child) & {"mod", "remainder", "fmod"}:
+                found.append(child.lineno)
+            scan(child)
+
+    scan(ast.parse(source))
+    return found
+
+
+def test_mod_one_checker_flags_only_reductions_outside_wrap():
+    src = ("import numpy as np\nfrom math import fmod\n"
+           "def wrap(x):\n    return x % 1.0\n"
+           "def f(x, k):\n    a = x % 1\n    b = np.remainder(x, 1.0)\n    c = np.mod(x, 1)\n"
+           "    x %= 1.0\n    d = x % 2 + k % 1.5 + (x - np.floor(x))\n    return a, b, c, d\n")
+    assert mod_one_sites(src, exempt="wrap") == [2, 6, 7, 8, 9]
+    assert mod_one_sites(src) == [2, 4, 6, 7, 8, 9]
+
+
+def test_every_reduction_mod_one_goes_through_wrap():
+    found = {p.name: mod_one_sites(p.read_text(), exempt="wrap" if p.name == "circle.py" else None)
+             for p in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}
 
 
 def test_checker_flags_only_unused_names():
