@@ -89,10 +89,10 @@ KEYS = {
     "trajectories": (int, 100),
     "n_seeds": (int, 1),
     "integral_samples": (int, 100_000),
-    "n_max": (int, 12),
+    "n_max": (Bounded(int, 1), 12),
     "quantized": (bool, False),
     "delta_cells": (Bounded(int, 2), 8),
-    "samples": (int, 50_000),
+    "samples": (Bounded(int, 2), 50_000),
     "epsilon": (Bounded(float, 0.0, strict=True), 1e-4),
     "word_length_cap": (int, 40),
     "gap_mass_tolerance": (float, 1e-3),
@@ -124,6 +124,7 @@ KEYS = {
     "family_size": (int, 10),
 }
 COMMON = ("seed", "description", "generators", "mu", "lift", "extra_atoms")
+ORDERED = (("m_min", "m_max"),)     # (low, high): low <= high when a scenario reads both
 
 
 def _keys(*names, **defaults) -> dict:
@@ -198,8 +199,12 @@ def _is_number(value) -> bool:
 
 
 def _values(cfg: dict, table: dict) -> dict:
-    return {key: _value(key, kind, cfg[key]) if key in cfg else default
-            for key, (kind, default) in table.items()}
+    values = {key: _value(key, kind, cfg[key]) if key in cfg else default
+              for key, (kind, default) in table.items()}
+    for low, high in ORDERED:
+        if low in values and high in values and values[low] > values[high]:
+            raise ConfigError(f"'{low}' must be <= '{high}' = {values[high]!r}, got {values[low]!r}")
+    return values
 
 
 def parse_config(cfg) -> dict:

@@ -120,25 +120,44 @@ class PrefixScan:
 def prefix_scan(mu: StepDistribution, steps, x: float, arc, nu: GridMeasure) -> PrefixScan:
     """Push the point x and the arc J = (lo, hi) along every row of steps.
 
+    Points are stepped as `mu`'s scan states by `mu.step_state`: for a pure
+    Mobius family, unit direction vectors (cos pi x, sin pi x), one matrix
+    product and a renormalization per step; for other families, positions,
+    stepped as `mu.step` steps them.  A position is formed from a direction
+    (by arctan2) only where it is read: the arc ends at every step while
+    some row reads its mass between them, the tracked midpoints once some
+    row tracks one, and x once, after the last step.
+
     The arc is tracked by its endpoints until its image is shorter than
     1e-9, where they are no longer float-distinguishable; from there by
     (midpoint, log length), the length growing by the midpoint derivative
     (the curvature correction is O(|L g| * length), far below float noise).
-    The nu-mass of such a window, or of one whose endpoints share a flat or
-    under-resolved cell, is the local CDF density times the length, taken
-    in the log domain, so deep-contracted windows keep honest positive
-    masses.  Every step goes through `mu.step`.
+    An image that expands to nearly the whole circle is tracked the same
+    way by its complement, with mass 1 - density * length.  One step
+    shrinks a length by at most exp(`mu.log_shrink_bound()`), so a row at
+    least max(1/2, 1e-9 exp(bound)) long whose next image looks shorter
+    than 1e-9, either way round, has a complement that short; in a family
+    whose bound rules that out (an atom with sigma^2 > 5e8) such an image
+    is read as a tiny arc.  The nu-mass of a tracked window, or of one
+    whose endpoints share a flat or under-resolved cell, is the local CDF
+    density times the length, taken in the log domain, so deep-contracted
+    windows keep honest positive masses.
 
     The histories are built step-major, (n + 1, batch), so each step
     writes whole contiguous rows; `PrefixScan` gets their transposes.
     """
     steps = np.asarray(steps)
     batch, n = steps.shape
-    pts = np.zeros((4, batch))      # x, lo, hi, and the midpoint below the switch
-    pts[0], pts[1], pts[2] = x, arc[0], arc[1]
+    # states of x, lo, hi and the tracked midpoint, at 0 until a row tracks one
+    w = np.repeat(mu.state([x, arc[0], arc[1], 0.0])[:, :, None], batch, axis=2)
+    lo, hi = np.full(batch, float(arc[0])), np.full(batch, float(arc[1]))
+    floor = max(0.5, _TINY_ARC * np.exp(mu.log_shrink_bound()))
     logd = np.zeros((n + 1, batch))
     log_mass = np.empty((n + 1, batch))
-    tiny = np.zeros(batch, dtype=bool)
+    tracked = np.zeros(batch, dtype=bool)   # followed by (midpoint, log length)
+    comp = np.zeros(batch, dtype=bool)      # ... of its complement
+    long = np.zeros(batch, dtype=bool)      # at least floor long at the last step read
+    mid = np.zeros(batch)
     log_len = np.zeros(batch)
     # log of a zero density is -inf; a window mass that is not positive is
     # logged with its row and then overwritten by the fallback below
@@ -146,24 +165,41 @@ def prefix_scan(mu: StepDistribution, steps, x: float, arc, nu: GridMeasure) -> 
         for k in range(n + 1):
             if k:
                 # the midpoints ride along once some row tracks them
-                carry = 4 if tiny.any() else 3
-                pts[:carry], ld = mu.step(steps[:, k - 1], pts[:carry])
+                carry = 4 if tracked.any() else 3
+                w[:, :carry], ld = mu.step_state(steps[:, k - 1], w[:, :carry])
                 np.add(logd[k - 1], ld[0], out=logd[k])
                 if carry == 4:
                     log_len += ld[3]
-            ends = ~tiny      # rows whose mass is read between the endpoints
+                    mid = mu.position(w[:, 3])
+            ends = ~tracked      # rows whose mass is read between the endpoints
             if ends.any():
-                length = wrap(pts[2] - pts[1])
-                pts[3] = np.where(ends, wrap(pts[1] + 0.5 * length), pts[3])
-                log_len = np.where(ends, np.log(np.maximum(length, 1e-300)), log_len)
-                tiny |= length < _TINY_ARC
-                mass = nu.interval_mass(pts[1], pts[2])
-                ends &= ~tiny & (mass > 0.0)
+                if k:
+                    lo, hi = mu.position(w[:, 1:3])
+                length = wrap(hi - lo)
+                # a row that was at least floor long is still at least 1e-9
+                # long, so an image that looks shorter than 1e-9, either way
+                # round, is the circle but for a complement that short
+                flip = long & (np.minimum(length, 1.0 - length) < _TINY_ARC) if long.any() else long
+                new = ends & (flip | (length < _TINY_ARC))
+                long = length >= floor
+                mass = nu.interval_mass(lo, hi)
                 np.log(mass, out=log_mass[k])
-            f = np.nonzero(~ends)[0]
+                ends &= ~new & (mass > 0.0)
+            f = np.nonzero(~ends)[0]      # rows read by (midpoint, log length)
             if f.size:
-                log_mass[k, f] = log_len[f] + np.log(nu.cell_density(pts[3, f]))
-    return PrefixScan(steps, pts[0], logd.T, log_mass.T)
+                s = f[~tracked[f]]        # new rows, and rows of no positive mass
+                if s.size:
+                    fl = flip[s]
+                    span = np.where(fl, np.minimum(length[s], 1.0 - length[s]), length[s])
+                    mid[s] = wrap(np.where(fl, hi[s], lo[s]) + 0.5 * span)
+                    log_len[s] = np.log(np.maximum(span, 1e-300))
+                    start = s[new[s]]
+                    w[:, 3, start] = mu.state(mid[start])
+                    tracked[start], comp[start] = True, flip[start]
+                lm = log_len[f] + np.log(nu.cell_density(mid[f]))
+                log_mass[k, f] = np.where(comp[f], np.log1p(-np.minimum(np.exp(lm), 1.0)), lm)
+    pos = mu.position(w[:, 0]) if n else np.full(batch, float(x))
+    return PrefixScan(steps, pos, logd.T, log_mass.T)
 
 
 @dataclass

@@ -76,6 +76,8 @@ class MobiusMap:
     # -- real-circle evaluation ------------------------------------------
 
     def _uv(self, x):
+        # the (U, V) lines of `_direction_image`, on the matrix's scalar
+        # entries: through the helper a scalar jet takes twice the time
         a, b, c, d = self.matrix.ravel()
         phi = np.pi * np.asarray(x, dtype=float)
         cs, sn = np.cos(phi), np.sin(phi)
@@ -155,8 +157,7 @@ class MobiusMap:
 
     def direction_matrix(self) -> np.ndarray:
         """Matrix acting on direction vectors (cos pi x, sin pi x)."""
-        a, b, c, d = self.matrix.ravel()
-        return np.array([[d, c], [b, a]])
+        return direction_matrices(self.matrix).copy()
 
     def __repr__(self):
         return f"MobiusMap({self.matrix.tolist()})"
@@ -168,14 +169,47 @@ def rotation(theta: float) -> MobiusMap:
     return MobiusMap([[np.cos(ph), np.sin(ph)], [-np.sin(ph), np.cos(ph)]])
 
 
+def direction_matrices(mats: np.ndarray) -> np.ndarray:
+    """The direction matrices [[d, c], [b, a]] of stacked matrices
+    [[a, b], [c, d]] (..., 2, 2): each reversed along both axes, as a view."""
+    return mats[..., ::-1, ::-1]
+
+
+def _direction_image(dirs: np.ndarray, cs, sn):
+    """(U, V) = D (cs, sn) for stacked direction matrices D (..., 2, 2)."""
+    return dirs[..., 0, 0] * cs + dirs[..., 0, 1] * sn, dirs[..., 1, 0] * cs + dirs[..., 1, 1] * sn
+
+
 def mobius_value_logd(mats: np.ndarray, x):
     """Images and log derivatives of x under stacked matrices (..., 2, 2),
     whose leading shape broadcasts against x; the angle-chart action."""
     phi = np.pi * np.asarray(x, dtype=float)
     cs, sn = np.cos(phi), np.sin(phi)
-    U = mats[..., 1, 1] * cs + mats[..., 1, 0] * sn
-    V = mats[..., 0, 1] * cs + mats[..., 0, 0] * sn
+    U, V = _direction_image(direction_matrices(mats), cs, sn)
     return wrap(np.arctan2(V, U) / np.pi), -np.log(U * U + V * V)
+
+
+def mobius_direction_step(dirs: np.ndarray, w):
+    """Images and log derivatives of unit direction vectors
+    w = (cos pi x, sin pi x), stacked on the first axis of shape (2, ...),
+    under stacked direction matrices D (..., 2, 2) broadcasting against
+    w[0]: w <- D w / |D w|, log g' = -log |D w|^2.  No trigonometry."""
+    U, V = _direction_image(dirs, w[0], w[1])
+    R = U * U + V * V
+    image = np.array((U, V))
+    image /= np.sqrt(R)
+    return image, np.negative(np.log(R, out=R), out=R)
+
+
+def direction(x):
+    """Unit direction vectors (cos pi x, sin pi x), stacked on a new first axis."""
+    phi = np.pi * np.asarray(x, dtype=float)
+    return np.array((np.cos(phi), np.sin(phi)))
+
+
+def direction_position(w):
+    """The circle point x in [0, 1) of direction vectors w = (cos pi x, sin pi x)."""
+    return wrap(np.arctan2(w[1], w[0]) / np.pi)
 
 
 class TrigConjugacy:

@@ -164,10 +164,11 @@ def chart_frame_log_derivative(word_mat: np.ndarray, chart: LinearChart, x):
 
 def chart_distortion(word: Word, chart: LinearChart, y_lo: float, y_hi: float,
                      grid_size: int = 65) -> float:
-    """Affine distortion of the word over [y_lo, y_hi] in chart coordinates."""
+    """Affine distortion of a pure Mobius word over [y_lo, y_hi] in chart
+    coordinates, from the jet of its product matrix."""
     ys = np.linspace(y_lo, y_hi, grid_size)
     xs = chart.from_chart(ys)
-    j = word.jet(xs)
+    j = word.as_mobius().jet(xs)
     ld = np.log(j.d1) + _chart_log_deriv(chart, np.asarray(j.value, dtype=float)) - _chart_log_deriv(chart, xs)
     return float(np.max(ld) - np.min(ld))
 
@@ -295,7 +296,7 @@ def search_near_identity_pairs(
         kap_h = chart_distortion(h_word, chart, -eta, eta, grid_size)
         phi = Word(g_word.factors + h_word.inverse().factors)   # h^{-1} o g
         half = chart.chart_arc(eta / 2)
-        cks = ck_distances(phi, half)
+        cks = ck_distances(phi.as_mobius(), half)
         c_m = float(np.exp(-2.0 * kappa_m - 1.0 / m) * (1.0 - alpha ** m))
         reports.append(NearIdentityReport(
             m=m, walk_length=n,
@@ -372,11 +373,11 @@ class EndgameReport:
         return self.__dict__.copy()
 
 
-def _chart_eval(word: Word, chart: LinearChart, ys):
+def _chart_eval(word: Word | MobiusMap, chart: LinearChart, ys):
     return np.asarray(chart.to_chart(word.apply(chart.from_chart(ys))), dtype=float)
 
 
-def chart_preimages(word: Word, chart: LinearChart, image, targets, eta: float):
+def chart_preimages(word: Word | MobiusMap, chart: LinearChart, image, targets, eta: float):
     """Chart-frame preimages under the word of targets in image = (word(-eta),
     word(eta)): one evaluation of the inverse word, clipped to [-eta, eta].
     A target outside image is a violation."""
@@ -397,11 +398,13 @@ def endgame_estimates(report: NearIdentityReport, pairs: int = 100,
     ratio bound sup |log phi'| <= 2 kappa_m + 1/m on the overlap
     preimage, and the L/S composition formulas for phi against direct
     jets.  These are theorems given conditions 1-3; any failure raises.
+    The pure Mobius words g_m, h_m, h_m^{-1} and phi are evaluated through
+    their product matrices, one jet each.
     """
     chart = report.chart
     eta = report.eta
     m = report.m
-    g, h = report.g_word, report.h_word
+    g, h = report.g_word.as_mobius(), report.h_word.as_mobius()
     kap = report.kappa_m
     rng = np.random.default_rng(1234 + m)
 
@@ -412,7 +415,7 @@ def endgame_estimates(report: NearIdentityReport, pairs: int = 100,
     for word in (g, h):
         gy = _chart_eval(word, chart, xs[:, 1])
         gx = _chart_eval(word, chart, xs[:, 0])
-        d0 = float(np.exp(chart_frame_log_derivative(word.matrix()[None], chart,
+        d0 = float(np.exp(chart_frame_log_derivative(word.matrix[None], chart,
                                                      np.array([chart.fixed_point]))[0]))
         lhs = np.exp(-kap) * d0 * (xs[:, 1] - xs[:, 0])
         rhs = np.exp(kap) * d0 * (xs[:, 1] - xs[:, 0])
@@ -441,8 +444,7 @@ def endgame_estimates(report: NearIdentityReport, pairs: int = 100,
     ys = np.linspace(alpha_m, beta_m, 101)
     xs_c = chart.from_chart(ys)
     jg = g.jet(xs_c)
-    phi = Word(g.factors + h.inverse().factors)
-    jphi = phi.jet(xs_c)
+    jphi = Word(report.g_word.factors + report.h_word.inverse().factors).as_mobius().jet(xs_c)
     ld = (np.log(jphi.d1)
           + _chart_log_deriv(chart, np.asarray(jphi.value, dtype=float))
           - _chart_log_deriv(chart, xs_c))

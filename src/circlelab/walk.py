@@ -14,7 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import circle_dist
-from .maps import MobiusMap, Word, mobius_value_logd
+from .maps import (
+    MobiusMap,
+    Word,
+    direction,
+    direction_matrices,
+    direction_position,
+    mobius_direction_step,
+    mobius_value_logd,
+)
 from .rng import stream
 
 _FINGERPRINT_POINTS = np.array([0.137, 0.391, 0.823])
@@ -80,8 +88,11 @@ class StepDistribution:
         mats = [a.matrix if isinstance(a, MobiusMap) else a.matrix() if isinstance(a, Word) else None
                 for a in self.atoms]
         self._mats = None if any(m is None for m in mats) else np.stack(mats)
+        self._dirs = None
         if self._mats is not None:
             self._mats.flags.writeable = False
+            self._dirs = np.ascontiguousarray(direction_matrices(self._mats))
+        self._log_shrink = None
 
     def __len__(self):
         return len(self.atoms)
@@ -113,6 +124,45 @@ class StepDistribution:
                 jet = atom.jet(x[sel])
                 val[sel], logd[sel] = jet.value, np.log(jet.d1)
         return val, logd
+
+    # -- scan states: what `distortion.prefix_scan` steps -----------------
+
+    def state(self, x):
+        """The points x as scan states, stacked on a new first axis: unit
+        direction vectors (cos pi x, sin pi x) for a pure Mobius family, the
+        positions themselves for other families."""
+        x = np.asarray(x, dtype=float)
+        return direction(x) if self._dirs is not None else x[None].copy()
+
+    def step_state(self, idx, s):
+        """`step` on scan states: (image states, log g_idx'), idx broadcasting
+        against s[0].  Pure Mobius families act on directions by their
+        direction matrices, with no trigonometry; other families step
+        positions through `step`, exactly as `step` does."""
+        if self._dirs is not None:
+            return mobius_direction_step(np.take(self._dirs, idx, axis=0), s)
+        val, logd = self.step(idx, s[0])
+        return val[None], logd
+
+    def position(self, s):
+        """The points in [0, 1) of scan states s."""
+        return direction_position(s) if self._dirs is not None else s[0].copy()
+
+    def log_shrink_bound(self) -> float:
+        """An upper bound on -log g' over the circle and the atoms g: one step
+        shrinks no length by more than its exponential.  For a unimodular
+        matrix g' = 1 / |D w|^2 >= 1 / sigma^2, sigma its largest singular
+        value; other atoms take the largest -log g' on a 4096-point grid,
+        plus log 2 for what the grid misses."""
+        if self._log_shrink is None:
+            if self._mats is not None:
+                sigma = np.linalg.svd(self._mats, compute_uv=False)[:, 0]
+                self._log_shrink = float(2.0 * np.log(np.max(sigma)))
+            else:
+                grid = np.tile(np.arange(4096) / 4096.0, (len(self.atoms), 1))
+                logd = self.step(np.arange(len(self.atoms))[:, None], grid)[1]
+                self._log_shrink = float(np.max(-logd) + np.log(2.0))
+        return self._log_shrink
 
 
 def make_step_distribution(atoms, probs, symmetric: bool = False, names=None) -> StepDistribution:

@@ -28,6 +28,22 @@ def fd_jet(map_like, x, h1=1e-4, h3=1e-3):
     return d1, d2, d3
 
 
+# `distortion.prefix_scan` steps a pure Mobius family's points as direction
+# vectors (cos pi x, sin pi x); the reference loops of its tests step
+# positions x.  Each step rounds the two differently, so a position differs
+# by a few ulps and a log derivative by a few ulps per step.  The bound
+# below allows ROUNDING_ULPS of each.
+ROUNDING_ULPS = 16
+EPS = np.finfo(float).eps
+
+
+def position_rounding_bound(nu, lo, hi, mass):
+    """Largest |log nu-mass| difference of the arc (lo, hi) when its ends
+    move by ROUNDING_ULPS ulps: that times the CDF slope at the ends, over
+    the mass."""
+    return ROUNDING_ULPS * EPS * (nu.cell_density(lo) + nu.cell_density(hi)) / mass
+
+
 @pytest.fixture(scope="session")
 def sanov_atoms():
     from circlelab.maps import make_generator

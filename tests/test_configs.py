@@ -34,9 +34,15 @@ ENTROPY = {"scenario": "entropy-gap", "seed": 7, "n_max": 8, **FREE_PAIR}
     ("delta_cells", {"delta_cells": 1}),
     ("q_max", {"scenario": "boundary", "q_max": 0}),     # checked before the n_max boundary does not read
     ("epsilon", {"scenario": "boundary", "epsilon": 0.0}),
+    ("n_max", {"n_max": -1}),
+    ("n_max", {"n_max": 0}),
+    ("samples", {"samples": 1}),
+    ("samples", {"scenario": SUITE, "samples": 1}),
+    ("m_min", {"scenario": "near-identity", "m_min": 9, "m_max": 8}),   # before n_max too
 ], ids=["misspelled", "other-scenario", "suite", "nested", "string-int", "fractional-int",
         "bool-int", "string-bool", "seed", "grid_size-range", "delta_cells-range", "q_max-range",
-        "epsilon-range"])
+        "epsilon-range", "n_max-negative", "n_max-zero", "samples-range", "suite-samples-range",
+        "m_min-above-m_max"])
 def test_bad_key_exits_3_and_names_it(tmp_path, capsys, key, change):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({**ENTROPY, **change}))

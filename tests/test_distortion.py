@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import EPS, ROUNDING_ULPS, position_rounding_bound
 
 from circlelab.circle import Arc
 from circlelab.distortion import (
@@ -272,16 +273,24 @@ class ReferenceArcTracker:
 
 
 def reference_c1_terms(walk, nu, J, h_nu, eps, N):
-    """C1 terms by the scalar per-step loop; also the first tiny step."""
+    """C1 terms by the scalar per-step loop; also the first tiny step and,
+    per term, how far a scan that rounds positions differently may be from
+    it: `position_rounding_bound` while the arc has endpoints, then that
+    bound at the switch plus one log derivative's rounding per step."""
     tracker = ReferenceArcTracker(J)
     terms = [float(np.log(nu.arc_mass(J)))]
+    bounds = [position_rounding_bound(nu, J.left, J.right, nu.arc_mass(J))]
     first_tiny = None
     for n in range(1, N + 1):
+        was_tiny = tracker.tiny
         tracker.step(walk.distribution.atoms[walk.steps[n - 1]])
         if tracker.tiny and first_tiny is None:
             first_tiny = n
-        terms.append(tracker.log_mass(nu) + (h_nu + eps) * n)
-    return np.array(terms), first_tiny
+        log_mass = tracker.log_mass(nu)
+        terms.append(log_mass + (h_nu + eps) * n)
+        bounds.append(bounds[-1] + ROUNDING_ULPS * EPS if was_tiny else
+                      position_rounding_bound(nu, tracker.lo, tracker.hi, np.exp(log_mass)))
+    return np.array(terms), first_tiny, np.array(bounds)
 
 
 def _hyp_case():
@@ -307,13 +316,43 @@ def test_scan_c1_terms_match_scalar_tracker_through_tiny_arcs(case, request):
         nu = request.getfixturevalue("sanov_nu")
         walk, J = sample_walk(sanov_mu, 200, 7, 0), sanov_J(nu)
     N = len(walk.steps)
-    ref, first_tiny = reference_c1_terms(walk, nu, J, 0.55, 0.1, N)
+    ref, first_tiny, bound = reference_c1_terms(walk, nu, J, 0.55, 0.1, N)
     assert first_tiny is not None and first_tiny < N   # the arc passes 1e-9 mid-walk
     assert J.length > 1e-9
     scan = prefix_scan(walk.distribution, walk.steps[None, :], J.midpoint, (J.left, J.right), nu)
     got = scan.c1_terms(0.55, 0.1)[0]
     assert got.shape == (N + 1,)
-    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+    if case == "conjugated_hyp":
+        # a family that is not pure Mobius is stepped by positions, as the tracker steps it
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+    else:
+        assert np.all(np.abs(got - ref) <= bound), np.max(np.abs(got - ref) / bound)
+
+
+@pytest.mark.parametrize("walk_index, first_full", [(5, 63), (6, 69), (10, 81)])
+def test_an_image_covering_the_circle_keeps_its_mass(sanov_mu, sanov_nu, walk_index, first_full):
+    # walks 5, 6 and 10 of the distortion scenario at seed 7 on the free pair:
+    # from step first_full on, the image of J is the whole circle but for a
+    # complement below float resolution.  Read as wrap(hi - lo) it was a tiny
+    # arc, and log nu(l_k J) fell from about 0 to the log 1e-300 floor in one
+    # step; tracked by its complement, the mass stays near 1
+    walk, J = sample_walk(sanov_mu, 200, 7, walk_index), sanov_J(sanov_nu)
+    log_mass = prefix_scan(sanov_mu, walk.steps[None, :], 0.3, (J.left, J.right), sanov_nu).log_mass[0]
+    assert np.all(np.isfinite(log_mass))
+    full = log_mass[:-1] > -1e-9      # images holding all but 1e-9 of the mass
+    assert full[first_full - 1]
+    assert np.all(log_mass[1:][full] > np.log(0.5))
+
+
+def test_a_strongly_contracting_atom_makes_a_tiny_arc():
+    # diag(1e-5, 1e5) has sigma^2 = 1e10: it maps the half circle around its
+    # attracting point 0 onto an arc of length 2e-10 / pi, below 1e-9 but not
+    # a complement; its mass under Lebesgue measure is that length
+    mu = make_step_distribution([MobiusMap([[1e-5, 0.0], [0.0, 1e5]])], [1.0])
+    assert mu.log_shrink_bound() == pytest.approx(np.log(1e10))
+    scan = prefix_scan(mu, np.zeros((1, 1), dtype=int), 0.0, (0.75, 0.25), GridMeasure.lebesgue(1024))
+    assert scan.log_mass[0, 0] == pytest.approx(np.log(0.5))
+    assert scan.log_mass[0, 1] == pytest.approx(np.log(2e-10 / np.pi), abs=1e-6)
 
 
 def test_scan_rows_are_independent_of_the_batch(sanov_mu, sanov_nu, sanov_lambda):

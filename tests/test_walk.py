@@ -2,8 +2,19 @@ import numpy as np
 import pytest
 from conftest import reference_apply_indexed
 
+from circlelab.circle import circle_dist
 from circlelab.distortion import atom_seminorms
-from circlelab.maps import MobiusMap, Word, make_generator, rotation
+from circlelab.maps import (
+    MobiusMap,
+    Word,
+    direction,
+    direction_matrices,
+    direction_position,
+    make_generator,
+    mobius_direction_step,
+    mobius_value_logd,
+    rotation,
+)
 from circlelab.walk import (
     StepDistribution,
     canonical_key,
@@ -162,6 +173,62 @@ def test_step_broadcasts_indices_over_stacked_points(family, request):
     for row in range(3):
         v, ld = mu.step(idx, x[row])
         assert np.array_equal(val[row], v) and np.array_equal(logd[row], ld)
+
+
+def _random_sl2(rng, n):
+    """n random unimodular matrices k diag(s, 1/s) k' with rotations k, k'
+    and s up to e^2."""
+    def rot(t):
+        c, s = np.cos(t), np.sin(t)
+        return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    s = np.exp(rng.uniform(0.0, 2.0, n))
+    diag = np.zeros((n, 2, 2))
+    diag[:, 0, 0], diag[:, 1, 1] = s, 1.0 / s
+    return rot(rng.uniform(0.0, np.pi, n)) @ diag @ rot(rng.uniform(0.0, np.pi, n))
+
+
+def test_direction_step_matches_the_position_step():
+    # points at and next to 0, 1/2 and 1, each under 200 matrices, then random points
+    rng = np.random.default_rng(6)
+    near = [0.0, 5e-324, 1e-17, 1e-9, 0.5 - 1e-12, 0.5, 0.5 + 1e-12, 1 - 1e-9, 1 - 2.0 ** -53]
+    x = np.concatenate([np.repeat(near, 200), rng.random(4000)])
+    mats = _random_sl2(rng, x.size)
+    val, logd = mobius_value_logd(mats, x)
+    w, ld = mobius_direction_step(direction_matrices(mats), direction(x))
+    eps = np.finfo(float).eps
+    assert np.max(circle_dist(direction_position(w), val)) <= 4 * eps
+    assert np.max(np.abs(ld - logd) / np.maximum(1.0, np.abs(logd))) <= 4 * eps
+    assert np.max(np.abs(np.hypot(w[0], w[1]) - 1.0)) <= 2 * eps
+
+
+def test_step_state_matches_step_on_mobius_families(sanov_mu):
+    # a pure Mobius family steps direction vectors: positions within an ulp
+    # or two, log derivatives within a few ulps
+    idx, x = _indices_and_points(sanov_mu, 5_000, 7)
+    val, logd = sanov_mu.step(idx, x)
+    w, ld = sanov_mu.step_state(idx, sanov_mu.state(x))
+    eps = np.finfo(float).eps
+    assert w.shape == (2, x.size)
+    assert np.max(circle_dist(sanov_mu.position(w), val)) <= 4 * eps
+    assert np.max(np.abs(ld - logd) / np.maximum(1.0, np.abs(logd))) <= 4 * eps
+
+
+@pytest.mark.parametrize("family", ["conjugated_mu", "lifted_mu"])
+def test_step_state_is_step_on_other_families(family, request):
+    # other families step positions: bit for bit what step gives
+    mu = request.getfixturevalue(family)
+    idx, x = _indices_and_points(mu, 5_000, 7)
+    val, logd = mu.step(idx, x)
+    s, ld = mu.step_state(idx, mu.state(x))
+    assert s.shape == (1, x.size)
+    assert np.array_equal(mu.position(s), val) and np.array_equal(ld, logd)
+
+
+@pytest.mark.parametrize("family", ["sanov_mu", "conjugated_mu", "lifted_mu"])
+def test_log_shrink_bound_bounds_the_atoms_contraction(family, request):
+    mu = request.getfixturevalue(family)
+    idx, x = _indices_and_points(mu, 20_000, 3)
+    assert np.max(-mu.step(idx, x)[1]) <= mu.log_shrink_bound() < 20.0
 
 
 def test_matrices_are_cached_and_read_only(sanov_mu, conjugated_mu):
