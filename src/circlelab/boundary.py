@@ -68,11 +68,11 @@ def semiconjugation_map(nu: GridMeasure, mu: StepDistribution | None = None) -> 
         ugrid = np.linspace(0.0, 1.0, nu.N + 1)
         xs = nu.quantile(ugrid)
         sample_x = np.arange(nu.N) / nu.N
+        sx = nu.cdf_at(sample_x)
         for atom in mu.atoms:
             m_vals = nu.cdf_at(np.asarray(atom.apply(xs), dtype=float))
             induced.append(m_vals)
             # defect on the original grid
-            sx = nu.cdf_at(sample_x)
             lifted = unwrap_increasing(m_vals)
             m_at_sx = wrap(np.interp(sx, ugrid, lifted))
             s_gx = nu.cdf_at(np.asarray(atom.apply(sample_x), dtype=float))

@@ -4,6 +4,8 @@
     circlelab examples [--show NAME]
     circlelab verify <report.json>
 
+`--workers` is accepted and has no effect: runs are serial.
+
 Exit codes: 0 success, 2 estimator error (an estimator failed its own
 diagnostics), 3 config error (malformed or unknown configuration).
 """
@@ -39,7 +41,8 @@ def load_config(path: str) -> dict:
 
 
 def run_experiment(config, seed=None, workers: int = 1, out_dir="out") -> int:
-    """Run a config (dict or path); returns the process exit code."""
+    """Run a config (dict or path); returns the process exit code.
+    workers is ignored: runs are serial."""
     from .experiments import SCENARIOS
 
     try:
@@ -48,7 +51,7 @@ def run_experiment(config, seed=None, workers: int = 1, out_dir="out") -> int:
         scenario = cfg["scenario"]
         if seed is None:
             seed = values["seed"]
-        results, invs = SCENARIOS[scenario](cfg, values, int(seed), int(workers), out_dir, {})
+        results, invs = SCENARIOS[scenario](cfg, values, int(seed), out_dir, {})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
@@ -82,7 +85,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config", help="path to a JSON config, or a builtin name")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--workers", type=int, default=1)
+    p_run.add_argument("--workers", type=int, default=1, help="ignored: runs are serial")
     p_run.add_argument("--out", default="out")
 
     p_ex = sub.add_parser("examples", help="list bundled example configs")

@@ -83,6 +83,9 @@ def _complex_L_sup(atom, rho: float) -> float:
 
 
 _TINY_ARC = 1e-9
+# a walk's C1 below e^LOG_C1_FLOOR is a collapsed mass, not a positive one:
+# the scan floors log masses at log 1e-300, which reads as C1 near 1e-280
+LOG_C1_FLOOR = float(np.log(1e-100))
 
 
 @dataclass(frozen=True)
@@ -459,11 +462,20 @@ def verify_complex_distortion(
 class DecayReport:
     ns: np.ndarray
     log_values: np.ndarray       # log( nu(l_n J) e^{(h_nu+eps) n} )
-    positive: bool
 
     @property
     def values(self) -> np.ndarray:
         return np.exp(self.log_values)
+
+    @property
+    def log_c1(self) -> float:
+        """log of the empirical C1, the infimum of the values."""
+        return float(np.min(self.log_values))
+
+    @property
+    def positive(self) -> bool:
+        """Every term finite and C1 above e^LOG_C1_FLOOR."""
+        return bool(np.all(np.isfinite(self.log_values))) and self.log_c1 > LOG_C1_FLOOR
 
 
 def interval_mass_decay(
@@ -482,4 +494,4 @@ def interval_mass_decay(
         raise ValueError("nu(J) must be positive")
     scan = prefix_scan(walk.distribution, walk.steps[None, :N], J.midpoint, (J.left, J.right), nu)
     log_vals = scan.c1_terms(h_nu, eps)[0]
-    return DecayReport(np.arange(log_vals.size), log_vals, bool(np.all(np.isfinite(log_vals))))
+    return DecayReport(np.arange(log_vals.size), log_vals)

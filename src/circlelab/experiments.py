@@ -7,8 +7,9 @@ measures of the config's family already estimated in this run, by grid
 size, so the parts of full-theorem-suite iterate each one once.  It
 produces a JSON-able result dict plus CSV side files, and appends
 invariant records that the CLI's `verify` can re-check.  All randomness
-flows through (seed, stream) addresses, so reports are byte-identical for
-a fixed (config, seed) regardless of worker count.
+flows through (seed, stream) addresses, so a fixed (config, seed) gives
+byte-identical reports.  Work units (Lyapunov seeds, distortion walks,
+search seeds) run one after another in the caller's thread.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from .boundary import (
 )
 from .circle import Arc, wrap
 from .configs import SUITE_PARTS, ConfigError, build_l_generator, build_step_distribution
-from .distortion import interval_mass_decay, verify_complex_distortion, verify_real_distortion, walk_constants
+from .distortion import (LOG_C1_FLOOR, interval_mass_decay, verify_complex_distortion,
+                         verify_real_distortion, walk_constants)
 from .maps import MobiusMap
 from .convolve import convolve_exact
 from .measure import (
@@ -38,10 +40,15 @@ from .measure import (
     require_stationary,
 )
 from .nearid import ENDGAME_TOL, brute_force_min_c1, endgame_estimates, search_near_identity_pairs
-from .parallel import pmap
 from .reports import invariant, write_convolution_csv, write_csv, write_walk_csv
 from .schwarzian import c3_convergence_check, mobius_normalize, solve_and_reconstruct
 from .walk import sample_walk
+
+
+def pmap(fn, items, workers=1):
+    """[fn(x) for x in items], workers ignored: kept only as the name that
+    perfbench/tracing.py wraps for its `parallel.*` spans."""
+    return [fn(x) for x in items]
 
 
 def _nu_csv(out_dir, nu: GridMeasure, name="nu_cdf.csv"):
@@ -74,7 +81,7 @@ def _require_mobius(p, mu, scenario: str):
         raise ConfigError(f"the {scenario} scenario needs a pure Mobius family, but {', '.join(keys)} is set")
 
 
-def scenario_stationary(cfg, p, seed, workers, out_dir, measures):
+def scenario_stationary(cfg, p, seed, out_dir, measures):
     mu = build_step_distribution(cfg)
     N, tol = p["grid_size"], p["tol"]
     results = {}
@@ -108,7 +115,7 @@ def _shared_measure(p, mu, seed, measures):
     return _transfer_measure(measures, mu, p["grid_size"])
 
 
-def scenario_lyapunov(cfg, p, seed, workers, out_dir, measures):
+def scenario_lyapunov(cfg, p, seed, out_dir, measures):
     mu = build_step_distribution(cfg)
     nu = _shared_measure(p, mu, seed, measures)
 
@@ -116,7 +123,7 @@ def scenario_lyapunov(cfg, p, seed, workers, out_dir, measures):
         return lyapunov_exponent(mu, nu, n_steps=p["n_steps"], trajectories=p["trajectories"],
                                  integral_samples=p["integral_samples"], seed=seed + s)
 
-    ests = pmap(one, range(p["n_seeds"]), workers)
+    ests = pmap(one, range(p["n_seeds"]))
     vals = np.array([e.value for e in ests])
     results = {
         "estimates": [e.as_dict() for e in ests],
@@ -134,7 +141,7 @@ def scenario_lyapunov(cfg, p, seed, workers, out_dir, measures):
     return results, invs
 
 
-def scenario_entropy_gap(cfg, p, seed, workers, out_dir, measures):
+def scenario_entropy_gap(cfg, p, seed, out_dir, measures):
     mu = build_step_distribution(cfg)
     n_max = p["n_max"]
     quantized = p["quantized"]
@@ -157,7 +164,7 @@ def scenario_entropy_gap(cfg, p, seed, workers, out_dir, measures):
     return results, invs
 
 
-def scenario_boundary(cfg, p, seed, workers, out_dir, measures):
+def scenario_boundary(cfg, p, seed, out_dir, measures):
     mu = build_step_distribution(cfg)
     nu = _shared_measure(p, mu, seed, measures)
     sc = semiconjugation_map(nu, mu)
@@ -206,7 +213,7 @@ def scenario_boundary(cfg, p, seed, workers, out_dir, measures):
     return results, invs
 
 
-def scenario_distortion(cfg, p, seed, workers, out_dir, measures):
+def scenario_distortion(cfg, p, seed, out_dir, measures):
     mu = build_step_distribution(cfg)
     _require_mobius(p, mu, "distortion")
     nu = _transfer_measure(measures, mu, p["grid_size"])
@@ -230,7 +237,7 @@ def scenario_distortion(cfg, p, seed, workers, out_dir, measures):
         decay = interval_mass_decay(walk, nu, J, h_nu, eps, min(N_real, 100))
         return consts, real, cx, decay
 
-    rows = pmap(one, range(n_walks), workers)
+    rows = pmap(one, range(n_walks))
     write_walk_csv(out_dir, "walk_0.csv", sample_walk(mu, N_real, seed, 0))
     real_viol = sum(len(r[1].violations) for r in rows)
     cx_viol = sum(len(r[2].violations) for r in rows)
@@ -250,7 +257,8 @@ def scenario_distortion(cfg, p, seed, workers, out_dir, measures):
         invariant("real_distortion_no_violations", real_viol == 0, violations=real_viol),
         invariant("complex_distortion_no_violations", cx_viol == 0, violations=cx_viol),
         invariant("mass_decay_positive", positive >= 0.95 * n_walks,
-                  positive=positive, walks=n_walks),
+                  positive=positive, walks=n_walks, log_c1_floor=LOG_C1_FLOOR,
+                  min_log_c1=float(np.min([r[3].log_c1 for r in rows]))),
     ]
     write_csv(out_dir, "constants.csv",
               ["walk", "C1", "C2", "C3", "C4_log", "C4_schwarzian", "C5", "r_real", "r_complex"],
@@ -259,7 +267,7 @@ def scenario_distortion(cfg, p, seed, workers, out_dir, measures):
     return results, invs
 
 
-def scenario_near_identity(cfg, p, seed, workers, out_dir, measures):
+def scenario_near_identity(cfg, p, seed, out_dir, measures):
     mode = p["expectation"]
     mu = build_step_distribution(cfg)
     _require_mobius(p, mu, "near-identity")
@@ -277,7 +285,7 @@ def scenario_near_identity(cfg, p, seed, workers, out_dir, measures):
             mu, l_gen, eta=p["eta"], m_range=m_range, nu=nu, lam=lam, h_nu=p["h_nu_hint"],
             samples=p["samples"], length_factor=p["length_factor"], seed=seed + s)
 
-    searches = pmap(one, range(p["search_seeds"]), workers)
+    searches = pmap(one, range(p["search_seeds"]))
     per_m = {m: [] for m in m_range}
     miss_count = {m: 0 for m in m_range}
     records = []
@@ -352,7 +360,7 @@ def scenario_near_identity(cfg, p, seed, workers, out_dir, measures):
     return results, invs
 
 
-def scenario_schwarzian(cfg, p, seed, workers, out_dir, measures):
+def scenario_schwarzian(cfg, p, seed, out_dir, measures):
     omega = p["omega"]
     step = p["step"]
     sol = solve_and_reconstruct(
@@ -392,12 +400,12 @@ def scenario_schwarzian(cfg, p, seed, workers, out_dir, measures):
     return results, invs
 
 
-def scenario_full(cfg, p, seed, workers, out_dir, measures):
+def scenario_full(cfg, p, seed, out_dir, measures):
     """The six parts in turn, each with its own values p[part]."""
     results = {}
     invs = []
     for part in SUITE_PARTS:
-        results[part], sub_invs = SCENARIOS[part](cfg, p[part], seed, workers, out_dir, measures)
+        results[part], sub_invs = SCENARIOS[part](cfg, p[part], seed, out_dir, measures)
         invs.extend(sub_invs)
     return results, invs
 

@@ -75,11 +75,12 @@ class MobiusMap:
 
     # -- real-circle evaluation ------------------------------------------
 
-    def _uv(self, x):
+    def _uv(self, x, dtype=float):
         # the (U, V) lines of `_direction_image`, on the matrix's scalar
-        # entries: through the helper a scalar jet takes twice the time
+        # entries: through the helper a scalar jet takes twice the time.
+        # dtype complex serves the extension to the annulus.
         a, b, c, d = self.matrix.ravel()
-        phi = np.pi * np.asarray(x, dtype=float)
+        phi = np.pi * np.asarray(x, dtype=dtype)
         cs, sn = np.cos(phi), np.sin(phi)
         return d * cs + c * sn, b * cs + a * sn, cs, sn
 
@@ -111,30 +112,19 @@ class MobiusMap:
 
     def cval(self, z):
         """Holomorphic extension to C/Z, values reduced mod 1 in the real part."""
-        a, b, c, d = self.matrix.ravel()
-        phi = np.pi * np.asarray(z, dtype=complex)
-        cs, sn = np.cos(phi), np.sin(phi)
-        U = d * cs + c * sn
-        V = b * cs + a * sn
+        U, V, _, _ = self._uv(z, complex)
         w = _c_arctan(V / U) / np.pi
         return wrap(w.real) + 1j * w.imag
 
     def cderiv(self, z):
         """Complex derivative of the extension (branch independent)."""
-        a, b, c, d = self.matrix.ravel()
-        phi = np.pi * np.asarray(z, dtype=complex)
-        cs, sn = np.cos(phi), np.sin(phi)
-        U = d * cs + c * sn
-        V = b * cs + a * sn
+        U, V, _, _ = self._uv(z, complex)
         return 1.0 / (U * U + V * V)
 
     def clog_derivative(self, z):
         """(log g')' of the extension, i.e. L g continued to the annulus."""
         a, b, c, d = self.matrix.ravel()
-        phi = np.pi * np.asarray(z, dtype=complex)
-        cs, sn = np.cos(phi), np.sin(phi)
-        U = d * cs + c * sn
-        V = b * cs + a * sn
+        U, V, cs, sn = self._uv(z, complex)
         Up = c * cs - d * sn
         Vp = a * cs - b * sn
         R = U * U + V * V

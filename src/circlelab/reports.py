@@ -1,8 +1,7 @@
 """Deterministic report emission and re-verification.
 
 Reports are JSON with sorted keys and canonical float repr, so a fixed
-(config, seed) pair produces byte-identical files regardless of worker
-count or platform scheduling.  Every report embeds its config and the
+(config, seed) pair produces byte-identical files.  Every report embeds its config and the
 config's SHA-256, plus a list of invariant records that `verify` can
 re-check without recomputing the experiment.
 """

@@ -85,27 +85,48 @@ def test_verify_catches_tamper(tmp_path):
     assert any("hash" in m for m in msgs)
 
 
+SMALL_DISTORTION = {
+    "scenario": "distortion",
+    "seed": 4,
+    "grid_size": 2048,
+    "samples": 10_000,
+    "n_walks": 8,
+    "horizon_real": 40,
+    "horizon_complex": 20,
+    "kappa": 0.5,
+    "lyapunov_steps": 500,
+    "generators": {"a": {"matrix": [[1, 2], [0, 1]]}, "b": {"matrix": [[1, 0], [2, 1]]}},
+    "mu": {"atoms": [["a", 0.25], ["a^-1", 0.25], ["b", 0.25], ["b^-1", 0.25]],
+           "symmetric": True},
+}
+
+
 def test_worker_count_does_not_change_bytes(tmp_path):
-    # small distortion run exercises the parallel map
-    cfg = {
-        "scenario": "distortion",
-        "seed": 4,
-        "grid_size": 2048,
-        "samples": 10_000,
-        "n_walks": 8,
-        "horizon_real": 40,
-        "horizon_complex": 20,
-        "kappa": 0.5,
-        "lyapunov_steps": 500,
-        "generators": {"a": {"matrix": [[1, 2], [0, 1]]}, "b": {"matrix": [[1, 0], [2, 1]]}},
-        "mu": {"atoms": [["a", 0.25], ["a^-1", 0.25], ["b", 0.25], ["b^-1", 0.25]],
-               "symmetric": True},
-    }
+    # runs are serial and --workers is ignored; the bytes must not
+    # depend on the value passed
     out1, out8 = tmp_path / "w1", tmp_path / "w8"
-    assert run_experiment(dict(cfg), workers=1, out_dir=out1) == 0
-    assert run_experiment(dict(cfg), workers=8, out_dir=out8) == 0
+    assert run_experiment(dict(SMALL_DISTORTION), workers=1, out_dir=out1) == 0
+    assert run_experiment(dict(SMALL_DISTORTION), workers=8, out_dir=out8) == 0
     for name in ("report.json", "constants.csv"):
         assert (out1 / name).read_bytes() == (out8 / name).read_bytes()
+
+
+def test_collapsed_decay_fails_the_decay_invariant(tmp_path, monkeypatch):
+    import circlelab.experiments as experiments
+
+    scan = experiments.interval_mass_decay
+
+    def collapsed(*args, **kwargs):
+        rep = scan(*args, **kwargs)
+        rep.log_values[-1] = np.log(2.0016e-286)
+        return rep
+
+    monkeypatch.setattr(experiments, "interval_mass_decay", collapsed)
+    assert run_experiment(dict(SMALL_DISTORTION), out_dir=tmp_path) == 2
+    invs = json.loads((tmp_path / "report.json").read_text())["invariants"]
+    decay = next(i for i in invs if i["name"] == "mass_decay_positive")
+    assert not decay["ok"] and decay["detail"]["positive"] == 0
+    assert decay["detail"]["min_log_c1"] == np.log(2.0016e-286) < decay["detail"]["log_c1_floor"]
 
 
 @pytest.mark.parametrize("name", ["rotations", "schottky", "lifted-2", "lifted-3", "sanov", "dense"])

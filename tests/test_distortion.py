@@ -4,6 +4,8 @@ from conftest import EPS, ROUNDING_ULPS, position_rounding_bound
 
 from circlelab.circle import Arc
 from circlelab.distortion import (
+    LOG_C1_FLOOR,
+    DecayReport,
     PoleInDiskError,
     atom_seminorms,
     interval_mass_decay,
@@ -224,6 +226,21 @@ def test_decay_sanov_positive(sanov_mu, sanov_nu):
                                   h_nu=0.55, eps=0.1, N=100)
         hits += rep.positive
     assert hits >= 9
+
+
+@pytest.mark.parametrize("c1", [2.0016e-286, 1.5442e-282, 6.3815e-280])
+def test_decay_collapsed_mass_is_not_positive(c1):
+    # finite C1 terms of masses that collapsed to the scan's 1e-300 floor,
+    # as a scan that read a near-full arc as a tiny one once recorded them
+    rep = DecayReport(np.arange(4), np.log([0.1, 0.07, c1, 0.05]))
+    assert np.all(np.isfinite(rep.log_values))
+    assert rep.log_c1 == np.log(c1) < LOG_C1_FLOOR
+    assert not rep.positive
+
+
+def test_decay_floor_passes_small_honest_masses():
+    assert DecayReport(np.arange(3), np.log([0.1, 1e-99, 0.05])).positive
+    assert not DecayReport(np.arange(3), np.array([np.log(0.1), -np.inf, np.log(0.05)])).positive
 
 
 # -- the prefix scan ----------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Static checks on src/circlelab: every module-level import is used,
 every module-level private function or class is referenced somewhere,
-every local that a function assigns by name is read (in tests/ too), and
-every reduction mod 1 goes through `circle.wrap`.
+every local that a function assigns by name is read (in tests/ too),
+every reduction mod 1 goes through `circle.wrap`, and no module imports a
+thread or process pool: runs are serial.
 
 `__init__.py` is exempt from the import check; its imports are the
 package's public names.
@@ -114,6 +115,37 @@ def test_mod_one_checker_flags_only_reductions_outside_wrap():
 def test_every_reduction_mod_one_goes_through_wrap():
     found = {p.name: mod_one_sites(p.read_text(), exempt="wrap" if p.name == "circle.py" else None)
              for p in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+CONCURRENCY = {"concurrent", "threading", "multiprocessing"}
+
+
+def concurrency_imports(source: str) -> list:
+    """Lines that import concurrent.futures, threading or multiprocessing
+    (or a submodule), at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        if any(m.split(".")[0] in CONCURRENCY for m in modules):
+            found.append(node.lineno)
+    return found
+
+
+def test_concurrency_checker_flags_only_pool_imports():
+    src = ("import threading\nfrom concurrent.futures import ThreadPoolExecutor\n"
+           "import os, multiprocessing.pool as mp\nfrom .threading import lock\nimport threadpoolctl\n"
+           "def f():\n    import concurrent.futures\n    from . import threading\n")
+    assert concurrency_imports(src) == [1, 2, 3, 7]
+
+
+def test_no_module_imports_a_thread_or_process_pool():
+    found = {p.name: concurrency_imports(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {}
 
 
