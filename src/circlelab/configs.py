@@ -72,7 +72,7 @@ class Bounded:
 # int or float; a tuple of the allowed values; ARCS; the table of an
 # object's own keys ("*" for any name); or None for a value whose shape
 # its builder checks.  A default of None marks an optional key without a
-# default.
+# default.  Walk sizes are >= 1 (`integral_samples` >= 2, for its stderr).
 KEYS = {
     "seed": (int, 0),
     "description": (str, None),
@@ -82,13 +82,13 @@ KEYS = {
     "extra_atoms": (None, None),
     "method": (("transfer_iteration", "transfer", "monte_carlo", "both"), "transfer_iteration"),
     "grid_size": (Bounded(int, 256), 8192),
-    "mc_samples": (int, 200_000),
-    "mc_steps": (int, 300),
+    "mc_samples": (Bounded(int, 1), 200_000),
+    "mc_steps": (Bounded(int, 1), 300),
     "tol": (float, 1e-3),
-    "n_steps": (int, 10_000),
-    "trajectories": (int, 100),
-    "n_seeds": (int, 1),
-    "integral_samples": (int, 100_000),
+    "n_steps": (Bounded(int, 1), 10_000),
+    "trajectories": (Bounded(int, 1), 100),
+    "n_seeds": (Bounded(int, 1), 1),
+    "integral_samples": (Bounded(int, 2), 100_000),
     "n_max": (Bounded(int, 1), 12),
     "quantized": (bool, False),
     "delta_cells": (Bounded(int, 2), 8),
@@ -97,23 +97,23 @@ KEYS = {
     "word_length_cap": (int, 40),
     "gap_mass_tolerance": (float, 1e-3),
     "q_max": (Bounded(int, 1), 4),
-    "probe_horizon": (int, 50),
-    "probe_trials": (int, 10),
+    "probe_horizon": (Bounded(int, 1), 50),
+    "probe_trials": (Bounded(int, 1), 10),
     "h_hint": (float, None),
-    "lyapunov_steps": (int, 5000),
+    "lyapunov_steps": (Bounded(int, 1), 5000),
     "kappa": (float, 0.5),
     "tau": (float, 1.0),
     "x": (float, 0.3),
-    "n_walks": (int, 100),
-    "horizon_real": (int, 200),
-    "horizon_complex": (int, 100),
+    "n_walks": (Bounded(int, 1), 100),
+    "horizon_real": (Bounded(int, 1), 200),
+    "horizon_complex": (Bounded(int, 1), 100),
     "expectation": (("dense", "discrete"), "dense"),
     "l_generator": (str, None),
     "l_word": (str, None),
     "m_min": (int, 5),
     "m_max": (int, 20),
     "eta": (float, 0.02),
-    "search_seeds": (int, 11),
+    "search_seeds": (Bounded(int, 1), 11),
     "h_nu_hint": (float, 0.05),
     "length_factor": (float, 2.0),
     "discreteness_floor": (float, 1e-3),
@@ -124,7 +124,7 @@ KEYS = {
     "family_size": (int, 10),
 }
 COMMON = ("seed", "description", "generators", "mu", "lift", "extra_atoms")
-ORDERED = (("m_min", "m_max"),)     # (low, high): low <= high when a scenario reads both
+ORDERED = (("m_min", "m_max"), ("horizon_complex", "horizon_real"))   # low <= high when read
 
 
 def _keys(*names, **defaults) -> dict:

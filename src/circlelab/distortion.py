@@ -35,7 +35,7 @@ import numpy as np
 
 from .circle import Arc, wrap
 from .jets import compose, identity_jet, log_derivative, schwarzian
-from .maps import MobiusMap, holder_seminorm, rho_lower_bound, sup_abs_L, sup_abs_S
+from .maps import MobiusMap, direction_abs_im, holder_seminorm, rho_lower_bound, sup_abs_L, sup_abs_S
 from .measure import GridMeasure
 from .walk import StepDistribution, WalkTrajectory
 
@@ -123,13 +123,11 @@ class PrefixScan:
 def prefix_scan(mu: StepDistribution, steps, x: float, arc, nu: GridMeasure) -> PrefixScan:
     """Push the point x and the arc J = (lo, hi) along every row of steps.
 
-    Points are stepped as `mu`'s scan states by `mu.step_state`: for a pure
-    Mobius family, unit direction vectors (cos pi x, sin pi x), one matrix
-    product and a renormalization per step; for other families, positions,
-    stepped as `mu.step` steps them.  A position is formed from a direction
-    (by arctan2) only where it is read: the arc ends at every step while
-    some row reads its mass between them, the tracked midpoints once some
-    row tracks one, and x once, after the last step.
+    Points are stepped as `mu.state`s by `mu.step_state`, and a position is
+    formed from a state (by arctan2 for a pure Mobius family) only where it
+    is read: the arc ends at every step while some row reads its mass
+    between them, the tracked midpoints once some row tracks one, and x
+    once, after the last step.
 
     The arc is tracked by its endpoints until its image is shorter than
     1e-9, where they are no longer float-distinguishable; from there by
@@ -408,14 +406,14 @@ def verify_complex_distortion(
     """Push a polar grid of D(x, r) through the complex extensions of the
     steps; check the distortion stays below kappa and the images stay in
     the shrinking annuli A_{C5 e^{lam n / 2}}.  Pure Mobius steps only.
+    Points are carried as `mu.state`s w = (cos pi z, sin pi z), log |g'| is
+    the real part of `step_state`'s log g', |Im z| is `direction_abs_im(w)`.
     """
     if constants.horizon < N:
         raise ValueError("constants were computed over a shorter horizon than the verification")
     mu = walk.distribution
-    mats = mu.matrices()
-    if mats is None:
+    if mu.matrices() is None:
         raise ValueError("complex verification requires pure Mobius steps")
-    atoms = [a if isinstance(a, MobiusMap) else MobiusMap(m) for a, m in zip(mu.atoms, mats)]
     sem = atom_seminorms(mu, constants.tau)
     r = constants.radius_complex(kappa)
     if not np.isfinite(r):
@@ -423,30 +421,25 @@ def verify_complex_distortion(
     n_th, n_rad = disk_grid
     th = np.linspace(0.0, 2 * np.pi, n_th, endpoint=False)
     rad = np.linspace(0.0, 1.0, n_rad + 1)[1:]
-    z = (float(x) + (r * rad[:, None] * np.exp(1j * th[None, :])).ravel()).astype(complex)
-    z = np.concatenate([[complex(x)], z])
+    z = np.concatenate([[complex(x)], float(x) + (r * rad[:, None] * np.exp(1j * th[None, :])).ravel()])
+    w, im = mu.state(z), np.abs(z.imag)
     logd = np.zeros(len(z))
-    violations = []
-    max_k = 0.0
-    max_im_excess = 0.0
-    for n in range(1, N + 1):
-        k = walk.steps[n - 1]
-        atom = atoms[k]
-        rho_step = sem.rho[k]
-        if np.max(np.abs(z.imag)) >= rho_step:
+    violations, max_k, max_im_excess = [], 0.0, 0.0
+    for n, k in enumerate(walk.steps[:N], 1):
+        if np.max(im) >= sem.rho[k]:
             raise PoleInDiskError(
                 f"step {n}: disk image reaches the singular annulus of the next map "
-                f"(|Im| = {np.max(np.abs(z.imag)):.3e} >= rho = {rho_step:.3e})"
+                f"(|Im| = {np.max(im):.3e} >= rho = {sem.rho[k]:.3e})"
             )
-        d = atom.cderiv(z)
-        logd += np.log(np.abs(d))
-        z = atom.cval(z)
+        w, ld = mu.step_state(k, w)
+        logd += ld.real
+        im = direction_abs_im(w)
         kap = float(np.max(logd) - np.min(logd))
         max_k = max(max_k, kap)
         if kap > kappa * (1 + _SLACK) + 1e-12:
             violations.append(DistortionViolation(n, "complex_affine", kap, kappa))
         im_bound = constants.C5 * np.exp(constants.lam * n / 2.0)
-        im_max = float(np.max(np.abs(z.imag)))
+        im_max = float(np.max(im))
         max_im_excess = max(max_im_excess, im_max / im_bound)
         if im_max > im_bound * (1 + _SLACK) + 1e-15:
             violations.append(DistortionViolation(n, "annulus", im_max, im_bound))

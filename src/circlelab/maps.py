@@ -192,14 +192,20 @@ def mobius_direction_step(dirs: np.ndarray, w):
 
 
 def direction(x):
-    """Unit direction vectors (cos pi x, sin pi x), stacked on a new first axis."""
-    phi = np.pi * np.asarray(x, dtype=float)
+    """Direction vectors (cos pi x, sin pi x) on a new first axis, complex for complex x."""
+    phi = np.pi * np.asarray(x)
     return np.array((np.cos(phi), np.sin(phi)))
 
 
 def direction_position(w):
     """The circle point x in [0, 1) of direction vectors w = (cos pi x, sin pi x)."""
     return wrap(np.arctan2(w[1], w[0]) / np.pi)
+
+
+def direction_abs_im(w):
+    """|Im z| of w = +-(cos pi z, sin pi z) from Im(w_1 conj w_0) = sinh(2 pi Im z) / 2,
+    a sum of two like-signed products: full relative precision at any Im z."""
+    return np.abs(np.arcsinh(2.0 * (w[1].imag * w[0].real - w[1].real * w[0].imag))) / (2.0 * np.pi)
 
 
 class TrigConjugacy:

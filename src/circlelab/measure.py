@@ -255,8 +255,10 @@ def estimate_stationary_measure(
             counts = rng.multinomial(mc_steps, mu.probs, size=mc_samples)
             x = wrap(x + counts @ angles)
         else:
+            s = mu.state(x)
             for _ in range(mc_steps):
-                x, _ = mu.step(mu.sample_indices(rng, mc_samples), x)
+                s, _ = mu.step_state(mu.sample_indices(rng, mc_samples), s)
+            x = mu.position(s)
         nu = GridMeasure.from_samples(x, grid_size)
         nu.atom_tolerance = atom_tolerance
         iterations = mc_steps
@@ -313,7 +315,7 @@ def lyapunov_exponent(
     """lambda = int log g'(x) dmu(g) dnu(x), two ways.
 
     The integral estimator samples (g, x) from mu x nu directly; the
-    pathwise estimator averages (1/n) log l_n'(x) over seeded walks.
+    pathwise estimator averages (1/n) log l_n'(x) over walks of `mu.state`s.
     They must agree within 3 combined sigma (hard error beyond 5).
     """
     rng_i = stream(seed, _TAG_LYAPUNOV, 1)
@@ -323,13 +325,13 @@ def lyapunov_exponent(
     se_int = float(logs.std(ddof=1) / np.sqrt(len(logs)))
 
     rng_p = stream(seed, _TAG_LYAPUNOV, 2)
-    xs = nu.sample(rng_p, trajectories)
+    s = mu.state(nu.sample(rng_p, trajectories))
     acc = np.zeros(trajectories)
     # indices drawn in blocks of steps: the same draws, in the same order, as
     # one draw per step; the block bounds the index array's memory
     for start in range(0, n_steps, _LYAPUNOV_BLOCK):
         for idx in mu.sample_indices(rng_p, (min(_LYAPUNOV_BLOCK, n_steps - start), trajectories)):
-            xs, logd = mu.step(idx, xs)
+            s, logd = mu.step_state(idx, s)
             acc += logd
     slopes = acc / n_steps
     lam_path = float(slopes.mean())

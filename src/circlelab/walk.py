@@ -26,6 +26,9 @@ from .maps import (
 from .rng import stream
 
 _FINGERPRINT_POINTS = np.array([0.137, 0.391, 0.823])
+# most atoms `sample_indices` draws by comparisons: on 400 000 draws (numpy 2.4,
+# 2-core x86) they took 0.17 of searchsorted's time at 4 atoms, 0.6 at 32, 1 at 64
+_COMPARE_ATOMS = 32
 
 
 def canonical_key(map_like, quant: float = 1e-9):
@@ -98,20 +101,25 @@ class StepDistribution:
         return len(self.atoms)
 
     def sample_indices(self, rng: np.random.Generator, size) -> np.ndarray:
+        """searchsorted(cum, u, side="right").clip(0, n - 1) for u = rng.random(size),
+        counted as sum_{j < n-1} (u >= cum[j]) up to _COMPARE_ATOMS atoms."""
         u = rng.random(size)
-        return np.searchsorted(self._cum, u, side="right").clip(0, len(self.atoms) - 1)
+        if len(self.atoms) > _COMPARE_ATOMS:
+            return np.searchsorted(self._cum, u, side="right").clip(0, len(self.atoms) - 1)
+        idx = np.zeros(np.shape(u), dtype=np.intp)
+        for c in self._cum[:-1]:
+            idx += u >= c
+        return idx[()]
 
     def matrices(self):
         """Stacked atom matrices (read-only) when the family is pure Mobius, else None."""
         return self._mats
 
     def step(self, idx, x):
-        """(g_idx(x), log g_idx'(x)) for atom indices idx broadcasting against x.
-
-        The one point-stepping kernel: pure Mobius families act through
-        their stacked matrices, other families through each atom's jet on
-        the points that drew it.
-        """
+        """(g_idx(x), log g_idx'(x)) for atom indices idx broadcasting against x,
+        for one-shot callers (per-step loops step `state`s).  Pure Mobius
+        families act through their stacked matrices, other families through
+        each atom's jet on the points that drew it."""
         x = np.asarray(x, dtype=float)
         if self._mats is not None:
             # np.take gathers like self._mats[idx], in a tenth of the time
@@ -125,27 +133,26 @@ class StepDistribution:
                 val[sel], logd[sel] = jet.value, np.log(jet.d1)
         return val, logd
 
-    # -- scan states: what `distortion.prefix_scan` steps -----------------
+    # -- states: what every per-step loop steps ---------------------------
 
     def state(self, x):
-        """The points x as scan states, stacked on a new first axis: unit
-        direction vectors (cos pi x, sin pi x) for a pure Mobius family, the
-        positions themselves for other families."""
-        x = np.asarray(x, dtype=float)
-        return direction(x) if self._dirs is not None else x[None].copy()
+        """The points x as states, stacked on a new first axis: direction
+        vectors (cos pi x, sin pi x) for a pure Mobius family, complex ones
+        for complex x, the positions themselves for other families."""
+        return direction(x) if self._dirs is not None else np.asarray(x, dtype=float)[None].copy()
 
     def step_state(self, idx, s):
-        """`step` on scan states: (image states, log g_idx'), idx broadcasting
+        """`step` on states: (image states, log g_idx'), idx broadcasting
         against s[0].  Pure Mobius families act on directions by their
-        direction matrices, with no trigonometry; other families step
-        positions through `step`, exactly as `step` does."""
+        direction matrices, with no trigonometry (log g' complex on complex
+        ones); other families step positions through `step`."""
         if self._dirs is not None:
             return mobius_direction_step(np.take(self._dirs, idx, axis=0), s)
         val, logd = self.step(idx, s[0])
         return val[None], logd
 
     def position(self, s):
-        """The points in [0, 1) of scan states s."""
+        """The points in [0, 1) of real states s."""
         return direction_position(s) if self._dirs is not None else s[0].copy()
 
     def log_shrink_bound(self) -> float:

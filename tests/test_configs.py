@@ -39,16 +39,49 @@ ENTROPY = {"scenario": "entropy-gap", "seed": 7, "n_max": 8, **FREE_PAIR}
     ("samples", {"samples": 1}),
     ("samples", {"scenario": SUITE, "samples": 1}),
     ("m_min", {"scenario": "near-identity", "m_min": 9, "m_max": 8}),   # before n_max too
+    # walk sizes: each of these ran to exit 0, 1 or 2 before it had a lower limit
+    ("mc_steps", {"scenario": "stationary", "method": "monte_carlo", "mc_steps": -1}),
+    ("mc_samples", {"scenario": "stationary", "method": "monte_carlo", "mc_samples": 0}),
+    ("probe_trials", {"scenario": "boundary", "probe_trials": 0}),
+    ("n_seeds", {"scenario": "lyapunov", "n_seeds": 0}),
+    ("n_walks", {"scenario": "distortion", "n_walks": 0}),
+    ("horizon_complex", {"scenario": "distortion", "horizon_complex": 80, "horizon_real": 50}),
+    ("n_steps", {"scenario": "lyapunov", "n_steps": 0}),
+    ("trajectories", {"scenario": "lyapunov", "trajectories": 0}),
+    ("integral_samples", {"scenario": "lyapunov", "integral_samples": 1}),
+    ("lyapunov_steps", {"scenario": "distortion", "lyapunov_steps": 0}),
+    ("horizon_real", {"scenario": SUITE, "horizon_real": 0, "horizon_complex": 0}),
+    ("horizon_complex", {"scenario": "distortion", "horizon_complex": 0}),
+    ("search_seeds", {"scenario": "near-identity", "search_seeds": 0}),
+    ("probe_horizon", {"scenario": "boundary", "probe_horizon": 0}),
 ], ids=["misspelled", "other-scenario", "suite", "nested", "string-int", "fractional-int",
         "bool-int", "string-bool", "seed", "grid_size-range", "delta_cells-range", "q_max-range",
         "epsilon-range", "n_max-negative", "n_max-zero", "samples-range", "suite-samples-range",
-        "m_min-above-m_max"])
+        "m_min-above-m_max", "mc_steps-negative", "mc_samples-zero", "probe_trials-zero",
+        "n_seeds-zero", "n_walks-zero", "horizon_complex-above-horizon_real", "n_steps-zero",
+        "trajectories-zero", "integral_samples-range", "lyapunov_steps-zero",
+        "suite-horizon_real-zero", "horizon_complex-zero", "search_seeds-zero",
+        "probe_horizon-zero"])
 def test_bad_key_exits_3_and_names_it(tmp_path, capsys, key, change):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({**ENTROPY, **change}))
     assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 3
     assert f"'{key}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_bundled_configs_and_benchmark_workloads_parse():
+    import sys
+
+    from circlelab.configs import BUILTIN_CONFIGS
+
+    sys.path.insert(0, str(README.parent / "perfbench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.remove(str(README.parent / "perfbench"))
+    for cfg in [*BUILTIN_CONFIGS.values(), *(w.config for w in WORKLOADS.values())]:
+        parse_config(cfg)
 
 
 def test_integral_floats_and_integers_give_the_same_results(tmp_path):

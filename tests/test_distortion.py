@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import EPS, ROUNDING_ULPS, position_rounding_bound
@@ -14,7 +16,7 @@ from circlelab.distortion import (
     verify_real_distortion,
     walk_constants,
 )
-from circlelab.maps import MobiusMap, make_generator, rotation
+from circlelab.maps import MobiusMap, direction, direction_abs_im, make_generator, rotation
 from circlelab.measure import GridMeasure, estimate_stationary_measure, lyapunov_exponent
 from circlelab.walk import make_step_distribution, sample_walk
 
@@ -173,6 +175,151 @@ def test_verify_complex_sanov_seeds(sanov_mu, sanov_nu, sanov_lambda):
                                J=sanov_J(sanov_nu), x=0.3, tau=1.0, horizon=100)
         rep = verify_complex_distortion(walk, rep_c, kappa=0.5, x=0.3, N=100)
         assert rep.ok, rep.violations[:3]
+
+
+def reference_complex_check(walk, constants, kappa, x, N, disk_grid=(64, 16)):
+    """The `cval`/`cderiv` loop that `verify_complex_distortion`'s direction
+    states replaced, kept as its oracle: (max kappa, max Im excess, the
+    (n, kind) of each violation)."""
+    mu = walk.distribution
+    r = constants.radius_complex(kappa)
+    r = r if np.isfinite(r) else 0.05
+    th = np.linspace(0.0, 2 * np.pi, disk_grid[0], endpoint=False)
+    rad = np.linspace(0.0, 1.0, disk_grid[1] + 1)[1:]
+    z = np.concatenate([[complex(x)], x + (r * rad[:, None] * np.exp(1j * th[None, :])).ravel()])
+    logd = np.zeros(len(z))
+    max_k = max_excess = 0.0
+    violations = []
+    for n in range(1, N + 1):
+        atom = MobiusMap(mu.matrices()[walk.steps[n - 1]])
+        logd += np.log(np.abs(atom.cderiv(z)))
+        z = atom.cval(z)
+        kap = float(np.max(logd) - np.min(logd))
+        max_k = max(max_k, kap)
+        if kap > kappa * (1 + 1e-9) + 1e-12:
+            violations.append((n, "complex_affine"))
+        im_bound = constants.C5 * np.exp(constants.lam * n / 2.0)
+        im_max = float(np.max(np.abs(z.imag)))
+        max_excess = max(max_excess, im_max / im_bound)
+        if im_max > im_bound * (1 + 1e-9) + 1e-15:
+            violations.append((n, "annulus"))
+    return max_k, max_excess, violations
+
+
+@pytest.fixture(scope="module")
+def schottky_walk_data():
+    from circlelab.configs import build_step_distribution, builtin_config
+
+    mu = build_step_distribution(builtin_config("schottky"))
+    nu = estimate_stationary_measure(mu, "monte_carlo", 1024, mc_samples=20_000, mc_steps=60, seed=9)
+    lam = lyapunov_exponent(mu, nu, n_steps=500, trajectories=16, integral_samples=5_000, seed=9).value
+    return mu, nu, lam
+
+
+def _mp_tan_step(mat, t):
+    """t = tan(pi z) -> (a t + b) / (c t + d), the matrix [[a, b], [c, d]] in
+    the tan chart, with |g'(z)| = |det (1 + t^2) / ((1 + t'^2) (c t + d)^2)|,
+    in mpmath's precision: an oracle that shares no formula with the states."""
+    import mpmath as mp
+
+    (a, b), (c, d) = (map(mp.mpf, row) for row in mat.tolist())
+    q = c * t + d
+    image = (a * t + b) / q
+    return image, abs((a * d - b * c) * (1 + t * t) / ((1 + image * image) * q * q))
+
+
+def _mp_abs_im(t):
+    """|Im z| of t = tan(pi z): 2 Im t / (1 + |t|^2) = tanh(2 pi Im z)."""
+    import mpmath as mp
+
+    return abs(mp.atanh(2 * t.imag / (1 + abs(t) ** 2))) / (2 * mp.pi)
+
+
+def _mp_max_im_excess(walk, constants, z0):
+    """max over n of max |Im l_n(z0)| / (C5 e^{lam n / 2}), at 40 digits."""
+    import mpmath as mp
+
+    mats = walk.distribution.matrices()
+    with mp.workdps(40):
+        ts = [mp.tan(mp.pi * mp.mpc(v.real, v.imag)) for v in z0]
+        excess = mp.mpf(0)
+        for n, k in enumerate(walk.steps, 1):
+            ts = [_mp_tan_step(mats[k], t)[0] for t in ts]
+            bound = constants.C5 * mp.exp(mp.mpf(constants.lam) * n / 2)
+            excess = max(excess, max(_mp_abs_im(t) for t in ts) / bound)
+        return float(excess)
+
+
+@pytest.mark.parametrize("family", ["sanov", "schottky"])
+def test_complex_check_matches_the_cval_loop(family, request):
+    if family == "sanov":
+        mu, nu, lam = (request.getfixturevalue(f) for f in ("sanov_mu", "sanov_nu", "sanov_lambda"))
+    else:
+        mu, nu, lam = request.getfixturevalue("schottky_walk_data")
+    kinds = set()
+    for seed in (1, 2, 3):
+        walk = sample_walk(mu, 100, seed=seed)
+        consts = walk_constants(walk, nu, lam=lam, h_nu=0.55, eps=0.1, J=sanov_J(nu),
+                                x=0.3, tau=1.0, horizon=100)
+        # the constants as computed, then with a wider disk in a 16x tighter
+        # annulus, then with a disk too wide for kappa: violations to compare
+        for c, kappa in ((consts, 0.5), (replace(consts, C2=consts.C2 / 16, C5=consts.C5 / 16), 0.5),
+                         (replace(consts, C3_complex=consts.C3_complex * 1e-3,
+                                  C3_complex_tail=consts.C3_complex_tail * 1e-3), 0.02)):
+            rep = verify_complex_distortion(walk, c, kappa=kappa, x=0.3, N=100)
+            max_k, max_excess, violations = reference_complex_check(walk, c, kappa, 0.3, 100)
+            assert [(v.n, v.kind) for v in rep.violations] == violations
+            kinds.update(kind for _, kind in violations)
+            # kappa is the difference of two sums of 100 log derivatives, each
+            # rounded differently by the two loops: ROUNDING_ULPS per term
+            kappa_floor = 2 * 100 * ROUNDING_ULPS * EPS
+            assert abs(rep.max_kappa_measured - max_k) <= max(1e-12 * max_k, kappa_floor)
+            if family == "sanov" and c is consts:
+                assert abs(rep.max_im_excess - max_excess) <= 1e-12 * max_excess
+        # on Schottky walks the cval loop's Im z is itself off, by 1.3e-9 of
+        # the excess on seed 3: there the oracle is a 40-digit tan-chart walk
+        # of a coarser disk, which the states must match to 1e-12 everywhere
+        th = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
+        disk = consts.radius_complex(0.5) * np.outer([0.5, 1.0], np.exp(1j * th)).ravel()
+        z0 = np.concatenate([[0.3], 0.3 + disk])
+        rep = verify_complex_distortion(walk, consts, kappa=0.5, x=0.3, N=100, disk_grid=(8, 2))
+        exact = _mp_max_im_excess(walk, consts, z0)
+        assert abs(rep.max_im_excess - exact) <= 1e-12 * exact
+    assert kinds == {"annulus", "complex_affine"}
+
+
+def test_direction_abs_im_is_exact_down_to_tiny_heights():
+    y = np.logspace(-30, -1, 59)
+    x = np.linspace(0.0, 1.0, 59, endpoint=False) + 0.013
+    for sign in (1.0, -1.0):
+        z = x + 1j * sign * y
+        for w in (direction(z), -direction(z)):
+            assert np.max(np.abs(direction_abs_im(w) - y) / y) <= 1e-14
+
+
+def test_complex_states_track_a_60_digit_trajectory(sanov_mu):
+    import mpmath as mp
+
+    walk = sample_walk(sanov_mu, 60, seed=8)
+    rng = np.random.default_rng(8)
+    z0 = rng.random(200) + 1j * np.logspace(-6, -2, 200) * rng.choice([-1.0, 1.0], 200)
+    w = sanov_mu.state(z0)
+    logd = np.zeros(200)
+    for k in walk.steps:
+        w, ld = sanov_mu.step_state(k, w)
+        logd += ld.real
+    im = direction_abs_im(w)
+    assert np.min(im) < 1e-20       # down where the cval loop loses Im z
+    mats = sanov_mu.matrices()
+    with mp.workdps(60):
+        for i in range(200):
+            t, log_d = mp.tan(mp.pi * mp.mpc(z0[i].real, z0[i].imag)), mp.mpf(0)
+            for k in walk.steps:
+                t, d = _mp_tan_step(mats[k], t)
+                log_d += mp.log(d)
+            exact = _mp_abs_im(t)
+            assert abs(im[i] - exact) <= 1e-12 * exact
+            assert abs(logd[i] - log_d) <= 1e-12 * abs(log_d)
 
 
 def test_real_and_complex_agree_on_diameter(sanov_mu, sanov_nu, sanov_lambda):

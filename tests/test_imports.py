@@ -1,8 +1,9 @@
 """Static checks on src/circlelab: every module-level import is used,
 every module-level private function or class is referenced somewhere,
 every local that a function assigns by name is read (in tests/ too),
-every reduction mod 1 goes through `circle.wrap`, and no module imports a
-thread or process pool: runs are serial.
+every reduction mod 1 goes through `circle.wrap`, no module imports a
+thread or process pool (runs are serial), and no loop steps points by
+`.step`, `.cval` or `.cderiv` (per-step loops step states).
 
 `__init__.py` is exempt from the import check; its imports are the
 package's public names.
@@ -146,6 +147,42 @@ def test_concurrency_checker_flags_only_pool_imports():
 
 def test_no_module_imports_a_thread_or_process_pool():
     found = {p.name: concurrency_imports(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+POINT_STEPPERS = {"step", "cval", "cderiv"}
+
+
+def loop_point_steps(source: str) -> list:
+    """Lines of `.step(`, `.cval(` or `.cderiv(` calls inside the body of a
+    `for` or `while` loop or the element of a comprehension, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
+            bodies = node.body + node.orelse
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+            bodies = [node.elt]
+        elif isinstance(node, ast.DictComp):
+            bodies = [node.key, node.value]
+        else:
+            continue
+        found.update(n.lineno for body in bodies for n in ast.walk(body)
+                     if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                     and n.func.attr in POINT_STEPPERS)
+    return sorted(found)
+
+
+def test_loop_checker_flags_only_point_steps_in_loops():
+    src = ("def f(mu, a, x, n):\n    y = mu.step(0, x)\n    for _ in range(n):\n"
+           "        x, _ = mu.step(0, x)\n        s = mu.step_state(0, x)\n"
+           "        if n:\n            z = a.cval(x)\n    while n:\n        n = a.cderiv(x)\n"
+           "    w = [a.cval(v) for v in x]\n    t = {k: a.step(k) for k in x}\n"
+           "    u = step(x) + a.steps(x) + sum(mu.state(v) for v in x)\n    return y, s, z, w, t, u\n")
+    assert loop_point_steps(src) == [4, 7, 9, 10, 11]
+
+
+def test_no_loop_steps_points():
+    found = {p.name: loop_point_steps(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {}
 
 

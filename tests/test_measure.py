@@ -363,14 +363,15 @@ def test_lyapunov_block_draw_equals_per_step_draws(sanov_mu):
     per_step = np.stack([sanov_mu.sample_indices(rng_steps, 16) for _ in range(300)])
     assert np.array_equal(block, per_step)
     assert rng_block.random() == rng_steps.random()
-    # so the pathwise lambda is bit for bit the per-step loop's
+    # so the pathwise lambda is bit for bit the per-step state loop's (the
+    # x-form loop agrees to 1e-12: test_lyapunov_matches_the_grouped_jet_loop)
     nu = estimate_stationary_measure(sanov_mu, grid_size=1024, seed=3)
     est = lyapunov_exponent(sanov_mu, nu, n_steps=300, trajectories=16, integral_samples=2_000, seed=5)
     rng_p = stream(5, _TAG_LYAPUNOV, 2)
-    xs = nu.sample(rng_p, 16)
+    s = sanov_mu.state(nu.sample(rng_p, 16))
     acc = np.zeros(16)
     for _ in range(300):
-        xs, logd = sanov_mu.step(sanov_mu.sample_indices(rng_p, 16), xs)
+        s, logd = sanov_mu.step_state(sanov_mu.sample_indices(rng_p, 16), s)
         acc += logd
     assert est.value == float((acc / 300).mean())
 

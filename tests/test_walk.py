@@ -238,3 +238,67 @@ def test_matrices_are_cached_and_read_only(sanov_mu, conjugated_mu):
     with pytest.raises(ValueError):
         mats[0, 0, 0] = 2.0
     assert conjugated_mu.matrices() is None
+
+
+class _Uniforms:
+    """Stands in for a Generator whose random(size) returns chosen uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u if size is None else np.reshape(self.u, size)
+
+
+def _searchsorted_draw(mu, u):
+    """The searchsorted draw that `sample_indices` reproduces on both branches."""
+    return np.searchsorted(np.cumsum(mu.probs), u, side="right").clip(0, len(mu) - 1)
+
+
+def _edge_uniforms(mu):
+    """0, nextafter(1, 0), each cumulative weight and its two float neighbours."""
+    cum = np.cumsum(mu.probs)
+    return np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cum,
+                           np.nextafter(cum, 0.0), np.nextafter(cum, 2.0).clip(0.0, np.nextafter(1.0, 0.0))])
+
+
+@pytest.mark.parametrize("compare_atoms", [12, 0], ids=["comparisons", "searchsorted"])
+@pytest.mark.parametrize("weights", ["uniform", "skewed"])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_sample_indices_equal_the_searchsorted_draw(n, weights, compare_atoms, monkeypatch):
+    import circlelab.walk
+
+    monkeypatch.setattr(circlelab.walk, "_COMPARE_ATOMS", compare_atoms)
+    probs = [1.0] * n if weights == "uniform" else np.arange(1, n + 1) ** 2 * 0.1
+    mu = make_step_distribution([rotation(0.07 * j) for j in range(n)], probs)
+    if (n, weights) == (7, "uniform"):
+        assert np.cumsum(mu.probs)[-1] < 1.0    # u may reach the last weight: the clip acts
+    u = np.concatenate([_edge_uniforms(mu), np.random.default_rng(n).random(64)])
+    for v in u:
+        got = mu.sample_indices(_Uniforms(float(v)), None)
+        assert np.ndim(got) == 0 and int(got) == int(_searchsorted_draw(mu, float(v)))
+    for size in (len(u), (2, len(u))):
+        uu = np.reshape(np.concatenate([u, u[::-1]])[:np.prod(size)], size)
+        got = mu.sample_indices(_Uniforms(uu), size)
+        want = _searchsorted_draw(mu, uu)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_sample_indices_property(monkeypatch):
+    import circlelab.walk
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=12),
+           st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=16))
+    def check(probs, u):
+        mu = make_step_distribution([rotation(0.07 * j) for j in range(len(probs))], probs)
+        u = np.concatenate([np.array(u), _edge_uniforms(mu)])
+        want = _searchsorted_draw(mu, u)
+        for compare_atoms in (12, 0):
+            monkeypatch.setattr(circlelab.walk, "_COMPARE_ATOMS", compare_atoms)
+            assert np.array_equal(mu.sample_indices(_Uniforms(u), len(u)), want)
+
+    check()
