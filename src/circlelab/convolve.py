@@ -124,14 +124,14 @@ def _key_order(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return order
 
 
-def _integer_matrices(mu: StepDistribution) -> np.ndarray:
+def integer_matrices(mu: StepDistribution) -> np.ndarray | None:
+    """mu's atom matrices as int64 when the family is pure Mobius with
+    integer entries (to 1e-9), else None."""
     mats = mu.matrices()
     if mats is None:
-        raise ValueError("exact convolution requires integer matrices")
+        return None
     ints = np.round(mats)
-    if np.max(np.abs(mats - ints)) > 1e-9:
-        raise ValueError("exact convolution requires integer matrices")
-    return ints.astype(np.int64)
+    return ints.astype(np.int64) if np.max(np.abs(mats - ints)) <= 1e-9 else None
 
 
 def _append_letter(words: np.ndarray, lengths: np.ndarray, j: int, inv: int):
@@ -247,7 +247,9 @@ def convolve_exact(mu: StepDistribution, n: int, max_support: int = 40_000_000,
         if atoms is None:
             raise ValueError("convolution requires a matrix generator family")
     else:
-        atoms = _integer_matrices(mu)
+        atoms = integer_matrices(mu)
+        if atoms is None:
+            raise ValueError("exact convolution requires integer matrices")
         quant = None
 
     n_atoms = len(mu)

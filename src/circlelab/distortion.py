@@ -10,9 +10,9 @@ constants below quantify how well the compositions behave near a point:
                  resp. sum_n |S g_{n+1}|_inf e^{n lam}        (Schwarzian)
     C5         = inf_n rho(g_n) e^{-(n-1) lam / 2}            (analytic width)
 
-C1..C4 are defined once, by `prefix_scan` over a batch of walks:
-`walk_constants` and `interval_mass_decay` scan one walk, the
-near-identity search scans its whole sample.
+C1..C4 are defined once, by `prefix_scan` over a batch of walks of a
+pure Mobius family: `walk_constants` and `interval_mass_decay` scan one
+walk, the near-identity search scans its whole sample.
 
 Sums and infima over an infinite future are truncated at the walk
 horizon with explicit geometric tail bounds attached (ratios
@@ -83,6 +83,7 @@ def _complex_L_sup(atom, rho: float) -> float:
 
 
 _TINY_ARC = 1e-9
+_LOG_SIN_TINY = float(np.log(np.pi * _TINY_ARC))   # log sin(pi l) at l = _TINY_ARC, to 2e-18
 # a walk's C1 below e^LOG_C1_FLOOR is a collapsed mass, not a positive one:
 # the scan floors log masses at log 1e-300, which reads as C1 near 1e-280
 LOG_C1_FLOOR = float(np.log(1e-100))
@@ -121,84 +122,68 @@ class PrefixScan:
 
 
 def prefix_scan(mu: StepDistribution, steps, x: float, arc, nu: GridMeasure) -> PrefixScan:
-    """Push the point x and the arc J = (lo, hi) along every row of steps.
+    """Push the point x and the arc J = (lo, hi) along every row of steps;
+    a pure Mobius family only (a ValueError otherwise).
 
-    Points are stepped as `mu.state`s by `mu.step_state`, and a position is
-    formed from a state (by arctan2 for a pure Mobius family) only where it
-    is read: the arc ends at every step while some row reads its mass
-    between them, the tracked midpoints once some row tracks one, and x
-    once, after the last step.
+    x, lo and hi are stepped as direction states w = (cos pi y, sin pi y)
+    by `mu.step_state`.  A unimodular D keeps D w_lo x D w_hi = w_lo x w_hi
+    = +-sin(pi |l_k J|) and divides each state by |D w| = e^{-log g'/2}, so
+    L = log sin(pi |l_k J|) gains (log g'(lo) + log g'(hi)) / 2 per step,
+    exactly.  The cross product keeps its sign (+ when hi >= lo); that sign
+    times w_lo . w_hi is cos(pi |l_k J|), negative when the image is the
+    circle but for a short complement.
 
-    The arc is tracked by its endpoints until its image is shorter than
-    1e-9, where they are no longer float-distinguishable; from there by
-    (midpoint, log length), the length growing by the midpoint derivative
-    (the curvature correction is O(|L g| * length), far below float noise).
-    An image that expands to nearly the whole circle is tracked the same
-    way by its complement, with mass 1 - density * length.  One step
-    shrinks a length by at most exp(`mu.log_shrink_bound()`), so a row at
-    least max(1/2, 1e-9 exp(bound)) long whose next image looks shorter
-    than 1e-9, either way round, has a complement that short; in a family
-    whose bound rules that out (an atom with sigma^2 > 5e8) such an image
-    is read as a tiny arc.  The nu-mass of a tracked window, or of one
-    whose endpoints share a flat or under-resolved cell, is the local CDF
-    density times the length, taken in the log domain, so deep-contracted
-    windows keep honest positive masses.
+    Each step reads every row by one rule.  Below L = log(pi 1e-9), where
+    the ends are no longer float-distinguishable, the nu-mass is the CDF
+    density at the middle of the short gap between the ends times e^L / pi,
+    in the log domain (1 minus that for a complement).  Otherwise it is the
+    CDF difference of the ends, or the density times wrap(hi - lo) where
+    that difference is not positive (a flat or under-resolved cell).
+    Positions are formed (by arctan2) only where they are read.
 
     The histories are built step-major, (n + 1, batch), so each step
     writes whole contiguous rows; `PrefixScan` gets their transposes.
     """
+    if mu.matrices() is None:
+        raise ValueError("the prefix scan requires a pure Mobius family")
     steps = np.asarray(steps)
     batch, n = steps.shape
-    # states of x, lo, hi and the tracked midpoint, at 0 until a row tracks one
-    w = np.repeat(mu.state([x, arc[0], arc[1], 0.0])[:, :, None], batch, axis=2)
-    lo, hi = np.full(batch, float(arc[0])), np.full(batch, float(arc[1]))
-    floor = max(0.5, _TINY_ARC * np.exp(mu.log_shrink_bound()))
+    lo, hi = float(arc[0]), float(arc[1])
+    w = np.repeat(mu.state([x, lo, hi])[:, :, None], batch, axis=2)   # states of x, lo, hi
+    sign = 1.0 if hi >= lo else -1.0
+    L = np.full(batch, np.log(np.sin(np.pi * max(wrap(hi - lo), 1e-300))))
+    lo, hi = np.full(batch, lo), np.full(batch, hi)
     logd = np.zeros((n + 1, batch))
     log_mass = np.empty((n + 1, batch))
-    tracked = np.zeros(batch, dtype=bool)   # followed by (midpoint, log length)
-    comp = np.zeros(batch, dtype=bool)      # ... of its complement
-    long = np.zeros(batch, dtype=bool)      # at least floor long at the last step read
-    mid = np.zeros(batch)
-    log_len = np.zeros(batch)
     # log of a zero density is -inf; a window mass that is not positive is
     # logged with its row and then overwritten by the fallback below
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(n + 1):
             if k:
-                # the midpoints ride along once some row tracks them
-                carry = 4 if tracked.any() else 3
-                w[:, :carry], ld = mu.step_state(steps[:, k - 1], w[:, :carry])
+                w, ld = mu.step_state(steps[:, k - 1], w)
                 np.add(logd[k - 1], ld[0], out=logd[k])
-                if carry == 4:
-                    log_len += ld[3]
-                    mid = mu.position(w[:, 3])
-            ends = ~tracked      # rows whose mass is read between the endpoints
-            if ends.any():
+                L += 0.5 * (ld[1] + ld[2])
+            tiny = L < _LOG_SIN_TINY
+            n_tiny = np.count_nonzero(tiny)
+            if n_tiny < batch:
                 if k:
-                    lo, hi = mu.position(w[:, 1:3])
-                length = wrap(hi - lo)
-                # a row that was at least floor long is still at least 1e-9
-                # long, so an image that looks shorter than 1e-9, either way
-                # round, is the circle but for a complement that short
-                flip = long & (np.minimum(length, 1.0 - length) < _TINY_ARC) if long.any() else long
-                new = ends & (flip | (length < _TINY_ARC))
-                long = length >= floor
+                    lo, hi = mu.position(w[:, 1:])
                 mass = nu.interval_mass(lo, hi)
                 np.log(mass, out=log_mass[k])
-                ends &= ~new & (mass > 0.0)
-            f = np.nonzero(~ends)[0]      # rows read by (midpoint, log length)
-            if f.size:
-                s = f[~tracked[f]]        # new rows, and rows of no positive mass
-                if s.size:
-                    fl = flip[s]
-                    span = np.where(fl, np.minimum(length[s], 1.0 - length[s]), length[s])
-                    mid[s] = wrap(np.where(fl, hi[s], lo[s]) + 0.5 * span)
-                    log_len[s] = np.log(np.maximum(span, 1e-300))
-                    start = s[new[s]]
-                    w[:, 3, start] = mu.state(mid[start])
-                    tracked[start], comp[start] = True, flip[start]
-                lm = log_len[f] + np.log(nu.cell_density(mid[f]))
-                log_mass[k, f] = np.where(comp[f], np.log1p(-np.minimum(np.exp(lm), 1.0)), lm)
+                flat = np.nonzero(~tiny & (mass <= 0.0))[0]
+                if flat.size:
+                    span = wrap(hi[flat] - lo[flat])
+                    log_mass[k, flat] = (np.log(np.maximum(span, 1e-300))
+                                         + np.log(nu.cell_density(wrap(lo[flat] + 0.5 * span))))
+            if n_tiny:
+                # read on every row, kept on the tiny ones
+                dot = w[0, 1] * w[0, 2] + w[1, 1] * w[1, 2]
+                mid = mu.position(w[:, 1] + np.copysign(1.0, dot) * w[:, 2])
+                lm = L + np.log(nu.cell_density(mid) / np.pi)
+                comp = sign * dot < 0.0
+                if comp.any():
+                    lm = np.where(comp, np.log1p(-np.minimum(np.exp(lm), 1.0)), lm)
+                np.copyto(log_mass[k], lm, where=tiny)
     pos = mu.position(w[:, 0]) if n else np.full(batch, float(x))
     return PrefixScan(steps, pos, logd.T, log_mass.T)
 

@@ -28,7 +28,7 @@ from .configs import SUITE_PARTS, ConfigError, build_l_generator, build_step_dis
 from .distortion import (LOG_C1_FLOOR, interval_mass_decay, verify_complex_distortion,
                          verify_real_distortion, walk_constants)
 from .maps import MobiusMap
-from .convolve import convolve_exact
+from .convolve import convolve_exact, integer_matrices
 from .measure import (
     GridMeasure,
     asymptotic_entropy,
@@ -79,6 +79,16 @@ def _require_mobius(p, mu, scenario: str):
         if p["lift"]:
             keys.append("lift")
         raise ConfigError(f"the {scenario} scenario needs a pure Mobius family, but {', '.join(keys)} is set")
+
+
+def _require_convolvable(p, mu):
+    """ConfigError naming the keys that keep the entropy-gap scenario from
+    convolving mu exactly: those that make it non-Mobius, or `quantized`
+    unset on a family whose matrices are not integer."""
+    _require_mobius(p, mu, "entropy-gap")
+    if not p["quantized"] and integer_matrices(mu) is None:
+        raise ConfigError("the entropy-gap scenario convolves integer matrices exactly; "
+                          "set 'quantized': true to key real matrices at resolution 1e-8")
 
 
 def scenario_stationary(cfg, p, seed, out_dir, measures):
@@ -143,6 +153,7 @@ def scenario_lyapunov(cfg, p, seed, out_dir, measures):
 
 def scenario_entropy_gap(cfg, p, seed, out_dir, measures):
     mu = build_step_distribution(cfg)
+    _require_convolvable(p, mu)
     n_max = p["n_max"]
     quantized = p["quantized"]
     nu = _transfer_measure(measures, mu, p["grid_size"])
@@ -252,6 +263,7 @@ def scenario_distortion(cfg, p, seed, out_dir, measures):
         "decay_positive_fraction": positive / n_walks,
         "max_kappa_real": max(r[1].max_kappa_measured for r in rows),
         "max_kappa_complex": max(r[2].max_kappa_measured for r in rows),
+        "max_im_excess": max(r[2].max_im_excess for r in rows),
     }
     invs = [
         invariant("real_distortion_no_violations", real_viol == 0, violations=real_viol),
@@ -401,7 +413,9 @@ def scenario_schwarzian(cfg, p, seed, out_dir, measures):
 
 
 def scenario_full(cfg, p, seed, out_dir, measures):
-    """The six parts in turn, each with its own values p[part]."""
+    """The six parts in turn, each with its own values p[part], once the
+    entropy-gap part's family check has passed."""
+    _require_convolvable(p["entropy-gap"], build_step_distribution(cfg))
     results = {}
     invs = []
     for part in SUITE_PARTS:

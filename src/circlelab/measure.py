@@ -638,6 +638,8 @@ def dirac_convergence_probe(
 
     r_n = g_1 ... g_n grows on the inside, so its grid preimages obey
     r_n^{-1}(grid) = g_n^{-1}(r_{n-1}^{-1}(grid)): one atom inverse per step.
+    A trial draws its `horizon` indices at once, the same indices as one
+    draw per step.
     """
     inverses = [a.inverse() for a in mu.atoms]
     widths = np.zeros((trials, horizon + 1))
@@ -645,8 +647,8 @@ def dirac_convergence_probe(
         rng = stream(seed, _TAG_DIRAC, t)
         widths[t, 0] = _smallest_arc_width(nu.cdf, nu.grid, quantile)
         pre = wrap(nu.grid)
-        for n in range(1, horizon + 1):
-            pre = inverses[int(mu.sample_indices(rng, 1)[0])].apply(pre)
+        for n, k in enumerate(mu.sample_indices(rng, horizon), 1):
+            pre = inverses[k].apply(pre)
             pushed = nu.pushforward_from_preimages(pre)
             widths[t, n] = _smallest_arc_width(pushed.cdf, pushed.grid, quantile)
     return ConcentrationCurve(np.arange(horizon + 1), np.median(widths, axis=0), quantile, trials)

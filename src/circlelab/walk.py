@@ -95,7 +95,6 @@ class StepDistribution:
         if self._mats is not None:
             self._mats.flags.writeable = False
             self._dirs = np.ascontiguousarray(direction_matrices(self._mats))
-        self._log_shrink = None
 
     def __len__(self):
         return len(self.atoms)
@@ -154,22 +153,6 @@ class StepDistribution:
     def position(self, s):
         """The points in [0, 1) of real states s."""
         return direction_position(s) if self._dirs is not None else s[0].copy()
-
-    def log_shrink_bound(self) -> float:
-        """An upper bound on -log g' over the circle and the atoms g: one step
-        shrinks no length by more than its exponential.  For a unimodular
-        matrix g' = 1 / |D w|^2 >= 1 / sigma^2, sigma its largest singular
-        value; other atoms take the largest -log g' on a 4096-point grid,
-        plus log 2 for what the grid misses."""
-        if self._log_shrink is None:
-            if self._mats is not None:
-                sigma = np.linalg.svd(self._mats, compute_uv=False)[:, 0]
-                self._log_shrink = float(2.0 * np.log(np.max(sigma)))
-            else:
-                grid = np.tile(np.arange(4096) / 4096.0, (len(self.atoms), 1))
-                logd = self.step(np.arange(len(self.atoms))[:, None], grid)[1]
-                self._log_shrink = float(np.max(-logd) + np.log(2.0))
-        return self._log_shrink
 
 
 def make_step_distribution(atoms, probs, symmetric: bool = False, names=None) -> StepDistribution:

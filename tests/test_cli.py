@@ -258,6 +258,37 @@ def test_near_identity_on_a_lifted_family_exit3(tmp_path, capsys):
     assert "lift" in capsys.readouterr().err
 
 
+ROTATION_PAIR = {
+    "generators": {"r": {"rotation": 0.1}, "s": {"rotation": 0.25}},
+    "mu": {"atoms": [["r", 0.25], ["r^-1", 0.25], ["s", 0.25], ["s^-1", 0.25]], "symmetric": True},
+}
+
+
+@pytest.mark.parametrize("scenario", ["entropy-gap", "full-theorem-suite"])
+@pytest.mark.parametrize("family, named", [
+    (ROTATION_PAIR, "'quantized'"),     # real matrices, not integer ones
+    ({**FREE_PAIR, "lift": {"degree": 2}}, "lift"),
+    ({**FREE_PAIR, "generators": {"a": {"matrix": [[1, 2], [0, 1]], "conjugator": [[0.01, 0.0]]},
+                                  "b": {"matrix": [[1, 0], [2, 1]]}}}, "generators.a.conjugator"),
+], ids=["rotation_pair", "lifted", "conjugated"])
+def test_entropy_gap_on_a_family_that_exact_convolution_refuses_exit3(tmp_path, capsys, monkeypatch,
+                                                                 scenario, family, named):
+    from circlelab import experiments
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("an estimate ran before the family check")
+
+    monkeypatch.setattr(experiments, "estimate_stationary_measure", no_estimate)
+    assert _run_exit_code(tmp_path, {"scenario": scenario, **family}) == 3
+    assert named in capsys.readouterr().err
+
+
+def test_entropy_gap_on_a_rotation_pair_runs_quantized(tmp_path):
+    cfg = {"scenario": "entropy-gap", **ROTATION_PAIR, "quantized": True, "n_max": 3,
+           "grid_size": 256, "samples": 2_000}
+    assert _run_exit_code(tmp_path, cfg) == 0
+
+
 @pytest.mark.parametrize("row", [["rotation:0.1"], ["rotation:0.1", "heavy"], ["rotation:x", 1.0]])
 def test_malformed_extra_atoms_row_is_a_config_error(tmp_path, capsys, row):
     from circlelab.configs import build_projected_base

@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from conftest import EPS, ROUNDING_ULPS, position_rounding_bound
@@ -16,7 +17,7 @@ from circlelab.distortion import (
     verify_real_distortion,
     walk_constants,
 )
-from circlelab.maps import MobiusMap, direction, direction_abs_im, make_generator, rotation
+from circlelab.maps import MobiusMap, direction, direction_abs_im, direction_matrices, rotation
 from circlelab.measure import GridMeasure, estimate_stationary_measure, lyapunov_exponent
 from circlelab.walk import make_step_distribution, sample_walk
 
@@ -463,17 +464,10 @@ def _hyp_case():
             Arc(0.99, 0.02))
 
 
-def _conjugated_hyp_case():
-    mu = make_step_distribution([make_generator([[0.5, 0], [0, 2]], [[0.01, 0.02]])], [1.0])
-    return sample_walk(mu, 60, seed=1), GridMeasure.lebesgue(1024), Arc(0.99, 0.02)
-
-
-@pytest.mark.parametrize("case", ["hyp", "conjugated_hyp", "sanov_suite_walk"])
+@pytest.mark.parametrize("case", ["hyp", "sanov_suite_walk"])
 def test_scan_c1_terms_match_scalar_tracker_through_tiny_arcs(case, request):
     if case == "hyp":
         walk, nu, J = _hyp_case()
-    elif case == "conjugated_hyp":
-        walk, nu, J = _conjugated_hyp_case()
     else:
         # walk 0 of the distortion scenario at seed 7 on the free pair
         sanov_mu = request.getfixturevalue("sanov_mu")
@@ -486,11 +480,7 @@ def test_scan_c1_terms_match_scalar_tracker_through_tiny_arcs(case, request):
     scan = prefix_scan(walk.distribution, walk.steps[None, :], J.midpoint, (J.left, J.right), nu)
     got = scan.c1_terms(0.55, 0.1)[0]
     assert got.shape == (N + 1,)
-    if case == "conjugated_hyp":
-        # a family that is not pure Mobius is stepped by positions, as the tracker steps it
-        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
-    else:
-        assert np.all(np.abs(got - ref) <= bound), np.max(np.abs(got - ref) / bound)
+    assert np.all(np.abs(got - ref) <= bound), np.max(np.abs(got - ref) / bound)
 
 
 @pytest.mark.parametrize("walk_index, first_full", [(5, 63), (6, 69), (10, 81)])
@@ -509,14 +499,62 @@ def test_an_image_covering_the_circle_keeps_its_mass(sanov_mu, sanov_nu, walk_in
 
 
 def test_a_strongly_contracting_atom_makes_a_tiny_arc():
-    # diag(1e-5, 1e5) has sigma^2 = 1e10: it maps the half circle around its
-    # attracting point 0 onto an arc of length 2e-10 / pi, below 1e-9 but not
-    # a complement; its mass under Lebesgue measure is that length
+    # diag(1e-5, 1e5) maps the half circle around its attracting point 0
+    # onto an arc of length 2 arctan(1e-10) / pi = 2e-10 / pi (to 1e-20),
+    # below 1e-9 but not a complement; its mass under Lebesgue measure is
+    # that length
     mu = make_step_distribution([MobiusMap([[1e-5, 0.0], [0.0, 1e5]])], [1.0])
-    assert mu.log_shrink_bound() == pytest.approx(np.log(1e10))
     scan = prefix_scan(mu, np.zeros((1, 1), dtype=int), 0.0, (0.75, 0.25), GridMeasure.lebesgue(1024))
     assert scan.log_mass[0, 0] == pytest.approx(np.log(0.5))
-    assert scan.log_mass[0, 1] == pytest.approx(np.log(2e-10 / np.pi), abs=1e-6)
+    assert scan.log_mass[0, 1] == pytest.approx(np.log(2e-10 / np.pi), rel=1e-12, abs=0.0)
+
+
+def test_the_scan_refuses_a_family_that_is_not_pure_mobius(conjugated_mu):
+    with pytest.raises(ValueError, match="pure Mobius"):
+        prefix_scan(conjugated_mu, np.zeros((1, 3), dtype=int), 0.3, (0.2, 0.3), GridMeasure.lebesgue(1024))
+
+
+def exact_log_masses(mu, steps, lo, hi, nu, dps=160):
+    """log nu(l_k J) and |l_k J| for k = 0..n at dps digits: the ends of
+    J = (lo, hi) stepped as direction vectors by the atoms' direction
+    matrices, positions by atan2, the mass the difference of nu's
+    piecewise-linear CDF (its float knots taken exactly) at the ends."""
+    N = nu.N
+    cdf = [mpmath.mpf(float(c)) for c in nu.cdf]
+
+    def lifted_cdf(y):
+        f = mpmath.floor(y)
+        j = int(mpmath.floor((y - f) * N))
+        return f + cdf[j] + (cdf[j + 1] - cdf[j]) * ((y - f) * N - j)
+
+    with mpmath.workdps(dps):
+        dirs = [[[mpmath.mpf(float(v)) for v in row] for row in d]
+                for d in direction_matrices(mu.matrices())]
+        ends = [(mpmath.cospi(mpmath.mpf(e)), mpmath.sinpi(mpmath.mpf(e))) for e in (lo, hi)]
+        log_mass, length = [], []
+        for k in range(len(steps) + 1):
+            if k:
+                D = dirs[steps[k - 1]]
+                ends = [(D[0][0] * c + D[0][1] * s, D[1][0] * c + D[1][1] * s) for c, s in ends]
+            x_lo, x_hi = (mpmath.atan2(s, c) / mpmath.pi for c, s in ends)
+            span = (x_hi - x_lo) - mpmath.floor(x_hi - x_lo)
+            length.append(float(span))
+            log_mass.append(float(mpmath.log(lifted_cdf(x_lo + span) - lifted_cdf(x_lo))))
+    return np.array(log_mass), np.array(length)
+
+
+@pytest.mark.parametrize("walk_index", [0, 1, 11])
+def test_tiny_arc_log_masses_match_a_high_precision_evaluation(sanov_mu, sanov_nu, walk_index):
+    # walks 0, 1 and 11 of the distortion scenario at seed 7 on the free
+    # pair: below 1e-9 the scan's length comes from log derivatives alone,
+    # with none of the ~1e-7 relative error of a length read from two float
+    # ends at the 1e-9 switch
+    walk, J = sample_walk(sanov_mu, 200, 7, walk_index), sanov_J(sanov_nu)
+    got = prefix_scan(sanov_mu, walk.steps[None, :], 0.3, (J.left, J.right), sanov_nu).log_mass[0]
+    exact, length = exact_log_masses(sanov_mu, walk.steps, J.left, J.right, sanov_nu)
+    tiny = np.minimum(length, 1.0 - length) < 1e-9
+    assert tiny.sum() > 100
+    assert np.max(np.abs(got[tiny] - exact[tiny])) <= 1e-12
 
 
 def test_scan_rows_are_independent_of_the_batch(sanov_mu, sanov_nu, sanov_lambda):

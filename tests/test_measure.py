@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import reference_apply_indexed
 
-from circlelab.circle import Arc
+from circlelab.circle import Arc, wrap
 from circlelab.maps import LiftedMap, MobiusMap, Word, make_generator, rotation
 from circlelab.measure import (
     _TAG_BOUNDARY,
@@ -312,6 +312,29 @@ def probe_by_words(mu, nu, horizon, trials, quantile=0.99, seed=0):
             pushed = nu.pushforward(Word(tuple(word_maps)))
             widths[t, n] = _smallest_arc_width(pushed.cdf, pushed.grid, quantile)
     return np.median(widths, axis=0)
+
+
+def probe_by_per_step_draws(mu, nu, horizon, trials, quantile=0.99, seed=0):
+    """Reference probe: the grid preimages stepped by one atom inverse per
+    step, its index drawn by one `sample_indices` call per step."""
+    inverses = [a.inverse() for a in mu.atoms]
+    widths = np.zeros((trials, horizon + 1))
+    for t in range(trials):
+        rng = stream(seed, _TAG_DIRAC, t)
+        widths[t, 0] = _smallest_arc_width(nu.cdf, nu.grid, quantile)
+        pre = wrap(nu.grid)
+        for n in range(1, horizon + 1):
+            pre = inverses[int(mu.sample_indices(rng, 1)[0])].apply(pre)
+            pushed = nu.pushforward_from_preimages(pre)
+            widths[t, n] = _smallest_arc_width(pushed.cdf, pushed.grid, quantile)
+    return np.median(widths, axis=0)
+
+
+def test_dirac_probe_block_draws_equal_per_step_draws(sanov_mu):
+    # the lifted family's per-step draws are checked by its word reference below
+    nu = estimate_stationary_measure(sanov_mu, grid_size=1024, seed=3)
+    curve = dirac_convergence_probe(sanov_mu, nu, horizon=25, trials=3, seed=4)
+    assert np.array_equal(curve.median_width, probe_by_per_step_draws(sanov_mu, nu, 25, 3, seed=4))
 
 
 def test_dirac_probe_matches_word_reference_lifted(sanov_atoms):

@@ -224,13 +224,6 @@ def test_step_state_is_step_on_other_families(family, request):
     assert np.array_equal(mu.position(s), val) and np.array_equal(ld, logd)
 
 
-@pytest.mark.parametrize("family", ["sanov_mu", "conjugated_mu", "lifted_mu"])
-def test_log_shrink_bound_bounds_the_atoms_contraction(family, request):
-    mu = request.getfixturevalue(family)
-    idx, x = _indices_and_points(mu, 20_000, 3)
-    assert np.max(-mu.step(idx, x)[1]) <= mu.log_shrink_bound() < 20.0
-
-
 def test_matrices_are_cached_and_read_only(sanov_mu, conjugated_mu):
     mats = sanov_mu.matrices()
     assert mats is sanov_mu.matrices()
