@@ -3,16 +3,18 @@
 Group elements are keyed by their sign-normalized matrix (projective
 sign quotient), packed into two int64 arrays (hi, lo).  For integer
 unimodular generator families the keys are exact and are the whole
-state (each step unpacks the matrices from them); for bounded real
+state (each step reads the matrix entries from them); for bounded real
 families an explicitly opt-in quantized mode rounds matrix entries to a
 fixed resolution and also keeps the float matrices.  Each convolution
 step is a vectorized multiply / value-sort / segment-sum that leaves the
 keys sorted and unique, so the last step's arrays are the table.  The
 sort is `np.lexsort((lo, hi))`'s permutation, built from `np.sort` passes
 over the keys' 32-bit halves (`_key_order`), so each element's mass is
-summed in the same order as lexsort's.  Horizons around n = 14 on
-four-atom free families (supports of several million reduced words)
-stay within seconds and about a GB.
+summed in the same order as lexsort's.  A step's peak holds about 42
+bytes per candidate (support times atom count): keys, three sort
+buffers, and the masses, which are formed only after the sort.  Sanov's
+pair at n = 14 (7.17 M elements) takes 2.4-2.9 s and peaks at 470 MB
+RSS in-process on a 2-core x86 host; n = 15 takes 12 s and 1.24 GB.
 
 On request (`words=True`) the table also tracks one freely reduced
 representative word per element (letters are atom indices; appending an
@@ -41,23 +43,31 @@ class ConvolutionBudgetError(RuntimeError):
         self.feasible_n = feasible_n
 
 
-def _pack(mats: np.ndarray):
-    """Pack sign-normalized int64 matrices into lexicographic (hi, lo) keys."""
-    flat = mats.reshape(-1, 4)
+def _entries(hi: np.ndarray, lo: np.ndarray) -> list:
+    """The entries (a, b, c, d) of the int64 matrices whose keys are (hi, lo)."""
+    return [(key >> np.int64(32) if k == 0 else key & _HALF_MASK) - _OFF
+            for key in (hi, lo) for k in (0, 1)]
+
+
+def _normalize_signs(entries):
+    """Negate, in place, the int64 matrices with entries (a, b, c, d) whose
+    first nonzero entry is negative; returns the entries."""
+    a, b, c, d = entries
+    negative = np.where(a != 0, a < 0, np.where(b != 0, b < 0, np.where(c != 0, c < 0, d < 0)))
+    for e in entries:
+        np.negative(e, out=e, where=negative)
+    return entries
+
+
+def _pack_into(entries, hi: np.ndarray, lo: np.ndarray):
+    """Write to hi and lo the lexicographic keys of the int64 matrices with
+    entries (a, b, c, d); the entries are overwritten."""
     # max/min rather than abs: abs(int64 min), the cast of an out-of-range float, stays negative
-    if flat.max() > _ENTRY_LIMIT or flat.min() < -_ENTRY_LIMIT:
+    if max(e.max() for e in entries) > _ENTRY_LIMIT or min(e.min() for e in entries) < -_ENTRY_LIMIT:
         raise OverflowError("matrix entries exceed the packable range")
-    a, b, c, d = (flat[:, k] + _OFF for k in range(4))
-    hi = (a << np.int64(32)) | b
-    lo = (c << np.int64(32)) | d
-    return hi, lo
-
-
-def _unpack(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """The int64 matrices whose keys are (hi, lo); the inverse of `_pack`."""
-    flat = np.stack([hi >> np.int64(32), hi & _HALF_MASK, lo >> np.int64(32), lo & _HALF_MASK],
-                    axis=-1)
-    return (flat - _OFF).reshape(-1, 2, 2)
+    a, b, c, d = (np.add(e, _OFF, out=e) for e in entries)
+    np.bitwise_or(np.left_shift(a, 32, out=a), b, out=hi)
+    np.bitwise_or(np.left_shift(c, 32, out=c), d, out=lo)
 
 
 def _keys(mats: np.ndarray, quant: float | None):
@@ -65,15 +75,10 @@ def _keys(mats: np.ndarray, quant: float | None):
     if quant is not None:
         mats = mats / quant
     if mats.dtype != np.int64:
-        mats = np.round(mats).astype(np.int64)
-    flat = mats.reshape(-1, 4)
-    # the first nonzero entry, filled in only on the rows still at zero
-    lead = flat[:, 0].copy()
-    zero = np.nonzero(lead == 0)[0]
-    for k in (1, 2, 3):
-        lead[zero] = flat[zero, k]
-        zero = zero[lead[zero] == 0]
-    return _pack(flat * np.where(lead < 0, -1, 1)[:, None])
+        mats = np.round(mats)
+    hi, lo = np.empty((2, mats.size // 4), dtype=np.int64)
+    _pack_into(_normalize_signs([e.astype(np.int64) for e in mats.reshape(-1, 4).T]), hi, lo)
+    return hi, lo
 
 
 def _key_order(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
@@ -84,17 +89,23 @@ def _key_order(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     and reads its permutation from the low bits: the position breaks ties,
     so each pass is stable and the passes compose to lexsort's permutation.
     Neighbouring halves share a pass while their widths and the index bits
-    fit in 64; a half is below 2**31, so one always fits on its own.
+    fit in 64; a half is below 2**31, so one always fits on its own.  The
+    halves are gathered into the order so far in one reused scratch buffer
+    (`np.take` with mode="clip", a no-op on in-range positions: the
+    default mode writes `out=` through a temporary).
     """
     index_bits = (len(hi) - 1).bit_length()
     keys = (lo.view(np.uint64), hi.view(np.uint64))   # packed keys are nonnegative
+    scratch = np.empty(len(hi), dtype=np.uint64)
 
-    def half(k):   # k = 0..3 for d, c, b, a
-        key = keys[k // 2]
-        return key & np.uint64(_HALF_MASK) if k % 2 == 0 else key >> np.uint64(32)
+    def half(k, order):   # k = 0..3 for d, c, b, a, in scratch, gathered by order
+        key = keys[k // 2] if order is None else np.take(keys[k // 2], order.view(np.int64),
+                                                         out=scratch, mode="clip")
+        return (np.bitwise_and(key, np.uint64(_HALF_MASK), out=scratch) if k % 2 == 0
+                else np.right_shift(key, np.uint64(32), out=scratch))
 
-    bounds = [(h.min(), h.max()) for h in map(half, range(4))]
-    widths = [int(top - bottom).bit_length() for bottom, top in bounds]
+    bounds = [(int(h.min()), int(h.max())) for h in (half(k, None) for k in range(4))]
+    widths = [(top - bottom).bit_length() for bottom, top in bounds]
     passes = [[0]]
     for k in range(1, 4):
         if sum(widths[i] for i in passes[-1]) + widths[k] + index_bits <= 64:
@@ -102,26 +113,24 @@ def _key_order(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
         else:
             passes.append([k])
 
-    position = np.arange(len(hi), dtype=np.uint64)
     order = None
     for halves in passes:
-        word = np.zeros(len(hi), dtype=np.uint64)
+        word = np.arange(len(hi), dtype=np.uint64)
         shift = index_bits
         for k in halves:
             if not widths[k]:   # a constant half orders nothing
                 continue
-            h = half(k)
-            h -= bounds[k][0]
+            h = half(k, order)
+            h -= np.uint64(bounds[k][0])
             h <<= np.uint64(shift)
             word |= h
             shift += widths[k]
-        if order is not None:
-            word = word[order]
-        word |= position
         word.sort()
         word &= np.uint64((1 << index_bits) - 1)
-        order = word.view(np.int64) if order is None else order[word.view(np.int64)]
-    return order
+        if order is not None:   # composed in scratch; the old order's buffer is the next scratch
+            word, scratch = np.take(order, word.view(np.int64), out=scratch, mode="clip"), order
+        order = word
+    return order.view(np.int64)
 
 
 def integer_matrices(mu: StepDistribution) -> np.ndarray | None:
@@ -267,16 +276,18 @@ def convolve_exact(mu: StepDistribution, n: int, max_support: int = 40_000_000,
 
     for step in range(1, n + 1):
         m = len(masses)
-        if 4 * m > max_support or n_atoms * m > max_support:
+        if n_atoms * m > max_support:
             raise ConvolutionBudgetError(
                 step - 1,
                 f"support would exceed budget at n={step}; largest feasible horizon is {step - 1}",
             )
-        cur = cur_f if quantized else _unpack(hi, lo)
-        # candidates, atom-major: block j holds the support times atom j
+        cur = cur_f if quantized else _entries(hi, lo)
+        del hi, lo
+        # the entries of cur @ atom j, and a scratch row
+        products = None if quantized else np.empty((5, m), dtype=np.int64)
+        # candidates, atom-major: candidate j * m + i is support element i times atom j
         cand_hi = np.empty(n_atoms * m, dtype=np.int64)
         cand_lo = np.empty(n_atoms * m, dtype=np.int64)
-        cand_mass = np.empty(n_atoms * m)
         if quantized:
             cand_f = np.empty((n_atoms * m, 2, 2))
         if words:
@@ -284,41 +295,46 @@ def convolve_exact(mu: StepDistribution, n: int, max_support: int = 40_000_000,
             cand_lens = np.empty(n_atoms * m, dtype=lengths.dtype)
         for j in range(n_atoms):
             block = slice(j * m, (j + 1) * m)
-            prod = cur @ atoms[j]
             try:
-                cand_hi[block], cand_lo[block] = _keys(prod, quant)
+                if quantized:
+                    cand_f[block] = cur @ atoms[j]
+                    cand_hi[block], cand_lo[block] = _keys(cand_f[block], quant)
+                else:
+                    for k in range(4):   # entry (k // 2, k % 2), as multiply-adds
+                        np.multiply(cur[k & 2], atoms[j][0, k & 1], out=products[k])
+                        products[k] += np.multiply(cur[(k & 2) + 1], atoms[j][1, k & 1], out=products[4])
+                    _pack_into(_normalize_signs(products[:4]), cand_hi[block], cand_lo[block])
             except OverflowError:
                 raise ConvolutionBudgetError(
                     step - 1,
                     f"matrix entries overflow the packed keys at n={step}; "
                     f"largest feasible horizon is {step - 1}",
                 ) from None
-            if quantized:
-                cand_f[block] = prod
-            cand_mass[block] = masses * mu.probs[j]
             if words:
                 cand_words[block], cand_lens[block] = _append_letter(
                     word_arr, lengths, j, inv_letter[j])
-        del cur, prod, hi, lo, masses
+        del cur, products
 
         order = _key_order(cand_hi, cand_lo)
+        # the candidates' masses in sorted order, m at a time to keep the temporaries small
+        sorted_mass = np.empty(len(order))
+        for o, out in zip(order.reshape(n_atoms, m), sorted_mass.reshape(n_atoms, m)):
+            np.multiply(masses[o % m], mu.probs[o // m], out=out)
+        del o, out
         hi = cand_hi[order]
         del cand_hi
         lo = cand_lo[order]
         del cand_lo
-        new_group = np.empty(len(hi), dtype=bool)
-        new_group[0] = True
-        new_group[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
-        starts = np.nonzero(new_group)[0]
-        del new_group
+        starts = np.flatnonzero(np.concatenate(([True], (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1]))))
+        if words:
+            word_arr, lengths = cand_words[order[starts]], cand_lens[order[starts]]
+        if quantized:
+            cur_f = cand_f[order[starts]]
+        del order
         hi = hi[starts]
         lo = lo[starts]
-        masses = np.add.reduceat(cand_mass[order], starts)
-        first = order[starts]
-        if words:
-            word_arr, lengths = cand_words[first], cand_lens[first]
-        if quantized:
-            cur_f = cand_f[first]
+        masses = np.add.reduceat(sorted_mass, starts)
+        del sorted_mass, starts
 
         entropies.append(entropy_of(masses))
         support_sizes.append(len(masses))

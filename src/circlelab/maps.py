@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .circle import Arc, wrap
 from .jets import Jet3, compose, identity_jet, log_derivative, schwarzian
@@ -212,11 +211,11 @@ class TrigConjugacy:
     """Analytic circle diffeomorphism with lift x + sum_k (a_k cos 2pi k x + b_k sin 2pi k x).
 
     The lift is global and monotone, so inverses are solved in lift
-    coordinates (PCHIP seed on a dense grid, then Newton to machine
-    precision).
+    coordinates (a linear-interpolation seed on a dense grid, then Newton
+    to machine precision).
     """
 
-    __slots__ = ("coeffs", "_grid_x", "_inv_seed", "_lift0")
+    __slots__ = ("coeffs", "_grid_x", "_grid_lift", "_lift0")
 
     def __init__(self, coeffs, grid_size: int = 4096):
         coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
@@ -229,7 +228,7 @@ class TrigConjugacy:
             raise ValueError("conjugator lift is not strictly increasing")
         lifts = self._lift(xs)
         self._grid_x = xs
-        self._inv_seed = PchipInterpolator(lifts, xs)
+        self._grid_lift = lifts
         self._lift0 = float(lifts[0])
 
     def _harmonics(self, x):
@@ -269,7 +268,7 @@ class TrigConjugacy:
         """Solve lift(x) = y in lift coordinates; returns x mod 1."""
         y = np.asarray(y, dtype=float)
         ylift = self._lift0 + wrap(y - self._lift0)
-        x = np.clip(self._inv_seed(ylift), 0.0, 1.0)
+        x = np.interp(ylift, self._grid_lift, self._grid_x)
         for _ in range(30):
             f = self._lift(x) - ylift
             x = x - f / self._lift_d1(x)

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .circle import Arc, circle_dist, wrap
 from .distortion import atom_seminorms, prefix_scan
@@ -70,7 +69,11 @@ def kappa_m_solve(gap: float, tau: float = 1.0) -> float:
         lo *= 0.5
         if lo < 1e-300:
             raise RuntimeError("bracketing failed")
-    k = brentq(f, lo, peak, xtol=1e-15, rtol=8.9e-16)
+    hi = peak   # bisection on f(lo) <= 0 < f(hi), to brentq's tolerance
+    while hi - lo > 1e-15 + 8.9e-16 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if f(mid) > 0 else (mid, hi)
+    k = 0.5 * (lo + hi)
     # Newton polish on the original equation
     for _ in range(4):
         val = k ** (1.0 / tau) * np.exp(-k)

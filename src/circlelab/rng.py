@@ -11,7 +11,7 @@ shared global generator.  Two consequences:
 
 from __future__ import annotations
 
-import numpy as np
+from numpy.random import Generator, Philox
 
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -35,10 +35,10 @@ def stream_key(seed: int, *path: int) -> int:
     return lo | (hi << 64)
 
 
-def stream(seed: int, *path: int) -> np.random.Generator:
+def stream(seed: int, *path: int) -> Generator:
     """Counter-based generator for the (seed, *path) address.
 
     Distinct paths give statistically independent streams; the same
     address always reproduces the same sequence.
     """
-    return np.random.Generator(np.random.Philox(key=stream_key(seed, *path)))
+    return Generator(Philox(key=stream_key(seed, *path)))

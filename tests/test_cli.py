@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -361,3 +364,12 @@ def test_near_identity_l_word_resolves_to_the_generator_product():
     del cfg["l_generator"]
     cfg["l_word"] = "l.l"
     assert np.allclose(build_l_generator(cfg).matrix, l_gen.matrix @ l_gen.matrix, atol=1e-15)
+
+
+def test_the_run_path_imports_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, circlelab.cli, circlelab.experiments; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

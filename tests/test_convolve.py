@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,15 +9,27 @@ import pytest
 from circlelab.convolve import (
     _ENTRY_LIMIT,
     ConvolutionBudgetError,
+    _entries,
     _key_order,
     _keys,
-    _pack,
-    _unpack,
+    _pack_into,
     convolve_exact,
     entropy_of,
 )
 from circlelab.maps import MobiusMap, rotation
 from circlelab.walk import make_step_distribution, sample_walk
+
+
+def _pack(mats):
+    """Packed keys of int64 matrices as they are, not sign-normalized."""
+    hi, lo = np.empty((2, mats.size // 4), dtype=np.int64)
+    _pack_into([e.copy() for e in mats.reshape(-1, 4).T], hi, lo)
+    return hi, lo
+
+
+def _unpack(hi, lo):
+    """The int64 matrices whose keys are (hi, lo); the inverse of `_pack`."""
+    return np.stack(_entries(hi, lo), axis=-1).reshape(-1, 2, 2)
 
 
 def free_length_entropy_table(n_max, rank=2):
@@ -135,8 +150,7 @@ def test_quantized_convolution_for_rotations():
     # abelian walk: support is the lattice {k theta : |k| <= n, k = n mod 2}
     assert s.table.support_size == 11
     # entropy of the binomial distribution on 11 atoms
-    from scipy.stats import binom
-    p = binom.pmf(np.arange(11), 10, 0.5)
+    p = [math.comb(10, k) / 2 ** 10 for k in range(11)]
     assert abs(s.entropies[10] - entropy_of(p)) < 1e-9
 
 
@@ -274,3 +288,71 @@ def test_masses_of_matrices_is_a_lookup_of_the_keys(sanov_mu):
     assert np.array_equal(found[: len(mats)], t.masses)
     assert np.all(found[2 * len(mats):] == 0.0)
     assert t.mass_of_matrix(batch[0]) == found[0]
+
+
+# SHA-256 of each array's bytes (little-endian int64 / float64, uint8 and
+# int32 words) at n = 10, from the kernel that built candidate masses before
+# the sort and unpacked (m, 2, 2) matrices each step: rewrites of the step
+# must keep every table bit for bit.
+TABLE_DIGESTS = {
+    "free": {
+        "entropies": "99f487e2369f688ef4f886c6631ec01d0ee13cfeb82d39b2b9f500b28f053608",
+        "support_sizes": "9cd9d9ae8403a84feb6abc7169b3550da5c0eae690c935f7cc4e9e4fe936f86d",
+        "hi": "63352ea3ef8316077d2b7d054db312d254d3b9087266d2c8d72810949f5e0379",
+        "lo": "f93b75b7784609f3c63c73ac00790ab3c21efa6d1832d31a00ce7bf0732dc1ea",
+        "masses": "b9e9c2fbf569c6cc22f8d33ab786e4b40f5f9fdc6c78eb91e7c480654981c2c2",
+        "words": "27a1d6345f03be89d251afa06e583d08271d2a4ab068d1dc7dccc9ccaf861d12",
+        "lengths": "d9c8513332bd5b4ea429749a33734df36d073fbf01e040f8692843a0b7fd8951",
+    },
+    "rotations": {
+        "entropies": "2847cdf57c2c7b42e3aaaeec4fae826809bf18929170ca36c7b0b15e73a98479",
+        "support_sizes": "1d97575b32dcc0fbf7588bf039326fb339d5d1548a106b8158afadf40147e094",
+        "hi": "6c3e34f445c2b0a926d2d5d0799ddb83ea1bdcfda9ca565658f1233863290d04",
+        "lo": "4dba31859d9e5d0cd6116104ab1ea65b943606b076da27bd2bb946ee0601095f",
+        "masses": "e866e3f96b8536ea5d0196ddffce07ae906c256d139275b7307498ca6d91062a",
+        "words": "aa749121134016e0ae82ca2b8d357dd2b77a7ef912a61439077bce4a04d38d71",
+        "lengths": "4186fa1937d609fb157760d83504e18d4918965d09bc79d8483a373ef5331061",
+    },
+}
+
+
+@pytest.mark.parametrize("words", [False, True])
+@pytest.mark.parametrize("case", ["free", "rotations"])
+def test_tables_match_pinned_digests(sanov_mu, case, words):
+    mu, quantized = (sanov_mu, False) if case == "free" else (rotation_pair(), True)
+    s = convolve_exact(mu, 10, quantized=quantized, words=words)
+    arrays = {"entropies": s.entropies, "support_sizes": s.support_sizes,
+              "hi": s.table.hi, "lo": s.table.lo, "masses": s.table.masses}
+    if words:
+        arrays.update(words=s.table.words, lengths=s.table.lengths)
+    found = {k: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest() for k, a in arrays.items()}
+    assert found == {k: TABLE_DIGESTS[case][k] for k in arrays}
+
+
+def test_budget_counts_the_candidates_of_each_atom():
+    # two atoms freely generate a free semigroup: mu^{*n} has 2^n elements,
+    # and step n sorts 2 * 2^(n-1) = 2^n candidates
+    mu = make_step_distribution([MobiusMap([[1, 2], [0, 1]]), MobiusMap([[1, 0], [2, 1]])],
+                                [0.5, 0.5])
+    assert convolve_exact(mu, 6, max_support=64).support_sizes[-1] == 64
+    with pytest.raises(ConvolutionBudgetError) as ei:
+        convolve_exact(mu, 7, max_support=64)
+    assert ei.value.feasible_n == 6
+
+
+def test_convolution_memory_per_candidate(sanov_mu):
+    # step 12 sorts 4 * |support of mu^{*11}| = 1 062 880 candidates; the
+    # traced peak is about 42 bytes per candidate (two key arrays, three sort
+    # buffers and the masses), and was 74.7 while candidate masses were built
+    # before the sort and sorting made a fresh array per half
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        s = convolve_exact(sanov_mu, 12)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    candidates = 4 * s.support_sizes[11]
+    assert candidates == 1_062_880
+    assert peak / candidates < 56

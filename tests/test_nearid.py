@@ -81,6 +81,17 @@ def test_kappa_root_matches_bisection_oracle():
     assert abs(k * np.exp(-k) - gap) <= 1e-12
 
 
+def test_kappa_matches_mpmath_root():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for tau in (1.0, 0.9, 0.5, 0.25):
+            power = mpmath.mpf(1.0 / tau)   # the exponent as the solver rounds it
+            for gap in (1e-12, 1e-8, 1e-5, 1e-3, 0.01, 0.1, 0.2, 0.3):
+                k = kappa_m_solve(gap, tau)
+                exact = mpmath.findroot(lambda x: x ** power * mpmath.exp(-x) - gap, k)
+                assert abs(k - exact) <= 1e-15 * exact, (gap, tau)
+
+
 def test_kappa_returns_smaller_root():
     # below the maximizer 1/tau, where kappa^{1/tau} e^{-kappa} increases
     for tau, gap in ((1.0, 0.2), (0.5, 0.3), (0.5, 0.5)):
