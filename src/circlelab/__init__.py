@@ -24,7 +24,8 @@ from .maps import (
     rho_lower_bound,
     rotation,
 )
-from .walk import StepDistribution, WalkTrajectory, canonical_key, make_step_distribution, sample_walk
+from .walk import (StepDistribution, WalkTrajectory, canonical_key, make_step_distribution, sample_walk,
+                   sample_walks)
 from .convolve import ConvolutionSeries, ConvolutionTable, convolve_exact, entropy_of
 from .measure import (
     GridMeasure,

@@ -11,8 +11,12 @@ constants below quantify how well the compositions behave near a point:
     C5         = inf_n rho(g_n) e^{-(n-1) lam / 2}            (analytic width)
 
 C1..C4 are defined once, by `prefix_scan` over a batch of walks of a
-pure Mobius family: `walk_constants` and `interval_mass_decay` scan one
-walk, the near-identity search scans its whole sample.
+pure Mobius family: the near-identity search scans its whole sample.
+`walk_constants`, the two verifiers and `interval_mass_decay` take a walk
+whose steps are one walk or a (walks, n) batch, and run every row at once;
+a row's values do not depend on the batch it was run in.  A batch gets
+per-walk arrays in its report and violations ordered by (walk, n), a
+single walk gets floats.
 
 Sums and infima over an infinite future are truncated at the walk
 horizon with explicit geometric tail bounds attached (ratios
@@ -29,13 +33,14 @@ were computed over at least the verification horizon).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .circle import Arc, wrap
 from .jets import compose, identity_jet, log_derivative, schwarzian
-from .maps import MobiusMap, direction_abs_im, holder_seminorm, rho_lower_bound, sup_abs_L, sup_abs_S
+from .maps import (MobiusMap, direction_abs_im, holder_seminorm, mobius_jet, rho_lower_bound,
+                   sup_abs_L, sup_abs_S)
 from .measure import GridMeasure
 from .walk import StepDistribution, WalkTrajectory
 
@@ -212,18 +217,32 @@ class ConstantsReport:
     lam: float
     x: float
 
-    def radius_real(self, kappa: float) -> float:
-        c3 = self.C3 + self.C3_tail
-        if c3 <= 0.0:
-            return np.inf
-        return kappa ** (1.0 / self.tau) * np.exp(-kappa) / (self.C2 * c3 ** (1.0 / self.tau))
+    def radius_real(self, kappa: float):
+        c3 = np.asarray(self.C3 + self.C3_tail)
+        with np.errstate(divide="ignore"):
+            r = kappa ** (1.0 / self.tau) * np.exp(-kappa) / (self.C2 * c3 ** (1.0 / self.tau))
+        return np.where(c3 > 0.0, r, np.inf)[()]
 
-    def radius_complex(self, kappa: float) -> float:
-        c3 = self.C3_complex + self.C3_complex_tail
+    def radius_complex(self, kappa: float):
+        c3 = np.asarray(self.C3_complex + self.C3_complex_tail)
         bound_pole = self.C5 / (2.0 * np.exp(kappa) * self.C2)
-        if c3 <= 0.0:
-            return bound_pole
-        return min(bound_pole, kappa / (2.0 * np.exp(kappa) * self.C2 * c3))
+        with np.errstate(divide="ignore"):
+            bound_c3 = kappa / (2.0 * np.exp(kappa) * self.C2 * c3)
+        return np.where(c3 > 0.0, np.minimum(bound_pole, bound_c3), bound_pole)[()]
+
+
+def _rows(walk: WalkTrajectory) -> np.ndarray:
+    """A walk's steps as (walks, n) rows: a single walk is a batch of one."""
+    return np.atleast_2d(walk.steps)
+
+
+def _per_walk(walk: WalkTrajectory, report):
+    """report as it is for a batch; for a single walk, with each per-walk
+    array field replaced by its one float."""
+    if np.ndim(walk.steps) == 2:
+        return report
+    return replace(report, **{f.name: float(getattr(report, f.name)[0]) for f in fields(report)
+                              if isinstance(getattr(report, f.name), np.ndarray)})
 
 
 def walk_constants(
@@ -240,47 +259,47 @@ def walk_constants(
     seminorm_grid: int = 2048,
 ) -> ConstantsReport:
     """Compute every constant over n <= horizon exactly as its defining
-    inf/sum, with geometric tail bounds for the truncated sums.
+    inf/sum, with geometric tail bounds for the truncated sums, for every
+    walk of the batch from one `prefix_scan`.
     """
     if lam >= 0:
         raise ValueError("constants require negative exponent")
     mu = walk.distribution
-    horizon = len(walk.steps) if horizon is None else min(horizon, len(walk.steps))
+    rows = _rows(walk)
+    horizon = rows.shape[1] if horizon is None else min(horizon, rows.shape[1])
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if nu.arc_mass(J) <= 0:
         raise ValueError("C1 needs nu(J) > 0")
     sem = atom_seminorms(mu, tau, seminorm_grid)
-    steps = walk.steps[:horizon]
+    steps = rows[:, :horizon]
     x = float(wrap(x))
-    scan = prefix_scan(mu, steps[None, :], x, (J.left, J.right), nu)
-    log_C1 = float(np.min(scan.c1_terms(h_nu, eps)))
-    C1 = float(np.exp(log_C1)) if np.isfinite(log_C1) else 0.0
-    C2 = float(scan.c2(lam)[0])
+    scan = prefix_scan(mu, steps, x, (J.left, J.right), nu)
+    log_C1 = np.min(scan.c1_terms(h_nu, eps), axis=1)
 
     def with_tail(weights, rate):
-        return (float(scan.step_sum(weights, rate)[0]),
+        return (scan.step_sum(weights, rate),
                 float(np.max(weights) * np.exp(rate * horizon) / (1 - np.exp(rate))))
 
     C3, C3_tail = with_tail(sem.holder, lam * tau / 2.0)
     C4l, C4l_tail = with_tail(sem.sup_L, lam / 2.0)
     C4s, C4s_tail = with_tail(sem.sup_S, lam)
-    C3cx, C3cx_tail = with_tail(sem.complex_L, lam / 2.0)   # NaN for non-Mobius atoms
-    C5 = float(np.min(sem.rho[steps] * np.exp(-lam / 2.0 * np.arange(horizon))))
+    C3cx, C3cx_tail = with_tail(sem.complex_L, lam / 2.0)   # NaN for atoms that are words
 
     rep = ConstantsReport(
-        C1=C1, log_C1=log_C1, C2=C2,
+        C1=np.where(np.isfinite(log_C1), np.exp(log_C1), 0.0), log_C1=log_C1, C2=scan.c2(lam),
         C3=C3, C3_tail=C3_tail,
         C4_log=C4l, C4_log_tail=C4l_tail,
         C4_schwarzian=C4s, C4_schwarzian_tail=C4s_tail,
-        C5=C5, C3_complex=C3cx, C3_complex_tail=C3cx_tail,
+        C5=np.min(sem.rho[steps] * np.exp(-lam / 2.0 * np.arange(horizon)), axis=1),
+        C3_complex=C3cx, C3_complex_tail=C3cx_tail,
         r_real=np.nan, r_complex=np.nan,
         horizon=horizon, tau=tau, kappa_reference=kappa_reference,
         lam=lam, x=x,
     )
-    rep.r_real = float(rep.radius_real(kappa_reference))
-    rep.r_complex = float(rep.radius_complex(kappa_reference)) if not np.isnan(C3cx) else np.nan
-    return rep
+    rep.r_real = rep.radius_real(kappa_reference)
+    rep.r_complex = np.where(np.isnan(C3cx), np.nan, rep.radius_complex(kappa_reference))
+    return _per_walk(walk, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +309,22 @@ def walk_constants(
 
 @dataclass
 class DistortionViolation:
+    walk: int        # row of the batch; 0 for a single walk
     n: int
     kind: str
     measured: float
     bound: float
+
+
+_SLACK = 1e-9
+
+
+def _record(violations: list, n: int, kind: str, measured, bound, floor: float = 1e-12):
+    """Append a violation at step n for each walk whose measured value
+    exceeds its bound by more than the relative slack and the floor."""
+    bound = np.broadcast_to(bound, measured.shape)
+    violations.extend(DistortionViolation(int(w), n, kind, float(measured[w]), float(bound[w]))
+                      for w in np.flatnonzero(measured > bound * (1 + _SLACK) + floor))
 
 
 @dataclass
@@ -313,9 +344,6 @@ class DistortionReport:
         return len(self.violations) == 0
 
 
-_SLACK = 1e-9
-
-
 def verify_real_distortion(
     walk: WalkTrajectory,
     constants: ConstantsReport,
@@ -326,39 +354,40 @@ def verify_real_distortion(
 ) -> DistortionReport:
     """Track jets of l_n on [x - r, x + r] and check, for every n <= N:
     affine distortion <= kappa, |L l_n| and |S l_n| below their stated
-    bounds.  Requires constants computed over a horizon >= N.
+    bounds.  Requires constants computed over a horizon >= N.  Pure Mobius
+    steps only: each step takes every walk's jet at once, by `mobius_jet`
+    on the stacked matrices of the walks' n-th atoms.
     """
     if constants.horizon < N:
         raise ValueError("constants were computed over a shorter horizon than the verification")
-    mu = walk.distribution
-    r = constants.radius_real(kappa)
-    if not np.isfinite(r):
-        r = 0.25  # distortion-free family: any window works
-    r = min(r, 0.249)
-    xs = wrap(float(x) + np.linspace(-r, r, grid_size))
-    jets = identity_jet(xs)
+    mats = walk.distribution.matrices()
+    if mats is None:
+        raise ValueError("real verification requires pure Mobius steps")
+    steps = _rows(walk)
+    r = np.asarray(constants.radius_real(kappa))
+    # a distortion-free family has an infinite radius: any window works
+    r = np.full(len(steps), np.minimum(np.where(np.isfinite(r), r, 0.25), 0.249))
+    jets = identity_jet(wrap(float(x) + np.linspace(-r, r, grid_size, axis=-1)))
     L_bound = constants.C2 * (constants.C4_log + constants.C4_log_tail) * np.exp(kappa)
     S_bound = constants.C2 ** 2 * (constants.C4_schwarzian + constants.C4_schwarzian_tail) * np.exp(2 * kappa)
-    logd = np.zeros(grid_size)
+    logd = np.zeros(jets.value.shape)
+    max_k, max_L, max_S = np.zeros((3, len(steps)))
     violations = []
-    max_k = max_L = max_S = 0.0
     for n in range(1, N + 1):
-        atom = mu.atoms[walk.steps[n - 1]]
-        step_jet = atom.jet(jets.value)
+        step_jet = mobius_jet(np.take(mats, steps[:, n - 1, None], axis=0), jets.value)
         jets = compose(step_jet, jets)
-        logd += np.log(np.asarray(step_jet.d1, dtype=float))
-        kap = float(np.max(logd) - np.min(logd))
-        Ln = float(np.max(np.abs(log_derivative(jets))))
-        Sn = float(np.max(np.abs(schwarzian(jets))))
-        max_k, max_L, max_S = max(max_k, kap), max(max_L, Ln), max(max_S, Sn)
-        if kap > kappa * (1 + _SLACK) + 1e-12:
-            violations.append(DistortionViolation(n, "affine", kap, kappa))
-        if Ln > L_bound * (1 + _SLACK) + 1e-12:
-            violations.append(DistortionViolation(n, "log_derivative", Ln, L_bound))
-        if Sn > S_bound * (1 + _SLACK) + 1e-12:
-            violations.append(DistortionViolation(n, "schwarzian", Sn, S_bound))
-    return DistortionReport(kappa, float(r), N, max_k, max_L, max_S,
-                            float(L_bound), float(S_bound), violations)
+        logd += np.log(step_jet.d1)
+        kap = np.max(logd, axis=1) - np.min(logd, axis=1)
+        Ln = np.max(np.abs(log_derivative(jets)), axis=1)
+        Sn = np.max(np.abs(schwarzian(jets)), axis=1)
+        for worst, value in ((max_k, kap), (max_L, Ln), (max_S, Sn)):
+            np.maximum(worst, value, out=worst)
+        _record(violations, n, "affine", kap, kappa)
+        _record(violations, n, "log_derivative", Ln, L_bound)
+        _record(violations, n, "schwarzian", Sn, S_bound)
+    violations.sort(key=lambda v: v.walk)
+    return _per_walk(walk, DistortionReport(kappa, r, N, max_k, max_L, max_S,
+                                            L_bound, S_bound, violations))
 
 
 @dataclass
@@ -391,8 +420,9 @@ def verify_complex_distortion(
     """Push a polar grid of D(x, r) through the complex extensions of the
     steps; check the distortion stays below kappa and the images stay in
     the shrinking annuli A_{C5 e^{lam n / 2}}.  Pure Mobius steps only.
-    Points are carried as `mu.state`s w = (cos pi z, sin pi z), log |g'| is
-    the real part of `step_state`'s log g', |Im z| is `direction_abs_im(w)`.
+    Points are carried as `mu.state`s w = (cos pi z, sin pi z), one row of
+    disk points per walk; log |g'| is the real part of `step_state`'s
+    log g', |Im z| is `direction_abs_im(w)`.
     """
     if constants.horizon < N:
         raise ValueError("constants were computed over a shorter horizon than the verification")
@@ -400,35 +430,39 @@ def verify_complex_distortion(
     if mu.matrices() is None:
         raise ValueError("complex verification requires pure Mobius steps")
     sem = atom_seminorms(mu, constants.tau)
-    r = constants.radius_complex(kappa)
-    if not np.isfinite(r):
-        r = 0.05  # distortion-free family: any small disk works
+    steps = _rows(walk)
+    r = np.asarray(constants.radius_complex(kappa))
+    # a distortion-free family has an infinite radius: any small disk works
+    r = np.full(len(steps), np.where(np.isfinite(r), r, 0.05))
     n_th, n_rad = disk_grid
     th = np.linspace(0.0, 2 * np.pi, n_th, endpoint=False)
     rad = np.linspace(0.0, 1.0, n_rad + 1)[1:]
-    z = np.concatenate([[complex(x)], float(x) + (r * rad[:, None] * np.exp(1j * th[None, :])).ravel()])
-    w, im = mu.state(z), np.abs(z.imag)
-    logd = np.zeros(len(z))
-    violations, max_k, max_im_excess = [], 0.0, 0.0
-    for n, k in enumerate(walk.steps[:N], 1):
-        if np.max(im) >= sem.rho[k]:
+    disk = (r[:, None, None] * rad[:, None] * np.exp(1j * th[None, :])).reshape(len(r), -1)
+    z = np.concatenate([np.full((len(r), 1), complex(x)), float(x) + disk], axis=1)
+    w, im_max = mu.state(z), np.max(np.abs(z.imag), axis=1)
+    logd = np.zeros(z.shape)
+    max_k, max_im_excess = np.zeros(len(r)), np.zeros(len(r))
+    violations = []
+    for n in range(1, N + 1):
+        k = steps[:, n - 1]
+        pole = np.flatnonzero(im_max >= sem.rho[k])
+        if pole.size:
+            b = pole[0]
             raise PoleInDiskError(
-                f"step {n}: disk image reaches the singular annulus of the next map "
-                f"(|Im| = {np.max(im):.3e} >= rho = {sem.rho[k]:.3e})"
+                f"walk {b}, step {n}: disk image reaches the singular annulus of the next map "
+                f"(|Im| = {im_max[b]:.3e} >= rho = {sem.rho[k[b]]:.3e})"
             )
-        w, ld = mu.step_state(k, w)
+        w, ld = mu.step_state(k[:, None], w)
         logd += ld.real
-        im = direction_abs_im(w)
-        kap = float(np.max(logd) - np.min(logd))
-        max_k = max(max_k, kap)
-        if kap > kappa * (1 + _SLACK) + 1e-12:
-            violations.append(DistortionViolation(n, "complex_affine", kap, kappa))
+        kap = np.max(logd, axis=1) - np.min(logd, axis=1)
+        np.maximum(max_k, kap, out=max_k)
+        _record(violations, n, "complex_affine", kap, kappa)
         im_bound = constants.C5 * np.exp(constants.lam * n / 2.0)
-        im_max = float(np.max(im))
-        max_im_excess = max(max_im_excess, im_max / im_bound)
-        if im_max > im_bound * (1 + _SLACK) + 1e-15:
-            violations.append(DistortionViolation(n, "annulus", im_max, im_bound))
-    return ComplexDistortionReport(kappa, float(r), N, max_k, max_im_excess, violations)
+        im_max = np.max(direction_abs_im(w), axis=1)
+        np.maximum(max_im_excess, im_max / im_bound, out=max_im_excess)
+        _record(violations, n, "annulus", im_max, im_bound, floor=1e-15)
+    violations.sort(key=lambda v: v.walk)
+    return _per_walk(walk, ComplexDistortionReport(kappa, r, N, max_k, max_im_excess, violations))
 
 
 # ---------------------------------------------------------------------------
@@ -439,21 +473,23 @@ def verify_complex_distortion(
 @dataclass
 class DecayReport:
     ns: np.ndarray
-    log_values: np.ndarray       # log( nu(l_n J) e^{(h_nu+eps) n} )
+    log_values: np.ndarray       # log( nu(l_n J) e^{(h_nu+eps) n} ), one row per walk of a batch
 
     @property
     def values(self) -> np.ndarray:
         return np.exp(self.log_values)
 
     @property
-    def log_c1(self) -> float:
-        """log of the empirical C1, the infimum of the values."""
-        return float(np.min(self.log_values))
+    def log_c1(self):
+        """log of the empirical C1, the infimum of the values (per walk of a batch)."""
+        c1 = np.min(self.log_values, axis=-1)
+        return c1 if c1.ndim else float(c1)
 
     @property
-    def positive(self) -> bool:
-        """Every term finite and C1 above e^LOG_C1_FLOOR."""
-        return bool(np.all(np.isfinite(self.log_values))) and self.log_c1 > LOG_C1_FLOOR
+    def positive(self):
+        """Every term finite and C1 above e^LOG_C1_FLOOR (per walk of a batch)."""
+        ok = np.all(np.isfinite(self.log_values), axis=-1) & (self.log_c1 > LOG_C1_FLOOR)
+        return ok if ok.ndim else bool(ok)
 
 
 def interval_mass_decay(
@@ -465,11 +501,11 @@ def interval_mass_decay(
     N: int,
 ) -> DecayReport:
     """Per-n values nu(l_n J) e^{(h_nu+eps) n}, the C1 terms of the prefix
-    scan, whose running infimum (the empirical C1) should stay positive and
-    stabilize.
+    scan of every walk, whose running infimum (the empirical C1) should
+    stay positive and stabilize.
     """
     if nu.arc_mass(J) <= 0:
         raise ValueError("nu(J) must be positive")
-    scan = prefix_scan(walk.distribution, walk.steps[None, :N], J.midpoint, (J.left, J.right), nu)
-    log_vals = scan.c1_terms(h_nu, eps)[0]
-    return DecayReport(np.arange(log_vals.size), log_vals)
+    scan = prefix_scan(walk.distribution, _rows(walk)[:, :N], J.midpoint, (J.left, J.right), nu)
+    log_vals = scan.c1_terms(h_nu, eps)
+    return DecayReport(np.arange(log_vals.shape[1]), log_vals if np.ndim(walk.steps) == 2 else log_vals[0])

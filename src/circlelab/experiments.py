@@ -8,8 +8,9 @@ size, so the parts of full-theorem-suite iterate each one once.  It
 produces a JSON-able result dict plus CSV side files, and appends
 invariant records that the CLI's `verify` can re-check.  All randomness
 flows through (seed, stream) addresses, so a fixed (config, seed) gives
-byte-identical reports.  Work units (Lyapunov seeds, distortion walks,
-search seeds) run one after another in the caller's thread.
+byte-identical reports.  The distortion walks, each on its own stream,
+run as one batch of rows; Lyapunov seeds and search seeds run one after
+another in the caller's thread.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .measure import (
 from .nearid import ENDGAME_TOL, brute_force_min_c1, endgame_estimates, search_near_identity_pairs
 from .reports import invariant, write_convolution_csv, write_csv, write_walk_csv
 from .schwarzian import c3_convergence_check, mobius_normalize, solve_and_reconstruct
-from .walk import sample_walk
+from .walk import sample_walk, sample_walks
 
 
 def pmap(fn, items, workers=1):
@@ -239,20 +240,15 @@ def scenario_distortion(cfg, p, seed, out_dir, measures):
     J = Arc.from_endpoints(float(nu.quantile(0.30)), float(nu.quantile(0.40)))
     eps = default_epsilon(h_nu + 0.2 if p["h_hint"] is None else p["h_hint"], h_nu)
 
-    def one(k):
-        walk = sample_walk(mu, N_real, seed, k)
-        consts = walk_constants(walk, nu, lam, h_nu, eps, J, x, tau, N_real,
-                                kappa_reference=kappa)
-        real = verify_real_distortion(walk, consts, kappa, x, N_real)
-        cx = verify_complex_distortion(walk, consts, kappa, x, N_cx)
-        decay = interval_mass_decay(walk, nu, J, h_nu, eps, min(N_real, 100))
-        return consts, real, cx, decay
-
-    rows = pmap(one, range(n_walks))
+    walks = sample_walks(mu, N_real, seed, n_walks)
+    consts = walk_constants(walks, nu, lam, h_nu, eps, J, x, tau, N_real, kappa_reference=kappa)
+    real = verify_real_distortion(walks, consts, kappa, x, N_real)
+    cx = verify_complex_distortion(walks, consts, kappa, x, N_cx)
+    decay = interval_mass_decay(walks, nu, J, h_nu, eps, min(N_real, 100))
     write_walk_csv(out_dir, "walk_0.csv", sample_walk(mu, N_real, seed, 0))
-    real_viol = sum(len(r[1].violations) for r in rows)
-    cx_viol = sum(len(r[2].violations) for r in rows)
-    positive = sum(r[3].positive for r in rows)
+    real_viol = len(real.violations)
+    cx_viol = len(cx.violations)
+    positive = int(np.count_nonzero(decay.positive))
     results = {
         "lyapunov": lam_est.as_dict(),
         "boundary_entropy": be.as_dict(),
@@ -261,21 +257,21 @@ def scenario_distortion(cfg, p, seed, out_dir, measures):
         "real_violations": real_viol,
         "complex_violations": cx_viol,
         "decay_positive_fraction": positive / n_walks,
-        "max_kappa_real": max(r[1].max_kappa_measured for r in rows),
-        "max_kappa_complex": max(r[2].max_kappa_measured for r in rows),
-        "max_im_excess": max(r[2].max_im_excess for r in rows),
+        "max_kappa_real": float(np.max(real.max_kappa_measured)),
+        "max_kappa_complex": float(np.max(cx.max_kappa_measured)),
+        "max_im_excess": float(np.max(cx.max_im_excess)),
     }
     invs = [
         invariant("real_distortion_no_violations", real_viol == 0, violations=real_viol),
         invariant("complex_distortion_no_violations", cx_viol == 0, violations=cx_viol),
         invariant("mass_decay_positive", positive >= 0.95 * n_walks,
                   positive=positive, walks=n_walks, log_c1_floor=LOG_C1_FLOOR,
-                  min_log_c1=float(np.min([r[3].log_c1 for r in rows]))),
+                  min_log_c1=float(np.min(decay.log_c1))),
     ]
     write_csv(out_dir, "constants.csv",
               ["walk", "C1", "C2", "C3", "C4_log", "C4_schwarzian", "C5", "r_real", "r_complex"],
-              [(k, r[0].C1, r[0].C2, r[0].C3, r[0].C4_log, r[0].C4_schwarzian,
-                r[0].C5, r[0].r_real, r[0].r_complex) for k, r in enumerate(rows)])
+              zip(range(n_walks), consts.C1, consts.C2, consts.C3, consts.C4_log,
+                  consts.C4_schwarzian, consts.C5, consts.r_real, consts.r_complex))
     return results, invs
 
 

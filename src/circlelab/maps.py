@@ -76,8 +76,8 @@ class MobiusMap:
 
     def _uv(self, x, dtype=float):
         # the (U, V) lines of `_direction_image`, on the matrix's scalar
-        # entries: through the helper a scalar jet takes twice the time.
-        # dtype complex serves the extension to the annulus.
+        # entries, for the one-map values; dtype complex serves the
+        # extension to the annulus.
         a, b, c, d = self.matrix.ravel()
         phi = np.pi * np.asarray(x, dtype=dtype)
         cs, sn = np.cos(phi), np.sin(phi)
@@ -90,18 +90,7 @@ class MobiusMap:
     __call__ = apply
 
     def jet(self, x) -> Jet3:
-        a, b, c, d = self.matrix.ravel()
-        U, V, cs, sn = self._uv(x)
-        Up = c * cs - d * sn
-        Vp = a * cs - b * sn
-        R = U * U + V * V
-        Rp = 2.0 * (U * Up + V * Vp)
-        Rpp = 2.0 * (Up * Up + Vp * Vp) - 2.0 * R
-        val = wrap(np.arctan2(V, U) / np.pi)
-        d1 = 1.0 / R
-        d2 = -np.pi * Rp / R ** 2
-        d3 = np.pi ** 2 * (2.0 * Rp ** 2 / R ** 3 - Rpp / R ** 2)
-        return Jet3(val, d1, d2, d3)
+        return mobius_jet(self.matrix, x)
 
     def inverse(self) -> "MobiusMap":
         a, b, c, d = self.matrix.ravel()
@@ -167,6 +156,25 @@ def direction_matrices(mats: np.ndarray) -> np.ndarray:
 def _direction_image(dirs: np.ndarray, cs, sn):
     """(U, V) = D (cs, sn) for stacked direction matrices D (..., 2, 2)."""
     return dirs[..., 0, 0] * cs + dirs[..., 0, 1] * sn, dirs[..., 1, 0] * cs + dirs[..., 1, 1] * sn
+
+
+def mobius_jet(mats: np.ndarray, x) -> Jet3:
+    """3-jets at x of stacked matrices (..., 2, 2), whose leading shape
+    broadcasts against x: the closed form of the module docstring."""
+    a, b, c, d = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1]
+    phi = np.pi * np.asarray(x, dtype=float)
+    cs, sn = np.cos(phi), np.sin(phi)
+    U, V = d * cs + c * sn, b * cs + a * sn
+    Up = c * cs - d * sn
+    Vp = a * cs - b * sn
+    R = U * U + V * V
+    Rp = 2.0 * (U * Up + V * Vp)
+    Rpp = 2.0 * (Up * Up + Vp * Vp) - 2.0 * R
+    val = wrap(np.arctan2(V, U) / np.pi)
+    d1 = 1.0 / R
+    d2 = -np.pi * Rp / R ** 2
+    d3 = np.pi ** 2 * (2.0 * Rp ** 2 / R ** 3 - Rpp / R ** 2)
+    return Jet3(val, d1, d2, d3)
 
 
 def mobius_value_logd(mats: np.ndarray, x):
@@ -657,10 +665,13 @@ def holder_seminorm(map_like, tau: float, grid_size: int = 4096) -> float:
         ]))
         gaps = gaps[gaps <= half]
     best = 0.0
+    diff = np.empty(n)
     for k in gaps:
-        diff = np.abs(np.roll(ld, -k) - ld)
+        # ld[(i + k) mod n] - ld[i], the wrapped tail second
+        np.subtract(ld[k:], ld[:n - k], out=diff[:n - k])
+        np.subtract(ld[:k], ld[n - k:], out=diff[n - k:])
         dist = min(k, n - k) / n
-        best = max(best, float(diff.max()) / dist ** tau)
+        best = max(best, float(np.abs(diff, out=diff).max()) / dist ** tau)
     # the extremal value pair at whatever separation it occurs
     i, j = int(np.argmax(ld)), int(np.argmin(ld))
     dij = abs(i - j)

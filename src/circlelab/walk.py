@@ -161,7 +161,9 @@ def make_step_distribution(atoms, probs, symmetric: bool = False, names=None) ->
 
 @dataclass
 class WalkTrajectory:
-    """A seeded walk: the atom indices of its steps, composed on demand as words."""
+    """A seeded walk: the atom indices of its steps, composed on demand as
+    words.  steps may also be a (walks, n) batch, one walk per row, which
+    the distortion checks take whole."""
 
     distribution: StepDistribution
     seed: int
@@ -188,6 +190,11 @@ def sample_walk(mu: StepDistribution, n: int, seed: int, *path: int) -> WalkTraj
     rng = stream(seed, 0x57414C4B, *path)  # 'WALK' tag keeps walk streams apart
     steps = mu.sample_indices(rng, n)
     return WalkTrajectory(mu, seed, steps)
+
+
+def sample_walks(mu: StepDistribution, n: int, seed: int, count: int) -> WalkTrajectory:
+    """count walks of n steps as one batch: row k is sample_walk(mu, n, seed, k).steps."""
+    return WalkTrajectory(mu, seed, np.stack([sample_walk(mu, n, seed, k).steps for k in range(count)]))
 
 
 def pointwise_equal(map_a, map_b, tol: float = 1e-10, points=_FINGERPRINT_POINTS) -> bool:

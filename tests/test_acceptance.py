@@ -30,7 +30,7 @@ from circlelab.nearid import (
     search_near_identity_pairs,
 )
 from circlelab.schwarzian import mobius_normalize, solve_and_reconstruct
-from circlelab.walk import make_step_distribution, sample_walk
+from circlelab.walk import make_step_distribution, sample_walks
 from circlelab.cli import run_experiment
 
 H_FREE_2 = 0.5 * np.log(3.0)          # simple walk on the rank-2 free group
@@ -116,17 +116,13 @@ def test_criterion_4_stationarity(mu, nu):
 def test_criterion_5_distortion_lemmas(mu, nu, lam):
     be = boundary_entropy(mu, nu, samples=50_000, seed=7)
     J = Arc.from_endpoints(float(nu.quantile(0.30)), float(nu.quantile(0.40)))
-    real_viol = cx_viol = 0
-    max_kappa = 0.0
-    for seed in range(100):
-        walk = sample_walk(mu, 200, 7, seed)
-        consts = walk_constants(walk, nu, lam.value, be.value, 0.1, J, 0.3, 1.0, 200,
-                                kappa_reference=0.5)
-        r = verify_real_distortion(walk, consts, 0.5, 0.3, 200)
-        c = verify_complex_distortion(walk, consts, 0.5, 0.3, 100)
-        real_viol += len(r.violations)
-        cx_viol += len(c.violations)
-        max_kappa = max(max_kappa, r.max_kappa_measured, c.max_kappa_measured)
+    walks = sample_walks(mu, 200, 7, 100)
+    consts = walk_constants(walks, nu, lam.value, be.value, 0.1, J, 0.3, 1.0, 200,
+                            kappa_reference=0.5)
+    r = verify_real_distortion(walks, consts, 0.5, 0.3, 200)
+    c = verify_complex_distortion(walks, consts, 0.5, 0.3, 100)
+    real_viol, cx_viol = len(r.violations), len(c.violations)
+    max_kappa = float(max(np.max(r.max_kappa_measured), np.max(c.max_kappa_measured)))
     ok = real_viol == 0 and cx_viol == 0
     report(5, "distortion lemmas over 100 seeds", ok,
            f"violations=({real_viol}, {cx_viol}) max_kappa={max_kappa:.4f} (bound 0.5)")

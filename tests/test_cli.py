@@ -121,7 +121,7 @@ def test_collapsed_decay_fails_the_decay_invariant(tmp_path, monkeypatch):
 
     def collapsed(*args, **kwargs):
         rep = scan(*args, **kwargs)
-        rep.log_values[-1] = np.log(2.0016e-286)
+        rep.log_values[..., -1] = np.log(2.0016e-286)   # the last term of every walk
         return rep
 
     monkeypatch.setattr(experiments, "interval_mass_decay", collapsed)

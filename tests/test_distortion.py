@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mpmath
 import numpy as np
@@ -19,7 +19,7 @@ from circlelab.distortion import (
 )
 from circlelab.maps import MobiusMap, direction, direction_abs_im, direction_matrices, rotation
 from circlelab.measure import GridMeasure, estimate_stationary_measure, lyapunov_exponent
-from circlelab.walk import make_step_distribution, sample_walk
+from circlelab.walk import make_step_distribution, sample_walk, sample_walks
 
 HYP = MobiusMap([[0.5, 0], [0, 2]])
 
@@ -251,12 +251,16 @@ def _mp_max_im_excess(walk, constants, z0):
         return float(excess)
 
 
+def walk_data(family, request):
+    """(mu, nu, lam) of the sanov or schottky family."""
+    if family == "sanov":
+        return tuple(request.getfixturevalue(f) for f in ("sanov_mu", "sanov_nu", "sanov_lambda"))
+    return request.getfixturevalue("schottky_walk_data")
+
+
 @pytest.mark.parametrize("family", ["sanov", "schottky"])
 def test_complex_check_matches_the_cval_loop(family, request):
-    if family == "sanov":
-        mu, nu, lam = (request.getfixturevalue(f) for f in ("sanov_mu", "sanov_nu", "sanov_lambda"))
-    else:
-        mu, nu, lam = request.getfixturevalue("schottky_walk_data")
+    mu, nu, lam = walk_data(family, request)
     kinds = set()
     for seed in (1, 2, 3):
         walk = sample_walk(mu, 100, seed=seed)
@@ -389,6 +393,91 @@ def test_decay_collapsed_mass_is_not_positive(c1):
 def test_decay_floor_passes_small_honest_masses():
     assert DecayReport(np.arange(3), np.log([0.1, 1e-99, 0.05])).positive
     assert not DecayReport(np.arange(3), np.array([np.log(0.1), -np.inf, np.log(0.05)])).positive
+
+
+# -- batches of walks ---------------------------------------------------------------
+
+def report_row(rep, k=None):
+    """A report's fields but its violations; with k, each array field at row k."""
+    row = {f.name: getattr(rep, f.name) for f in fields(rep) if f.name != "violations"}
+    return row if k is None else {name: v[k] if isinstance(v, np.ndarray) else v for name, v in row.items()}
+
+
+def violation_rows(rep, walk=None):
+    return [(v.walk if walk is None else walk, v.n, v.kind, v.measured, v.bound) for v in rep.violations]
+
+
+# each check as computed, then with the constants of the odd walks tightened
+# (s = 16, t = 1e-3 there, 1 on the even walks): violations of every kind
+REAL_CASES = [
+    (lambda c, s, t: c, 0.5),
+    (lambda c, s, t: replace(c, C3=c.C3 * t, C4_log=c.C4_log * t, C4_schwarzian=c.C4_schwarzian * t), 0.5),
+]
+COMPLEX_CASES = [
+    (lambda c, s, t: c, 0.5),
+    (lambda c, s, t: replace(c, C2=c.C2 / s, C5=c.C5 / s), 0.5),
+    (lambda c, s, t: replace(c, C3_complex=c.C3_complex * t, C3_complex_tail=c.C3_complex_tail * t), 0.02),
+]
+
+
+@pytest.mark.parametrize("family", ["sanov", "schottky"])
+def test_batch_rows_equal_one_walk_calls(family, request):
+    mu, nu, lam = walk_data(family, request)
+    J, n_walks = sanov_J(nu), 4
+    walks = sample_walks(mu, 100, 3, n_walks)
+    ones = [sample_walk(mu, 100, 3, k) for k in range(n_walks)]
+    kw = dict(nu=nu, lam=lam, h_nu=0.55, eps=0.1, J=J, x=0.3, tau=1.0, horizon=100)
+    consts = walk_constants(walks, **kw)
+    one_consts = [walk_constants(w, **kw) for w in ones]
+    for k, one in enumerate(one_consts):
+        assert np.array_equal(walks.steps[k], ones[k].steps)
+        assert all(isinstance(v, (int, float)) for v in report_row(one).values())
+        assert report_row(consts, k) == report_row(one)
+    odd = np.arange(n_walks) % 2 == 1
+    s, t = np.where(odd, 16.0, 1.0), np.where(odd, 1e-3, 1.0)
+    kinds = set()
+    for verify, cases in ((verify_real_distortion, REAL_CASES), (verify_complex_distortion, COMPLEX_CASES)):
+        for i, (tighten, kappa) in enumerate(cases):
+            rep = verify(walks, tighten(consts, s, t), kappa=kappa, x=0.3, N=100)
+            one_reps = [verify(w, tighten(c, s[k], t[k]), kappa=kappa, x=0.3, N=100)
+                        for k, (w, c) in enumerate(zip(ones, one_consts))]
+            for k, one in enumerate(one_reps):
+                assert all(isinstance(v, (int, float)) for v in report_row(one).values())
+                assert report_row(rep, k) == report_row(one)
+            assert violation_rows(rep) == [v for k, one in enumerate(one_reps) for v in violation_rows(one, k)]
+            # only the tightened walks violate, and each tightened case does
+            assert {v.walk for v in rep.violations} <= ({1, 3} if i else set())
+            assert bool(rep.violations) == bool(i)
+            kinds.update(v.kind for v in rep.violations)
+    assert kinds == {"affine", "log_derivative", "schwarzian", "complex_affine", "annulus"}
+    decay = interval_mass_decay(walks, nu, J, h_nu=0.55, eps=0.1, N=60)
+    for k, w in enumerate(ones):
+        one = interval_mass_decay(w, nu, J, h_nu=0.55, eps=0.1, N=60)
+        assert np.array_equal(decay.log_values[k], one.log_values)
+        assert decay.log_c1[k] == one.log_c1 and decay.positive[k] == one.positive
+        assert isinstance(one.log_c1, float) and isinstance(one.positive, bool)
+
+
+def test_a_pole_in_one_walk_fails_the_whole_batch(sanov_mu, sanov_nu, sanov_lambda):
+    kw = dict(nu=sanov_nu, lam=sanov_lambda, h_nu=0.55, eps=0.1, J=sanov_J(sanov_nu),
+              x=0.3, tau=1.0, horizon=50)
+    wide = np.array([1.0, 1e4, 1.0])
+
+    def widened(c, f):
+        # a disk about f times wider: past the next map's singular annulus
+        return replace(c, C5=c.C5 * f, C3_complex=c.C3_complex / f, C3_complex_tail=c.C3_complex_tail / f)
+
+    for k in range(3):
+        walk = sample_walk(sanov_mu, 50, 5, k)
+        consts = widened(walk_constants(walk, **kw), wide[k])
+        if k == 1:
+            with pytest.raises(PoleInDiskError, match="step 1:"):
+                verify_complex_distortion(walk, consts, kappa=0.5, x=0.3, N=50)
+        else:
+            assert verify_complex_distortion(walk, consts, kappa=0.5, x=0.3, N=50).ok
+    walks = sample_walks(sanov_mu, 50, 5, 3)
+    with pytest.raises(PoleInDiskError, match="walk 1, step 1:"):
+        verify_complex_distortion(walks, widened(walk_constants(walks, **kw), wide), kappa=0.5, x=0.3, N=50)
 
 
 # -- the prefix scan ----------------------------------------------------------------

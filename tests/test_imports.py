@@ -2,8 +2,9 @@
 every module-level private function or class is referenced somewhere,
 every local that a function assigns by name is read (in tests/ too),
 every reduction mod 1 goes through `circle.wrap`, no module imports a
-thread or process pool (runs are serial), and no loop steps points by
-`.step`, `.cval` or `.cderiv` (per-step loops step states).
+thread or process pool (runs are serial), no loop steps points by
+`.step`, `.cval` or `.cderiv` (per-step loops step states), and no loop
+in `distortion.py` takes a one-map `.jet` (its checks step batches).
 
 `__init__.py` is exempt from the import check; its imports are the
 package's public names.
@@ -153,9 +154,10 @@ def test_no_module_imports_a_thread_or_process_pool():
 POINT_STEPPERS = {"step", "cval", "cderiv"}
 
 
-def loop_point_steps(source: str) -> list:
-    """Lines of `.step(`, `.cval(` or `.cderiv(` calls inside the body of a
-    `for` or `while` loop or the element of a comprehension, at any depth."""
+def loop_point_steps(source: str, methods=POINT_STEPPERS) -> list:
+    """Lines of calls of the methods (by default `.step(`, `.cval(` or
+    `.cderiv(`) inside the body of a `for` or `while` loop or the element
+    of a comprehension, at any depth."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
@@ -168,7 +170,7 @@ def loop_point_steps(source: str) -> list:
             continue
         found.update(n.lineno for body in bodies for n in ast.walk(body)
                      if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
-                     and n.func.attr in POINT_STEPPERS)
+                     and n.func.attr in methods)
     return sorted(found)
 
 
@@ -184,6 +186,17 @@ def test_loop_checker_flags_only_point_steps_in_loops():
 def test_no_loop_steps_points():
     found = {p.name: loop_point_steps(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_loop_checker_flags_only_jets_in_loops():
+    src = ("def f(atoms, steps, x):\n    j = atoms[0].jet(x)\n    for k in steps:\n"
+           "        j = atoms[k].jet(j.value)\n        v = mobius_jet(k, x) + jet(x)\n"
+           "    return [a.jet(x) for a in atoms], j, v\n")
+    assert loop_point_steps(src, {"jet"}) == [4, 6]
+
+
+def test_no_distortion_loop_takes_a_one_map_jet():
+    assert loop_point_steps((SRC / "distortion.py").read_text(), {"jet"}) == []
 
 
 def test_checker_flags_only_unused_names():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from conftest import fd_jet
 
-from circlelab.circle import Arc, circle_dist
+from circlelab.circle import Arc, circle_dist, wrap
+from circlelab.jets import Jet3
 from circlelab.maps import (
     ConjugatedMap,
     LiftedMap,
@@ -15,6 +16,7 @@ from circlelab.maps import (
     holder_seminorm,
     linearizing_chart,
     make_generator,
+    mobius_jet,
     rho_lower_bound,
     rotation,
     sup_abs_L,
@@ -230,6 +232,75 @@ def test_holder_grid_stability():
     v_coarse = holder_seminorm(HYP, 0.5, 1000)
     v_dense = holder_seminorm(HYP, 0.5, 100_000)
     assert abs(v_coarse - v_dense) <= 0.05 * v_dense
+
+
+def roll_holder_seminorm(map_like, tau, grid_size):
+    """`holder_seminorm` with each gap read by `np.roll`, kept as its oracle."""
+    n = int(grid_size)
+    ld = np.log(eval_jet3(map_like, np.arange(n) / n).d1)
+    half = n // 2
+    if n <= 4097:
+        gaps = np.arange(1, half + 1)
+    else:
+        gaps = np.unique(np.concatenate([
+            np.arange(1, 65), np.unique(np.round(np.geomspace(64, half, 192)).astype(int))]))
+        gaps = gaps[gaps <= half]
+    best = 0.0
+    for k in gaps:
+        diff = np.abs(np.roll(ld, -k) - ld)
+        best = max(best, float(diff.max()) / (min(k, n - k) / n) ** tau)
+    i, j = int(np.argmax(ld)), int(np.argmin(ld))
+    dist = min(abs(i - j), n - abs(i - j)) / n
+    if dist > 0:
+        best = max(best, float(ld[i] - ld[j]) / dist ** tau)
+    return best
+
+
+@pytest.mark.parametrize("family", ["suite", "near-identity"])
+def test_holder_seminorm_matches_the_roll_form(family):
+    from circlelab.configs import build_step_distribution, builtin_config
+
+    if family == "suite":
+        atoms = build_step_distribution(builtin_config("sanov")).atoms
+    else:
+        l_map = MobiusMap([[0.9219544457292887, 0.0], [0.0, 1.0846522890932808]])
+        r_map = rotation(0.41421356237309515)
+        atoms = [l_map, l_map.inverse(), r_map, r_map.inverse()]
+    for atom in atoms:
+        for tau in (0.5, 1.0):
+            for n in (2048, 4096, 8192):
+                assert holder_seminorm(atom, tau, n) == roll_holder_seminorm(atom, tau, n)
+
+
+def scalar_mobius_jet(m, x):
+    """The closed-form 3-jet of one matrix on its scalar entries, as
+    `MobiusMap.jet` wrote it before `mobius_jet`: the stacked form's oracle."""
+    a, b, c, d = m.ravel()
+    phi = np.pi * np.asarray(x, dtype=float)
+    cs, sn = np.cos(phi), np.sin(phi)
+    U, V = d * cs + c * sn, b * cs + a * sn
+    Up, Vp = c * cs - d * sn, a * cs - b * sn
+    R = U * U + V * V
+    Rp = 2.0 * (U * Up + V * Vp)
+    Rpp = 2.0 * (Up * Up + Vp * Vp) - 2.0 * R
+    return Jet3(wrap(np.arctan2(V, U) / np.pi), 1.0 / R, -np.pi * Rp / R ** 2,
+                np.pi ** 2 * (2.0 * Rp ** 2 / R ** 3 - Rpp / R ** 2))
+
+
+def test_mobius_jet_is_the_scalar_closed_form_bit_for_bit():
+    rng = np.random.default_rng(17)
+    raw = rng.normal(size=(24, 2, 2))
+    raw[np.linalg.det(raw) < 0, :, 0] *= -1.0
+    maps = [MobiusMap(m) for m in raw]
+    x = rng.random((24, 33))
+    stacked = mobius_jet(np.stack([g.matrix for g in maps])[:, None], x)
+    for i, g in enumerate(maps):
+        ref = scalar_mobius_jet(g.matrix, x[i])
+        for field in ("value", "d1", "d2", "d3"):
+            assert np.array_equal(getattr(stacked, field)[i], getattr(ref, field)), field
+            assert np.array_equal(getattr(g.jet(x[i]), field), getattr(ref, field)), field
+        point = float(x[i, 0])
+        assert g.jet(point) == scalar_mobius_jet(g.matrix, point)
 
 
 # -- linearizing chart -------------------------------------------------------
