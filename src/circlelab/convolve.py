@@ -10,11 +10,14 @@ step is a vectorized multiply / value-sort / segment-sum that leaves the
 keys sorted and unique, so the last step's arrays are the table.  The
 sort is `np.lexsort((lo, hi))`'s permutation, built from `np.sort` passes
 over the keys' 32-bit halves (`_key_order`), so each element's mass is
-summed in the same order as lexsort's.  A step's peak holds about 42
-bytes per candidate (support times atom count): keys, three sort
-buffers, and the masses, which are formed only after the sort.  Sanov's
-pair at n = 14 (7.17 M elements) takes 2.4-2.9 s and peaks at 470 MB
-RSS in-process on a 2-core x86 host; n = 15 takes 12 s and 1.24 GB.
+summed in the same order as lexsort's.  The elementwise work (candidate
+keys, sort words, orders, masses, run boundaries) runs in chunks of
+_CHUNK elements, so a chunk's temporaries stay in cache, and writes into
+buffers already spent.  A step's peak holds about 36 bytes per candidate
+(support times atom count): the sorted keys, the masses formed over the
+order after the sort, and the run starts with their sums.  Sanov's pair
+at n = 14 (7.17 M elements) takes 1.6-2.0 s and peaks at 418 MB RSS
+in-process on a 2-core x86 host; n = 15 takes 6.0 s and 1.03 GB.
 
 On request (`words=True`) the table also tracks one freely reduced
 representative word per element (letters are atom indices; appending an
@@ -33,6 +36,8 @@ from .walk import StepDistribution
 _OFF = np.int64(1) << np.int64(30)
 _ENTRY_LIMIT = int(_OFF) - 1
 _HALF_MASK = (np.int64(1) << np.int64(32)) - 1
+# elements per chunk of a step's elementwise work: a chunk's temporaries stay in cache
+_CHUNK = 1 << 16
 
 
 class ConvolutionBudgetError(RuntimeError):
@@ -41,6 +46,11 @@ class ConvolutionBudgetError(RuntimeError):
     def __init__(self, feasible_n: int, message: str):
         super().__init__(message)
         self.feasible_n = feasible_n
+
+
+def _chunks(start: int, stop: int):
+    """Consecutive slices of at most _CHUNK elements covering [start, stop)."""
+    return (slice(i, min(i + _CHUNK, stop)) for i in range(start, stop, _CHUNK))
 
 
 def _entries(hi: np.ndarray, lo: np.ndarray) -> list:
@@ -53,84 +63,162 @@ def _normalize_signs(entries):
     """Negate, in place, the int64 matrices with entries (a, b, c, d) whose
     first nonzero entry is negative; returns the entries."""
     a, b, c, d = entries
-    negative = np.where(a != 0, a < 0, np.where(b != 0, b < 0, np.where(c != 0, c < 0, d < 0)))
+    negative = d < 0
+    for e in (c, b, a):   # e < 0, or e == 0 and the sign of the rest
+        negative &= e == 0
+        negative |= e < 0
     for e in entries:
         np.negative(e, out=e, where=negative)
     return entries
 
 
-def _pack_into(entries, hi: np.ndarray, lo: np.ndarray):
+def _products(cur, atom: np.ndarray, out: np.ndarray):
+    """The entries (a, b, c, d) of the int64 matrices with entries cur times
+    atom, as multiply-adds into out[:4]; out[4] is scratch."""
+    for k in range(4):   # entry (k // 2, k % 2)
+        np.multiply(cur[k & 2], atom[0, k & 1], out=out[k])
+        out[k] += np.multiply(cur[(k & 2) + 1], atom[1, k & 1], out=out[4])
+    return out[:4]
+
+
+def _no_bounds() -> list:
+    """Empty [min, max] bounds of the four 32-bit key halves, for `_pack_into` to widen."""
+    return [[1 << 32, -1] for _ in range(4)]
+
+
+def _pack_into(entries, hi: np.ndarray, lo: np.ndarray, bounds: list):
     """Write to hi and lo the lexicographic keys of the int64 matrices with
-    entries (a, b, c, d); the entries are overwritten."""
+    entries (a, b, c, d), which are overwritten, and widen bounds, the
+    [min, max] of the key halves a, b, c, d (entry + 2**30) so far."""
     # max/min rather than abs: abs(int64 min), the cast of an out-of-range float, stays negative
-    if max(e.max() for e in entries) > _ENTRY_LIMIT or min(e.min() for e in entries) < -_ENTRY_LIMIT:
+    span = [(int(e.min()), int(e.max())) for e in entries]
+    if max(top for _, top in span) > _ENTRY_LIMIT or min(bottom for bottom, _ in span) < -_ENTRY_LIMIT:
         raise OverflowError("matrix entries exceed the packable range")
+    for bound, (bottom, top) in zip(bounds, span):
+        bound[0] = min(bound[0], bottom + int(_OFF))
+        bound[1] = max(bound[1], top + int(_OFF))
     a, b, c, d = (np.add(e, _OFF, out=e) for e in entries)
     np.bitwise_or(np.left_shift(a, 32, out=a), b, out=hi)
     np.bitwise_or(np.left_shift(c, 32, out=c), d, out=lo)
 
 
-def _keys(mats: np.ndarray, quant: float | None):
-    """Sign-normalized packed keys of stacked matrices; real entries round in units of quant (or 1)."""
+def _rounded_entries(mats: np.ndarray, quant: float | None) -> list:
+    """The int64 entries (a, b, c, d) of stacked matrices, real ones rounded in units of quant (or 1)."""
     if quant is not None:
         mats = mats / quant
     if mats.dtype != np.int64:
         mats = np.round(mats)
+    return [e.astype(np.int64) for e in mats.reshape(-1, 4).T]
+
+
+def _keys(mats: np.ndarray, quant: float | None):
+    """Sign-normalized packed keys of stacked matrices; real entries round in units of quant (or 1)."""
     hi, lo = np.empty((2, mats.size // 4), dtype=np.int64)
-    _pack_into(_normalize_signs([e.astype(np.int64) for e in mats.reshape(-1, 4).T]), hi, lo)
+    _pack_into(_normalize_signs(_rounded_entries(mats, quant)), hi, lo, _no_bounds())
     return hi, lo
 
 
-def _key_order(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """`np.lexsort((lo, hi))` of packed keys, as value sorts of uint64 words.
+def _pass_layout(bounds: list, size: int):
+    """The sort passes of `_key_order` for `size` keys whose halves a, b,
+    c, d have [min, max] bounds: returns (bottoms, widths, passes), with
+    halves numbered k = 0..3 for d, c, b, a and each pass a list of them.
 
-    The keys' 32-bit halves are sorted least significant first (d, c, b,
-    a).  A pass sorts (half - min) << index_bits | position with `np.sort`
-    and reads its permutation from the low bits: the position breaks ties,
-    so each pass is stable and the passes compose to lexsort's permutation.
-    Neighbouring halves share a pass while their widths and the index bits
-    fit in 64; a half is below 2**31, so one always fits on its own.  The
-    halves are gathered into the order so far in one reused scratch buffer
-    (`np.take` with mode="clip", a no-op on in-range positions: the
-    default mode writes `out=` through a temporary).
+    The non-constant halves go least significant first; neighbours share
+    a pass while their widths and the index bits fit in 64.  A half is
+    below 2**31, so one always fits on its own.
     """
-    index_bits = (len(hi) - 1).bit_length()
-    keys = (lo.view(np.uint64), hi.view(np.uint64))   # packed keys are nonnegative
-    scratch = np.empty(len(hi), dtype=np.uint64)
-
-    def half(k, order):   # k = 0..3 for d, c, b, a, in scratch, gathered by order
-        key = keys[k // 2] if order is None else np.take(keys[k // 2], order.view(np.int64),
-                                                         out=scratch, mode="clip")
-        return (np.bitwise_and(key, np.uint64(_HALF_MASK), out=scratch) if k % 2 == 0
-                else np.right_shift(key, np.uint64(32), out=scratch))
-
-    bounds = [(int(h.min()), int(h.max())) for h in (half(k, None) for k in range(4))]
-    widths = [(top - bottom).bit_length() for bottom, top in bounds]
-    passes = [[0]]
-    for k in range(1, 4):
-        if sum(widths[i] for i in passes[-1]) + widths[k] + index_bits <= 64:
+    bottoms = [bounds[3 - k][0] for k in range(4)]
+    widths = [(bounds[3 - k][1] - bottoms[k]).bit_length() for k in range(4)]
+    index_bits = (size - 1).bit_length()
+    passes = []
+    for k in (k for k in range(4) if widths[k]):   # a constant half orders nothing
+        if passes and sum(widths[i] for i in passes[-1]) + widths[k] + index_bits <= 64:
             passes[-1].append(k)
         else:
             passes.append([k])
+    return bottoms, widths, passes
+
+
+def _key_order(hi: np.ndarray, lo: np.ndarray, bounds: list):
+    """`np.lexsort((lo, hi))` of packed keys as value sorts of uint64 words,
+    and the keys in that order: returns (order, hi, lo).
+
+    bounds are the [min, max] of the key halves a, b, c, d, as from
+    `_pack_into`.  A pass of `_pass_layout` sorts the word (half - min)
+    << index_bits | position with `np.sort` and reads its permutation
+    from the low bits: the position breaks ties, so each pass is stable
+    and the passes compose to lexsort's permutation.  A pass's word is
+    built a chunk at a time, gathering each key word once into the order
+    so far.  A key word whose varying halves all sit in the last pass is
+    read back from that pass's sorted word; the others are gathered.
+    Two uint64 buffers hold the words and orders, so with the keys a sort
+    holds 32 bytes per key; the sorted keys overwrite the buffers of hi
+    and lo or of a spent order.
+    """
+    size = len(hi)
+    bottoms, widths, passes = _pass_layout(bounds, size)
+    if not passes:   # all keys equal
+        return np.arange(size), hi, lo
+    index_bits = (size - 1).bit_length()
+    index_mask = np.uint64((1 << index_bits) - 1)
+    keys = [lo.view(np.uint64), hi.view(np.uint64)]   # packed keys are nonnegative
+    shifts = {}   # each half's place in its pass's word
 
     order = None
+    word = np.empty(size, dtype=np.uint64)
     for halves in passes:
-        word = np.arange(len(hi), dtype=np.uint64)
-        shift = index_bits
         for k in halves:
-            if not widths[k]:   # a constant half orders nothing
-                continue
-            h = half(k, order)
-            h -= np.uint64(bounds[k][0])
-            h <<= np.uint64(shift)
-            word |= h
-            shift += widths[k]
+            shifts[k] = index_bits + sum(widths[i] for i in halves[: halves.index(k)])
+        for ch in _chunks(0, size):
+            out = word[ch]
+            out[:] = np.arange(ch.start, ch.stop, dtype=np.uint64)
+            gathered = {}
+            for k in halves:
+                if k // 2 not in gathered:
+                    gathered[k // 2] = (keys[k // 2][ch] if order is None
+                                        else np.take(keys[k // 2], order[ch].view(np.int64)))
+                key = gathered[k // 2]
+                h = key >> np.uint64(32) if k % 2 else key & np.uint64(_HALF_MASK)
+                h -= np.uint64(bottoms[k])
+                h <<= np.uint64(shifts[k])
+                out |= h
         word.sort()
-        word &= np.uint64((1 << index_bits) - 1)
-        if order is not None:   # composed in scratch; the old order's buffer is the next scratch
-            word, scratch = np.take(order, word.view(np.int64), out=scratch, mode="clip"), order
-        order = word
-    return order.view(np.int64)
+        if halves is passes[-1]:
+            break
+        if order is None:
+            word &= index_mask
+            order, word = word, np.empty(size, dtype=np.uint64)
+        else:   # composed in place; the old order's buffer takes the next word
+            for ch in _chunks(0, size):
+                np.take(order, (word[ch] & index_mask).view(np.int64), out=word[ch], mode="clip")
+            order, word = word, order
+
+    def value(sorted_word, k):   # half k of the keys, read off their last-pass words
+        if not widths[k]:
+            return np.uint64(bottoms[k])
+        h = (sorted_word >> np.uint64(shifts[k])) & np.uint64((1 << widths[k]) - 1)
+        return h + np.uint64(bottoms[k])
+
+    # read back into their own spent buffers the key words the last pass sorted whole,
+    # then compose the order in place over the sorted word
+    derived = [w for w in (0, 1) if all(k in passes[-1] or not widths[k] for k in (2 * w, 2 * w + 1))]
+    for ch in _chunks(0, size):
+        sorted_word = word[ch]
+        for w in derived:
+            keys[w][ch] = value(sorted_word, 2 * w + 1) << np.uint64(32) | value(sorted_word, 2 * w)
+        index = sorted_word & index_mask
+        if order is None:
+            sorted_word[:] = index
+        else:
+            np.take(order, index.view(np.int64), out=sorted_word, mode="clip")
+    # gather the other key words, each into the buffer spent last
+    spare = order
+    for w in (0, 1):
+        if w not in derived:
+            for ch in _chunks(0, size):
+                np.take(keys[w], word[ch].view(np.int64), out=spare[ch], mode="clip")
+            keys[w], spare = spare, keys[w]
+    return word.view(np.int64), keys[1].view(np.int64), keys[0].view(np.int64)
 
 
 def integer_matrices(mu: StepDistribution) -> np.ndarray | None:
@@ -220,11 +308,16 @@ class ConvolutionTable:
 def entropy_of(masses) -> float:
     """Shannon entropy (nats) of a probability vector."""
     p = np.asarray(masses, dtype=float)
-    p = p[p > 0]
+    positive = p > 0
+    if not positive.all():
+        p = p[positive]
+    del positive
     total = p.sum()
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"masses sum to {total}, not a probability vector")
-    return float(-(p * np.log(p)).sum())
+    terms = np.log(p)
+    terms *= p
+    return float(-terms.sum())
 
 
 @dataclass
@@ -281,60 +374,67 @@ def convolve_exact(mu: StepDistribution, n: int, max_support: int = 40_000_000,
                 step - 1,
                 f"support would exceed budget at n={step}; largest feasible horizon is {step - 1}",
             )
-        cur = cur_f if quantized else _entries(hi, lo)
-        del hi, lo
-        # the entries of cur @ atom j, and a scratch row
-        products = None if quantized else np.empty((5, m), dtype=np.int64)
-        # candidates, atom-major: candidate j * m + i is support element i times atom j
+        # candidates, atom-major: candidate j * m + i is support element i times atom j,
+        # built a chunk of support elements at a time
         cand_hi = np.empty(n_atoms * m, dtype=np.int64)
         cand_lo = np.empty(n_atoms * m, dtype=np.int64)
-        if quantized:
-            cand_f = np.empty((n_atoms * m, 2, 2))
+        cand_f = np.empty((n_atoms * m, 2, 2)) if quantized else None
+        scratch = np.empty((5, min(m, _CHUNK)), dtype=np.int64)
+        bounds = _no_bounds()
+        try:
+            for ch in _chunks(0, m):
+                cur = cur_f[ch] if quantized else _entries(hi[ch], lo[ch])
+                for j in range(n_atoms):
+                    block = slice(j * m + ch.start, j * m + ch.stop)
+                    if quantized:
+                        cand_f[block] = cur @ atoms[j]
+                        entries = _rounded_entries(cand_f[block], quant)
+                    else:
+                        entries = _products(cur, atoms[j], scratch[:, : ch.stop - ch.start])
+                    _pack_into(_normalize_signs(entries), cand_hi[block], cand_lo[block], bounds)
+        except OverflowError:
+            raise ConvolutionBudgetError(
+                step - 1,
+                f"matrix entries overflow the packed keys at n={step}; "
+                f"largest feasible horizon is {step - 1}",
+            ) from None
+        del hi, lo, cur, entries, scratch
         if words:
             cand_words = np.empty((n_atoms * m, word_arr.shape[1]), dtype=np.uint8)
             cand_lens = np.empty(n_atoms * m, dtype=lengths.dtype)
-        for j in range(n_atoms):
-            block = slice(j * m, (j + 1) * m)
-            try:
-                if quantized:
-                    cand_f[block] = cur @ atoms[j]
-                    cand_hi[block], cand_lo[block] = _keys(cand_f[block], quant)
-                else:
-                    for k in range(4):   # entry (k // 2, k % 2), as multiply-adds
-                        np.multiply(cur[k & 2], atoms[j][0, k & 1], out=products[k])
-                        products[k] += np.multiply(cur[(k & 2) + 1], atoms[j][1, k & 1], out=products[4])
-                    _pack_into(_normalize_signs(products[:4]), cand_hi[block], cand_lo[block])
-            except OverflowError:
-                raise ConvolutionBudgetError(
-                    step - 1,
-                    f"matrix entries overflow the packed keys at n={step}; "
-                    f"largest feasible horizon is {step - 1}",
-                ) from None
-            if words:
+            for j in range(n_atoms):
+                block = slice(j * m, (j + 1) * m)
                 cand_words[block], cand_lens[block] = _append_letter(
                     word_arr, lengths, j, inv_letter[j])
-        del cur, products
 
-        order = _key_order(cand_hi, cand_lo)
-        # the candidates' masses in sorted order, m at a time to keep the temporaries small
-        sorted_mass = np.empty(len(order))
-        for o, out in zip(order.reshape(n_atoms, m), sorted_mass.reshape(n_atoms, m)):
-            np.multiply(masses[o % m], mu.probs[o // m], out=out)
-        del o, out
-        hi = cand_hi[order]
-        del cand_hi
-        lo = cand_lo[order]
-        del cand_lo
-        starts = np.flatnonzero(np.concatenate(([True], (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1]))))
+        order, hi, lo = _key_order(cand_hi, cand_lo, bounds)
+        del cand_hi, cand_lo
+        size = len(order)
+        first = np.empty(size, dtype=bool)   # the first candidate of each element
+        first[0] = True
+        for ch in _chunks(1, size):
+            before = slice(ch.start - 1, ch.stop - 1)
+            np.not_equal(hi[ch], hi[before], out=first[ch])
+            first[ch] |= lo[ch] != lo[before]
+        starts = np.flatnonzero(first)
+        del first
         if words:
             word_arr, lengths = cand_words[order[starts]], cand_lens[order[starts]]
+            del cand_words, cand_lens
         if quantized:
             cur_f = cand_f[order[starts]]
-        del order
+            del cand_f
+        # the candidates' masses in sorted order, over their indices
+        sorted_mass = order.view(np.float64)
+        for ch in _chunks(0, size):
+            atom, element = np.divmod(order[ch], m)
+            np.multiply(masses[element], mu.probs[atom], out=sorted_mass[ch])
+        del order, masses
+        masses = np.add.reduceat(sorted_mass, starts)
+        del sorted_mass
         hi = hi[starts]
         lo = lo[starts]
-        masses = np.add.reduceat(sorted_mass, starts)
-        del sorted_mass, starts
+        del starts
 
         entropies.append(entropy_of(masses))
         support_sizes.append(len(masses))

@@ -211,28 +211,32 @@ def _rk4_branch(S, y_end: float, n: int):
     """Integrate (u, u', v, v') from 0 towards y_end in n fixed RK4 steps.
 
     S is evaluated in two vectorized calls: on the nodes and on the
-    half-step midpoints.
+    half-step midpoints.  The steps run on Python floats, each entry in
+    the operation order of the array form s + h / 2 * k1, ...,
+    s + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4).
     """
     h = y_end / n
     ys = np.concatenate([[0.0], np.cumsum(np.full(n, h))])
-    c_node = -0.5 * S(ys)
-    c_mid = -0.5 * S(ys[:-1] + h / 2)
-    states = np.zeros((n + 1, 4))
-    states[0] = (0.0, 1.0, 1.0, 0.0)
-
-    def f(c, s):
-        u, up, v, vp = s
-        return np.array([up, c * u, vp, c * v])
-
-    s = states[0]
-    for i in range(1, n + 1):
-        k1 = f(c_node[i - 1], s)
-        k2 = f(c_mid[i - 1], s + h / 2 * k1)
-        k3 = f(c_mid[i - 1], s + h / 2 * k2)
-        k4 = f(c_node[i], s + h * k3)
-        s = s + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        states[i] = s
-    return ys, states
+    c_node = (-0.5 * S(ys)).tolist()
+    c_mid = (-0.5 * S(ys[:-1] + h / 2)).tolist()
+    h2, h6 = h / 2, h / 6
+    u, up, v, vp = 0.0, 1.0, 1.0, 0.0
+    states = [(u, up, v, vp)]
+    for c0, cm, c1 in zip(c_node, c_mid, c_node[1:]):
+        # the stage slopes of (u, u', v, v')' = (u', c u, v', c v)
+        a1, b1, p1, q1 = up, c0 * u, vp, c0 * v
+        u2, up2, v2, vp2 = u + h2 * a1, up + h2 * b1, v + h2 * p1, vp + h2 * q1
+        a2, b2, p2, q2 = up2, cm * u2, vp2, cm * v2
+        u3, up3, v3, vp3 = u + h2 * a2, up + h2 * b2, v + h2 * p2, vp + h2 * q2
+        a3, b3, p3, q3 = up3, cm * u3, vp3, cm * v3
+        u4, up4, v4, vp4 = u + h * a3, up + h * b3, v + h * p3, vp + h * q3
+        a4, b4, p4, q4 = up4, c1 * u4, vp4, c1 * v4
+        u = u + h6 * (a1 + 2 * a2 + 2 * a3 + a4)
+        up = up + h6 * (b1 + 2 * b2 + 2 * b3 + b4)
+        v = v + h6 * (p1 + 2 * p2 + 2 * p3 + p4)
+        vp = vp + h6 * (q1 + 2 * q2 + 2 * q3 + q4)
+        states.append((u, up, v, vp))
+    return ys, np.array(states)
 
 
 def _solve_once(S, a: float, b: float, step: float, refine: int = 1):

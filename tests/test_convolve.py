@@ -6,13 +6,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from circlelab import convolve
 from circlelab.convolve import (
+    _CHUNK,
     _ENTRY_LIMIT,
+    _HALF_MASK,
     ConvolutionBudgetError,
     _entries,
     _key_order,
     _keys,
+    _no_bounds,
     _pack_into,
+    _pass_layout,
     convolve_exact,
     entropy_of,
 )
@@ -23,7 +28,7 @@ from circlelab.walk import make_step_distribution, sample_walk
 def _pack(mats):
     """Packed keys of int64 matrices as they are, not sign-normalized."""
     hi, lo = np.empty((2, mats.size // 4), dtype=np.int64)
-    _pack_into([e.copy() for e in mats.reshape(-1, 4).T], hi, lo)
+    _pack_into([e.copy() for e in mats.reshape(-1, 4).T], hi, lo, _no_bounds())
     return hi, lo
 
 
@@ -202,6 +207,12 @@ def test_unpack_inverts_pack():
     assert np.array_equal(_unpack(*_pack(m)), m)
     with pytest.raises(OverflowError):
         _pack(m + 1)
+    # the bounds `_pack_into` widens are those of the halves it packs
+    bounds = _no_bounds()
+    for rows in (m[:2], m[2:]):
+        hi, lo = np.empty((2, len(rows)), dtype=np.int64)
+        _pack_into([e.copy() for e in rows.reshape(-1, 4).T], hi, lo, bounds)
+    assert bounds == half_bounds(*_pack(m))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
@@ -254,22 +265,63 @@ def rotation_candidates():
     return np.concatenate([k[0] for k in keys]), np.concatenate([k[1] for k in keys])
 
 
-@pytest.mark.parametrize("case", ["ties", "single", "near-limit", "rotations"])
-def test_key_order_is_lexsort(case):
+def half_bounds(hi, lo):
+    """[min, max] of the key halves a, b, c, d, read off the packed keys."""
+    halves = [key >> 32 if high else key & _HALF_MASK for key in (hi, lo) for high in (True, False)]
+    return [[int(h.min()), int(h.max())] for h in halves]
+
+
+def keys_of(rng, count, a, b, c, d):
+    """Packed keys of `count` matrices whose entries are drawn from the given choices
+    (a list) or ranges (a (low, high) tuple, both ends included)."""
+    cols = [rng.choice(np.array(e, dtype=np.int64), size=count) if isinstance(e, list)
+            else rng.integers(e[0], e[1] + 1, size=count, dtype=np.int64) for e in (a, b, c, d)]
+    return _pack(np.stack(cols, axis=-1).reshape(-1, 2, 2))
+
+
+def key_order_case(case):
+    """(hi, lo, pass layout) of a `_key_order` case; the layout is None where it is not pinned."""
     rng = np.random.default_rng(11)
+    lim = _ENTRY_LIMIT
+    wide = [-lim, -lim + 1, -1, 0, 1, lim - 1, lim]   # spans about 2**31 with many ties
     if case == "ties":
-        hi, lo = random_tied_keys(rng, 50_000, 3)
-    elif case == "single":
-        hi, lo = random_tied_keys(rng, 1, 3)
-    elif case == "near-limit":
+        return (*random_tied_keys(rng, 50_000, 3), None)
+    if case in ("single", "chunk-1", "chunk", "chunk+1"):
+        count = {"single": 1, "chunk-1": _CHUNK - 1, "chunk": _CHUNK, "chunk+1": _CHUNK + 1}[case]
+        return (*random_tied_keys(rng, count, 3), None)
+    if case == "near-limit":
         # every half spans about 2**31, so no two halves share a pass
-        lim = _ENTRY_LIMIT
-        ends = rng.choice([-lim, -lim + 1, -1, 0, 1, lim - 1, lim], size=(20_000, 2, 2))
-        hi, lo = _pack(ends.astype(np.int64))
-    else:
-        hi, lo = rotation_candidates()
+        return (*keys_of(rng, 20_000, wide, wide, wide, wide), [[0], [1], [2], [3]])
+    if case == "fills-64":
+        # d and c take 31 + 16 bits beside 17 index bits: one pass of exactly 64
+        return (*keys_of(rng, 1 << 17, [0, 1], [0, 1], (0, (1 << 16) - 1), wide), [[0, 1], [2, 3]])
+    if case == "fills-64+1":
+        # one key more needs an 18th index bit, so c no longer fits beside d
+        return (*keys_of(rng, (1 << 17) + 1, [0, 1], [0, 1], (0, (1 << 16) - 1), wide),
+                [[0], [1, 2, 3]])
+    if case == "last-a-only":
+        # c and d share a pass; b and a are too wide to share one, so a is sorted alone
+        return (*keys_of(rng, 3 * _CHUNK + 5, wide, wide, (-(1 << 18), 1 << 18), (-5, 5)),
+                [[0, 1], [2], [3]])
+    if case == "constant":
+        hi, lo = keys_of(rng, 1000, [3], [-7], [0], [1])
+        return hi, lo, []
+    return (*rotation_candidates(), None)
+
+
+@pytest.mark.parametrize("case", ["ties", "single", "near-limit", "rotations", "chunk-1", "chunk",
+                                  "chunk+1", "fills-64", "fills-64+1", "last-a-only", "constant"])
+def test_key_order_is_lexsort(case):
+    hi, lo, layout = key_order_case(case)
     assert len(np.unique(hi)) < len(hi) or case == "single"
-    assert np.array_equal(_key_order(hi, lo), np.lexsort((lo, hi)))
+    bounds = half_bounds(hi, lo)
+    if layout is not None:
+        assert _pass_layout(bounds, len(hi))[2] == layout
+    expected = np.lexsort((lo, hi))
+    order, sorted_hi, sorted_lo = _key_order(hi.copy(), lo.copy(), bounds)
+    assert np.array_equal(order, expected)
+    assert np.array_equal(sorted_hi, hi[expected])
+    assert np.array_equal(sorted_lo, lo[expected])
 
 
 def test_masses_of_matrices_is_a_lookup_of_the_keys(sanov_mu):
@@ -329,6 +381,21 @@ def test_tables_match_pinned_digests(sanov_mu, case, words):
     assert found == {k: TABLE_DIGESTS[case][k] for k in arrays}
 
 
+@pytest.mark.parametrize("case, quantized", [("free", False), ("free", True), ("rotations", True)])
+def test_tables_do_not_depend_on_the_chunk_size(sanov_mu, case, quantized, monkeypatch):
+    # 999 splits the n = 10 step's 29 524 support elements and 118 096
+    # candidates into many chunks with a short last one; the free pair
+    # quantized at resolution 1 keys its integer entries as they are
+    monkeypatch.setattr(convolve, "_CHUNK", 999)
+    mu, quant = (sanov_mu, 1.0) if case == "free" else (rotation_pair(), 1e-8)
+    s = convolve_exact(mu, 10, quantized=quantized, quant=quant, words=True)
+    arrays = {"entropies": s.entropies, "support_sizes": s.support_sizes, "hi": s.table.hi,
+              "lo": s.table.lo, "masses": s.table.masses, "words": s.table.words,
+              "lengths": s.table.lengths}
+    found = {k: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest() for k, a in arrays.items()}
+    assert found == TABLE_DIGESTS[case]
+
+
 def test_budget_counts_the_candidates_of_each_atom():
     # two atoms freely generate a free semigroup: mu^{*n} has 2^n elements,
     # and step n sorts 2 * 2^(n-1) = 2^n candidates
@@ -342,9 +409,10 @@ def test_budget_counts_the_candidates_of_each_atom():
 
 def test_convolution_memory_per_candidate(sanov_mu):
     # step 12 sorts 4 * |support of mu^{*11}| = 1 062 880 candidates; the
-    # traced peak is about 42 bytes per candidate (two key arrays, three sort
-    # buffers and the masses), and was 74.7 while candidate masses were built
-    # before the sort and sorting made a fresh array per half
+    # traced peak is about 36.2 bytes per candidate (sorted keys, masses over
+    # the order, run starts and their sums, plus the chunk buffers), was 42
+    # with three full sort buffers and unchunked temporaries, and 74.7 while
+    # candidate masses were built before the sort
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -355,4 +423,4 @@ def test_convolution_memory_per_candidate(sanov_mu):
         tracemalloc.stop()
     candidates = 4 * s.support_sizes[11]
     assert candidates == 1_062_880
-    assert peak / candidates < 56
+    assert peak / candidates < 38
