@@ -18,7 +18,6 @@ from .maps import (
     Word,
     affine_distortion,
     eval_jet3,
-    holder_seminorm,
     linearizing_chart,
     make_generator,
     rho_lower_bound,

@@ -61,11 +61,13 @@ ARCS = "arcs"    # the kind of a list of [left, length] rows
 
 @dataclass(frozen=True)
 class Bounded:
-    """The kind of a number with a lower limit: >= low, or > low when strict."""
+    """The kind of a number with a lower limit, >= low or > low when
+    strict, and an upper one, <= high."""
 
     kind: type
     low: float
     strict: bool = False
+    high: float = float("inf")
 
 
 # key -> (kind, default).  A kind is int, float, bool or str; a Bounded
@@ -101,8 +103,8 @@ KEYS = {
     "probe_trials": (Bounded(int, 1), 10),
     "h_hint": (float, None),
     "lyapunov_steps": (Bounded(int, 1), 5000),
-    "kappa": (float, 0.5),
-    "tau": (float, 1.0),
+    "kappa": (Bounded(float, 0.0, strict=True), 0.5),
+    "tau": (Bounded(float, 0.0, strict=True, high=1.0), 1.0),
     "x": (float, 0.3),
     "n_walks": (Bounded(int, 1), 100),
     "horizon_real": (Bounded(int, 1), 200),
@@ -164,8 +166,10 @@ def _value(key: str, kind, value):
         return value
     if isinstance(kind, Bounded):
         value = _value(key, kind.kind, value)
-        if value < kind.low or kind.strict and value == kind.low:
+        if not (value > kind.low if kind.strict else value >= kind.low):   # NaN too
             raise ConfigError(f"'{key}' must be {'>' if kind.strict else '>='} {kind.low}, got {value!r}")
+        if not value <= kind.high:
+            raise ConfigError(f"'{key}' must be <= {kind.high}, got {value!r}")
         return value
     if isinstance(kind, dict):
         if not isinstance(value, dict):

@@ -39,52 +39,34 @@ import numpy as np
 
 from .circle import Arc, wrap
 from .jets import compose, identity_jet, log_derivative, schwarzian
-from .maps import (MobiusMap, direction_abs_im, holder_seminorm, mobius_jet, rho_lower_bound,
-                   sup_abs_L, sup_abs_S)
+from .maps import direction_abs_im, mobius_jet, mobius_seminorms, rho_lower_bound
 from .measure import GridMeasure
 from .walk import StepDistribution, WalkTrajectory
 
 
 @dataclass(frozen=True)
 class AtomSeminorms:
-    """Per-atom seminorms of a step distribution, used by the constants."""
+    """Per-atom seminorms of a pure Mobius step distribution, used by the
+    constants: each the exact value (or, for the Holder seminorm at
+    tau < 1, an upper bound) from the atom's matrix, by `mobius_seminorms`."""
 
     tau: float
-    holder: np.ndarray        # |log g'|_tau, global grid seminorm
-    sup_L: np.ndarray
-    sup_S: np.ndarray
-    rho: np.ndarray
+    holder: np.ndarray        # |log g'|_tau over the circle; sup_L itself at tau = 1
+    sup_L: np.ndarray         # sup |L g| over the circle
+    sup_S: np.ndarray         # sup |S g| over the circle
+    rho: np.ndarray           # annulus width of injective extension, `rho_lower_bound`
     complex_L: np.ndarray     # sup |(log g')'| on the half-annulus A_{rho/2}
 
 
-def atom_seminorms(mu: StepDistribution, tau: float = 1.0, grid_size: int = 2048) -> AtomSeminorms:
-    cache = mu.seminorm_cache
-    key = (tau, grid_size)
-    if key not in cache:
-        hold, supl, sups, rho, cl = [], [], [], [], []
-        for a in mu.atoms:
-            hold.append(holder_seminorm(a, tau, grid_size))
-            supl.append(sup_abs_L(a, grid_size))
-            sups.append(sup_abs_S(a, grid_size))
-            r = rho_lower_bound(a)
-            rho.append(r)
-            cl.append(_complex_L_sup(a, r))
-        cache[key] = AtomSeminorms(tau, np.array(hold), np.array(supl), np.array(sups),
-                                   np.array(rho), np.array(cl))
-    return cache[key]
-
-
-def _complex_L_sup(atom, rho: float) -> float:
-    """Grid sup of |(log g')'| over the half-annulus A_{rho/2} (Mobius only)."""
-    if not isinstance(atom, MobiusMap):
-        return np.nan
-    if np.isinf(rho):
-        # rotations: log g' vanishes identically on every annulus
-        return float(np.max(np.abs(atom.clog_derivative(np.linspace(0, 1, 33)))))
-    re = np.linspace(0.0, 1.0, 129)
-    im = np.linspace(-rho / 2, rho / 2, 9)
-    z = re[None, :] + 1j * im[:, None]
-    return float(np.max(np.abs(atom.clog_derivative(z))))
+def atom_seminorms(mu: StepDistribution, tau: float = 1.0) -> AtomSeminorms:
+    """The seminorms of mu's atoms (words by their product matrices); a
+    pure Mobius family only (a ValueError otherwise)."""
+    mats = mu.matrices()
+    if mats is None:
+        raise ValueError("closed-form seminorms require a pure Mobius family")
+    holder, sup_L, sup_S, complex_L = mobius_seminorms(mats, tau)
+    return AtomSeminorms(tau, holder, sup_L, sup_S,
+                         np.array([rho_lower_bound(a) for a in mu.atoms]), complex_L)
 
 
 _TINY_ARC = 1e-9
@@ -256,7 +238,6 @@ def walk_constants(
     tau: float = 1.0,
     horizon: int | None = None,
     kappa_reference: float = 0.5,
-    seminorm_grid: int = 2048,
 ) -> ConstantsReport:
     """Compute every constant over n <= horizon exactly as its defining
     inf/sum, with geometric tail bounds for the truncated sums, for every
@@ -271,7 +252,7 @@ def walk_constants(
         raise ValueError("horizon must be >= 1")
     if nu.arc_mass(J) <= 0:
         raise ValueError("C1 needs nu(J) > 0")
-    sem = atom_seminorms(mu, tau, seminorm_grid)
+    sem = atom_seminorms(mu, tau)
     steps = rows[:, :horizon]
     x = float(wrap(x))
     scan = prefix_scan(mu, steps, x, (J.left, J.right), nu)
@@ -284,7 +265,7 @@ def walk_constants(
     C3, C3_tail = with_tail(sem.holder, lam * tau / 2.0)
     C4l, C4l_tail = with_tail(sem.sup_L, lam / 2.0)
     C4s, C4s_tail = with_tail(sem.sup_S, lam)
-    C3cx, C3cx_tail = with_tail(sem.complex_L, lam / 2.0)   # NaN for atoms that are words
+    C3cx, C3cx_tail = with_tail(sem.complex_L, lam / 2.0)
 
     rep = ConstantsReport(
         C1=np.where(np.isfinite(log_C1), np.exp(log_C1), 0.0), log_C1=log_C1, C2=scan.c2(lam),
@@ -298,7 +279,7 @@ def walk_constants(
         lam=lam, x=x,
     )
     rep.r_real = rep.radius_real(kappa_reference)
-    rep.r_complex = np.where(np.isnan(C3cx), np.nan, rep.radius_complex(kappa_reference))
+    rep.r_complex = rep.radius_complex(kappa_reference)
     return _per_walk(walk, rep)
 
 

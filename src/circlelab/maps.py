@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import Arc, wrap
-from .jets import Jet3, compose, identity_jet, log_derivative, schwarzian
+from .jets import Jet3, compose, identity_jet
 
 _DET_TOL = 1e-12
 
@@ -81,10 +81,10 @@ class MobiusMap:
         a, b, c, d = self.matrix.ravel()
         phi = np.pi * np.asarray(x, dtype=dtype)
         cs, sn = np.cos(phi), np.sin(phi)
-        return d * cs + c * sn, b * cs + a * sn, cs, sn
+        return d * cs + c * sn, b * cs + a * sn
 
     def apply(self, x):
-        U, V, _, _ = self._uv(x)
+        U, V = self._uv(x)
         return wrap(np.arctan2(V, U) / np.pi)
 
     __call__ = apply
@@ -100,24 +100,14 @@ class MobiusMap:
 
     def cval(self, z):
         """Holomorphic extension to C/Z, values reduced mod 1 in the real part."""
-        U, V, _, _ = self._uv(z, complex)
+        U, V = self._uv(z, complex)
         w = _c_arctan(V / U) / np.pi
         return wrap(w.real) + 1j * w.imag
 
     def cderiv(self, z):
         """Complex derivative of the extension (branch independent)."""
-        U, V, _, _ = self._uv(z, complex)
+        U, V = self._uv(z, complex)
         return 1.0 / (U * U + V * V)
-
-    def clog_derivative(self, z):
-        """(log g')' of the extension, i.e. L g continued to the annulus."""
-        a, b, c, d = self.matrix.ravel()
-        U, V, cs, sn = self._uv(z, complex)
-        Up = c * cs - d * sn
-        Vp = a * cs - b * sn
-        R = U * U + V * V
-        Rp = 2.0 * (U * Up + V * Vp)
-        return -np.pi * Rp / R
 
     # -- structure ---------------------------------------------------------
 
@@ -175,6 +165,45 @@ def mobius_jet(mats: np.ndarray, x) -> Jet3:
     d2 = -np.pi * Rp / R ** 2
     d3 = np.pi ** 2 * (2.0 * Rp ** 2 / R ** 3 - Rpp / R ** 2)
     return Jet3(val, d1, d2, d3)
+
+
+def mobius_seminorms(mats: np.ndarray, tau: float = 1.0):
+    """(Holder, sup |L|, sup |S|, sup |L| on A_{rho/2}) of stacked
+    unimodular matrices (..., 2, 2) over the circle, in closed form.
+
+    For M = [[a, b], [c, d]], 1/g'(x) = A + B cos 2 pi x + C sin 2 pi x
+    with B = (b^2 + d^2 - a^2 - c^2)/2, C = ab + cd, r = hypot(B, C) and
+    A = sqrt(1 + r^2).  Shifting x by the phase of (B, C),
+    1/g' = A + r cos theta with theta = 2 pi x, and g' ranges over
+    [1/(A + r), A + r].  So
+      L g = 2 pi r sin theta / (A + r cos theta) peaks at cos theta = -r/A:
+        sup |L g| = 2 pi r, also the Holder seminorm at tau = 1;
+      S g = 2 pi^2 (1 - g'^2) (the chart tan(pi x) has Schwarzian 2 pi^2):
+        sup |S g| = 2 pi^2 ((A + r)^2 - 1) = 4 pi^2 r (A + r);
+      for tau < 1, with osc log g' = 2 asinh r and Lip = 2 pi r,
+        min(osc, Lip d) / d^tau <= osc^{1-tau} Lip^tau, its maximum over d
+        (at d = osc/Lip <= 1/pi).
+    The poles of L g sit at cos theta = -A/r, Im theta = +-2V with
+    cosh 2V = A/r, so rho = asinh(1/r) / (2 pi).  On the strip
+    |Im theta| <= V, i.e. |Im z| <= rho/2, |L g| peaks on an edge (maximum
+    modulus).  There, with c = cos Re theta, |L g|^2 / (2 pi r)^2 is
+      (sinh^2 V + 1 - c^2) / ((A + r c cosh V)^2 + r^2 sinh^2 V (1 - c^2)),
+    which decreases from c = -1 (its derivative there has the sign of
+    -(A - r)^2) and has at most one critical point in (-1, 1) (the two
+    roots multiply to cosh^2 V > 1).  So its maximum is at c = -1, not
+    c = 1: 2 pi r sinh V / (A - r cosh V).  With q = r cosh V =
+    sqrt(r (A + r) / 2) and A - q = (2A + r) / (2 (A + r) (A + q)), free of
+    cancellation,
+      sup_{A_{rho/2}} |L g| = 4 pi q (A + q) / (2A + r),
+    which is 0 for a rotation (r = 0).
+    """
+    a, b, c, d = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1]
+    r = np.hypot(((b * b + d * d) - (a * a + c * c)) / 2.0, a * b + c * d)   # 0 for a rotation
+    A = np.hypot(1.0, r)
+    sup_L = 2.0 * np.pi * r
+    holder = (2.0 * np.arcsinh(r)) ** (1.0 - tau) * sup_L ** tau   # sup_L bit for bit at tau = 1
+    q = np.sqrt(r * (A + r) / 2.0)
+    return holder, sup_L, 4.0 * np.pi ** 2 * r * (A + r), 4.0 * np.pi * q * (A + q) / (2.0 * A + r)
 
 
 def mobius_value_logd(mats: np.ndarray, x):
@@ -618,17 +647,13 @@ def linearizing_chart(gen) -> LinearChart:
 
 
 # ---------------------------------------------------------------------------
-# distortion seminorms (grid suprema; honest lower bounds of the true sup)
+# affine distortion on arcs (grid maxima, lower bounds of the true sup)
 # ---------------------------------------------------------------------------
-
-
-def log_derivative_on(map_like, points):
-    return np.log(eval_jet3(map_like, points).d1)
 
 
 def distortion_over_points(map_like, points) -> float:
     """max over point pairs of log(g'(y)/g'(x)); >= 0."""
-    ld = log_derivative_on(map_like, points)
+    ld = np.log(eval_jet3(map_like, points).d1)
     return float(np.max(ld) - np.min(ld))
 
 
@@ -641,56 +666,6 @@ def affine_distortion(map_like, arc: Arc, grid_size: int = 4096) -> float:
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     return distortion_over_points(map_like, arc.grid(grid_size))
-
-
-def holder_seminorm(map_like, tau: float, grid_size: int = 4096) -> float:
-    """Grid seminorm sup |log g'(x) - log g'(y)| / dist(x, y)^tau over the circle.
-
-    Exact over all grid pairs for grids up to 4097 points; larger grids
-    use a geometric family of pair separations plus the extremal pair,
-    still a lower bound of the true supremum.
-    """
-    if not (0.0 < tau <= 1.0):
-        raise ValueError("tau must lie in (0, 1]")
-    n = int(grid_size)
-    xs = np.arange(n) / n
-    ld = log_derivative_on(map_like, xs)
-    half = n // 2
-    if n <= 4097:
-        gaps = np.arange(1, half + 1)
-    else:
-        gaps = np.unique(np.concatenate([
-            np.arange(1, 65),
-            np.unique(np.round(np.geomspace(64, half, 192)).astype(int)),
-        ]))
-        gaps = gaps[gaps <= half]
-    best = 0.0
-    diff = np.empty(n)
-    for k in gaps:
-        # ld[(i + k) mod n] - ld[i], the wrapped tail second
-        np.subtract(ld[k:], ld[:n - k], out=diff[:n - k])
-        np.subtract(ld[:k], ld[n - k:], out=diff[n - k:])
-        dist = min(k, n - k) / n
-        best = max(best, float(np.abs(diff, out=diff).max()) / dist ** tau)
-    # the extremal value pair at whatever separation it occurs
-    i, j = int(np.argmax(ld)), int(np.argmin(ld))
-    dij = abs(i - j)
-    dist = min(dij, n - dij) / n
-    if dist > 0:
-        best = max(best, float(ld[i] - ld[j]) / dist ** tau)
-    return best
-
-
-def sup_abs_L(map_like, grid_size: int = 4096) -> float:
-    """Grid sup of |L g| over the circle."""
-    xs = np.arange(grid_size) / grid_size
-    return float(np.max(np.abs(log_derivative(eval_jet3(map_like, xs)))))
-
-
-def sup_abs_S(map_like, grid_size: int = 4096) -> float:
-    """Grid sup of |S g| over the circle."""
-    xs = np.arange(grid_size) / grid_size
-    return float(np.max(np.abs(schwarzian(eval_jet3(map_like, xs)))))
 
 
 # ---------------------------------------------------------------------------

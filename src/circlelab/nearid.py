@@ -2,7 +2,7 @@
 
 Around a hyperbolic element l, exactly linearized by a chart y with
 l = (y -> alpha y), the search samples walk endpoints w = l_n, keeps the
-set G_m of walks whose distortion constants (C1..C4 from the batched
+set G_m of walks whose distortion constants (C1..C3 from the batched
 prefix scan of `distortion.prefix_scan`) pass percentile thresholds,
 buckets them by the log derivative at the fixed point into intervals of
 width 1/m, and looks inside the fullest bucket for two elements whose
@@ -34,6 +34,14 @@ from .rng import stream
 from .walk import StepDistribution, canonical_key
 
 _TAG_SEARCH = 0x4E454152
+# the search's Holder exponent (at tau = 1 the Holder seminorm is sup |L|,
+# so its C3 is also C4), the epsilon of its C1, and the quantiles of its
+# thresholds: the largest _C2_QUANTILE of C2 and C3 kept, the smallest
+# _C1_QUANTILE of C1 dropped
+_TAU = 1.0
+_EPS = 0.1
+_C2_QUANTILE = 0.9
+_C1_QUANTILE = 0.1
 ENDGAME_TOL = 1e-9       # relative slack of the endgame bounds; the L/S formulas' error bound
 
 
@@ -186,18 +194,13 @@ def search_near_identity_pairs(
     h_nu: float,
     samples: int = 8192,
     length_factor: float = 2.0,
-    eps: float = 0.1,
-    tau: float = 1.0,
     seed: int = 0,
-    c2_quantile: float = 0.9,
-    c1_quantile: float = 0.1,
-    grid_size: int = 65,
 ):
     """Run the bucket-and-pigeonhole search for each m in m_range.
 
     Walk length grows as n = ceil(length_factor * m).  Thresholds for
     the constants are percentiles of the sampled batch itself (largest
-    c2_quantile kept for C2/C3/C4, smallest c1_quantile dropped for C1),
+    _C2_QUANTILE kept for C2/C3, smallest _C1_QUANTILE dropped for C1),
     guaranteeing a nonempty candidate set G_m.  Returns (reports, misses).
     """
     if lam >= 0:
@@ -207,7 +210,7 @@ def search_near_identity_pairs(
     mats = mu.matrices()
     if mats is None:
         raise ValueError("the pair search requires a pure Mobius family")
-    sem = atom_seminorms(mu, tau)
+    sem = atom_seminorms(mu, _TAU)
     x_star = chart.fixed_point
 
     reports = []
@@ -224,22 +227,20 @@ def search_near_identity_pairs(
         scan = prefix_scan(mu, steps, x_star, (arc_lo, arc_hi), nu)
         pos, logd = scan.pos, scan.logd[:, -1].copy()
         C2 = scan.c2(lam)
-        C3 = scan.step_sum(sem.holder, lam * tau / 2.0)
-        C4 = scan.step_sum(sem.sup_L, lam / 2.0)
+        C3 = scan.step_sum(sem.holder, lam * _TAU / 2.0)
         # an empty window counts as mass 1e-300, keeping the quantile finite
-        logC1 = np.maximum(np.min(scan.c1_terms(h_nu, eps), axis=1), np.log(1e-300))
+        logC1 = np.maximum(np.min(scan.c1_terms(h_nu, _EPS), axis=1), np.log(1e-300))
         del scan   # frees its (samples, n + 1) histories before the next m
 
-        c2_thr = float(np.quantile(C2, c2_quantile))
-        c3_thr = float(np.quantile(C3, c2_quantile))
-        c4_thr = float(np.quantile(C4, c2_quantile))
-        c1_thr = float(np.quantile(logC1, c1_quantile))
-        keep = (C2 <= c2_thr) & (C3 <= c3_thr) & (C4 <= c4_thr) & (logC1 >= c1_thr)
-        thresholds = {"C2": c2_thr, "C3": c3_thr, "C4": c4_thr, "log_C1": c1_thr}
+        c2_thr = float(np.quantile(C2, _C2_QUANTILE))
+        c3_thr = float(np.quantile(C3, _C2_QUANTILE))
+        c1_thr = float(np.quantile(logC1, _C1_QUANTILE))
+        keep = (C2 <= c2_thr) & (C3 <= c3_thr) & (logC1 >= c1_thr)
+        thresholds = {"C2": c2_thr, "C3": c3_thr, "log_C1": c1_thr}
 
-        gap = 2.0 * eta * alpha ** m * c2_thr * c3_thr ** (1.0 / tau)
+        gap = 2.0 * eta * alpha ** m * c2_thr * c3_thr ** (1.0 / _TAU)
         try:
-            kappa_m = kappa_m_solve(gap, tau)
+            kappa_m = kappa_m_solve(gap, _TAU)
         except DistortionWindowError:
             misses.append(SearchMiss(m, n, "interval too large for distortion control"))
             continue
@@ -295,8 +296,8 @@ def search_near_identity_pairs(
         g_word = Word((l_gen,) * m + g_bar.factors)   # g_m = g_bar o l^m
         h_word = Word((l_gen,) * m + h_bar.factors)
         dgap = float(abs(logd_chart[ig] - logd_chart[ih]))
-        kap_g = chart_distortion(g_word, chart, -eta, eta, grid_size)
-        kap_h = chart_distortion(h_word, chart, -eta, eta, grid_size)
+        kap_g = chart_distortion(g_word, chart, -eta, eta)
+        kap_h = chart_distortion(h_word, chart, -eta, eta)
         phi = Word(g_word.factors + h_word.inverse().factors)   # h^{-1} o g
         half = chart.chart_arc(eta / 2)
         cks = ck_distances(phi.as_mobius(), half)

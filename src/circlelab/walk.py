@@ -86,8 +86,6 @@ class StepDistribution:
                     raise ValueError("symmetry flag set but support is not inverse-closed with equal weights")
 
         self._cum = np.cumsum(self.probs)
-        # per-atom seminorms by (tau, grid_size), filled by distortion.atom_seminorms
-        self.seminorm_cache = {}
         mats = [a.matrix if isinstance(a, MobiusMap) else a.matrix() if isinstance(a, Word) else None
                 for a in self.atoms]
         self._mats = None if any(m is None for m in mats) else np.stack(mats)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -112,6 +113,16 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     assert run_experiment(dict(SMALL_DISTORTION), workers=8, out_dir=out8) == 0
     for name in ("report.json", "constants.csv"):
         assert (out1 / name).read_bytes() == (out8 / name).read_bytes()
+
+
+def test_c3_equals_c4_log_at_tau_1(tmp_path):
+    # at tau = 1 an atom's Holder seminorm is its sup |L g|, and C3 sums it
+    # at C4_log's rate: one quantity, written twice
+    assert run_experiment(dict(SMALL_DISTORTION), out_dir=tmp_path) == 0
+    with open(tmp_path / "constants.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == SMALL_DISTORTION["n_walks"]
+    assert all(row["C3"] == row["C4_log"] for row in rows)
 
 
 def test_collapsed_decay_fails_the_decay_invariant(tmp_path, monkeypatch):

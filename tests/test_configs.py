@@ -54,6 +54,13 @@ ENTROPY = {"scenario": "entropy-gap", "seed": 7, "n_max": 8, **FREE_PAIR}
     ("horizon_complex", {"scenario": "distortion", "horizon_complex": 0}),
     ("search_seeds", {"scenario": "near-identity", "search_seeds": 0}),
     ("probe_horizon", {"scenario": "boundary", "probe_horizon": 0}),
+    # before any estimate: tau 1.5 ran the Lyapunov and boundary estimates,
+    # then raised; kappa -0.5 ran to exit 2 on the distortion invariants
+    ("tau", {"scenario": "distortion", "tau": 1.5}),
+    ("tau", {"scenario": "distortion", "tau": 0.0}),
+    ("tau", {"scenario": SUITE, "tau": -0.5}),
+    ("kappa", {"scenario": "distortion", "kappa": -0.5}),
+    ("kappa", {"scenario": "distortion", "kappa": 0}),
 ], ids=["misspelled", "other-scenario", "suite", "nested", "string-int", "fractional-int",
         "bool-int", "string-bool", "seed", "grid_size-range", "delta_cells-range", "q_max-range",
         "epsilon-range", "n_max-negative", "n_max-zero", "samples-range", "suite-samples-range",
@@ -61,7 +68,8 @@ ENTROPY = {"scenario": "entropy-gap", "seed": 7, "n_max": 8, **FREE_PAIR}
         "n_seeds-zero", "n_walks-zero", "horizon_complex-above-horizon_real", "n_steps-zero",
         "trajectories-zero", "integral_samples-range", "lyapunov_steps-zero",
         "suite-horizon_real-zero", "horizon_complex-zero", "search_seeds-zero",
-        "probe_horizon-zero"])
+        "probe_horizon-zero", "tau-above-1", "tau-zero", "suite-tau-negative", "kappa-negative",
+        "kappa-zero"])
 def test_bad_key_exits_3_and_names_it(tmp_path, capsys, key, change):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({**ENTROPY, **change}))

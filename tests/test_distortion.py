@@ -17,7 +17,8 @@ from circlelab.distortion import (
     verify_real_distortion,
     walk_constants,
 )
-from circlelab.maps import MobiusMap, direction, direction_abs_im, direction_matrices, rotation
+from circlelab.maps import (MobiusMap, Word, direction, direction_abs_im, direction_matrices,
+                            mobius_seminorms, rho_lower_bound, rotation)
 from circlelab.measure import GridMeasure, estimate_stationary_measure, lyapunov_exponent
 from circlelab.walk import make_step_distribution, sample_walk, sample_walks
 
@@ -103,6 +104,31 @@ def test_radius_monotone_in_kappa(sanov_mu, sanov_nu, sanov_lambda):
     ks = np.linspace(0.05, 0.95, 19)
     rs = [rep.radius_real(k) for k in ks]
     assert all(b > a for a, b in zip(rs, rs[1:]))
+
+
+def test_word_atoms_get_their_product_matrix_closed_form():
+    # a word atom's seminorms are those of its product matrix, so the
+    # complex constants of a family with word atoms are finite
+    from circlelab.configs import build_step_distribution
+
+    mu = build_step_distribution({
+        "generators": {"a": {"matrix": [[1, 2], [0, 1]]}, "b": {"matrix": [[1, 0], [2, 1]]}},
+        "mu": {"atoms": [["a.b", 0.25], ["b^-1.a^-1", 0.25], ["b", 0.25], ["b^-1", 0.25]]}})
+    assert isinstance(mu.atoms[0], Word)
+    sem = atom_seminorms(mu)
+    for k, atom in enumerate(mu.atoms):
+        mob = atom.as_mobius() if isinstance(atom, Word) else atom
+        np.testing.assert_allclose([sem.holder[k], sem.sup_L[k], sem.sup_S[k], sem.complex_L[k]],
+                                   mobius_seminorms(mob.matrix), rtol=1e-12)
+        assert sem.rho[k] == rho_lower_bound(mob)
+    nu = estimate_stationary_measure(mu, grid_size=2048, seed=1)
+    lam = lyapunov_exponent(mu, nu, n_steps=1000, trajectories=16, integral_samples=5000, seed=1).value
+    rep = walk_constants(sample_walks(mu, 40, 3, 4), nu, lam, h_nu=0.5, eps=0.1, J=sanov_J(nu),
+                         x=0.3, tau=1.0)
+    assert np.all(np.isfinite(rep.C3_complex)) and np.all(rep.C3_complex > 0)
+    assert np.all(np.isfinite(rep.r_complex)) and np.all(rep.r_complex > 0)
+    # the C3_complex bound takes part, not the pole bound alone
+    assert np.all(rep.r_complex < rep.C5 / (2.0 * np.exp(rep.kappa_reference) * rep.C2))
 
 
 # -- real-lemma verification ----------------------------------------------------

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from conftest import fd_jet
@@ -13,13 +14,12 @@ from circlelab.maps import (
     affine_distortion,
     distortion_over_points,
     eval_jet3,
-    holder_seminorm,
     linearizing_chart,
     make_generator,
     mobius_jet,
+    mobius_seminorms,
     rho_lower_bound,
     rotation,
-    sup_abs_L,
 )
 
 HYP = MobiusMap([[0.5, 0.0], [0.0, 2.0]])
@@ -216,60 +216,85 @@ def test_degenerate_arc_rejected():
         affine_distortion(HYP, Arc(0.3, 0.2), 1)
 
 
-# -- Holder seminorm ---------------------------------------------------------
+# -- closed-form seminorms of Mobius maps -------------------------------------
 
-def test_holder_rotation_zero():
-    assert holder_seminorm(rotation(0.123), 0.5, 512) < 1e-9
-
-
-def test_holder_tau1_matches_sup_L():
-    val = holder_seminorm(HYP, 1.0, 4096)
-    supL = sup_abs_L(HYP, 4096)
-    assert abs(val - supL) <= 0.01 * supL
-
-
-def test_holder_grid_stability():
-    v_coarse = holder_seminorm(HYP, 0.5, 1000)
-    v_dense = holder_seminorm(HYP, 0.5, 100_000)
-    assert abs(v_coarse - v_dense) <= 0.05 * v_dense
+def logd_prime_and_schwarzian(m, z, lib):
+    """(L g(z), S g(z)) from the matrix entries in lib's arithmetic (numpy or
+    mpmath), by the jet formulas of the maps docstring: L = -pi R'/R and
+    S = pi^2 (R'^2 / (2 R^2) - R''/R), R = U^2 + V^2."""
+    a, b, c, d = m
+    cs, sn = lib.cos(lib.pi * z), lib.sin(lib.pi * z)
+    U, V, Up, Vp = d * cs + c * sn, b * cs + a * sn, c * cs - d * sn, a * cs - b * sn
+    R, Rp = U * U + V * V, 2 * (U * Up + V * Vp)
+    Rpp = 2 * (Up * Up + Vp * Vp) - 2 * R
+    return -lib.pi * Rp / R, lib.pi ** 2 * (Rp * Rp / (2 * R * R) - Rpp / R)
 
 
-def roll_holder_seminorm(map_like, tau, grid_size):
-    """`holder_seminorm` with each gap read by `np.roll`, kept as its oracle."""
-    n = int(grid_size)
-    ld = np.log(eval_jet3(map_like, np.arange(n) / n).d1)
-    half = n // 2
-    if n <= 4097:
-        gaps = np.arange(1, half + 1)
-    else:
-        gaps = np.unique(np.concatenate([
-            np.arange(1, 65), np.unique(np.round(np.geomspace(64, half, 192)).astype(int))]))
-        gaps = gaps[gaps <= half]
-    best = 0.0
-    for k in gaps:
-        diff = np.abs(np.roll(ld, -k) - ld)
-        best = max(best, float(diff.max()) / (min(k, n - k) / n) ** tau)
-    i, j = int(np.argmax(ld)), int(np.argmin(ld))
-    dist = min(abs(i - j), n - abs(i - j)) / n
-    if dist > 0:
-        best = max(best, float(ld[i] - ld[j]) / dist ** tau)
-    return best
+def mp_circle_max(f_np, f_mp, n=1 << 18):
+    """max of |f| over the circle: the float grid's best point, then a
+    golden-section search at 40 digits within two cells of it."""
+    xs = np.arange(n) / n
+    x0 = mpmath.mpf(float(xs[np.argmax(np.abs(f_np(xs)))]))
+    lo, hi = x0 - mpmath.mpf(2) / n, x0 + mpmath.mpf(2) / n
+    g = (3 - mpmath.sqrt(5)) / 2
+    for _ in range(150):
+        m1, m2 = lo + g * (hi - lo), hi - g * (hi - lo)
+        if abs(f_mp(m1)) < abs(f_mp(m2)):
+            lo = m1
+        else:
+            hi = m2
+    return abs(f_mp((lo + hi) / 2))
 
 
-@pytest.mark.parametrize("family", ["suite", "near-identity"])
-def test_holder_seminorm_matches_the_roll_form(family):
-    from circlelab.configs import build_step_distribution, builtin_config
+STIFF = [np.diag([0.01, 100.0]), np.diag([0.05, 20.0]),
+         MobiusMap(np.array([[2.0, 1.0], [1.0, 1.0]]) @ [[1.0, 0.3], [0.0, 1.0]]).matrix]
 
-    if family == "suite":
-        atoms = build_step_distribution(builtin_config("sanov")).atoms
-    else:
-        l_map = MobiusMap([[0.9219544457292887, 0.0], [0.0, 1.0846522890932808]])
-        r_map = rotation(0.41421356237309515)
-        atoms = [l_map, l_map.inverse(), r_map, r_map.inverse()]
-    for atom in atoms:
-        for tau in (0.5, 1.0):
-            for n in (2048, 4096, 8192):
-                assert holder_seminorm(atom, tau, n) == roll_holder_seminorm(atom, tau, n)
+
+@pytest.mark.parametrize("k", range(len(STIFF)), ids=["diag(0.01,100)", "diag(0.05,20)", "generic"])
+def test_closed_form_seminorms_match_a_40_digit_maximisation(k):
+    mat = STIFF[k]
+    _, sup_L, sup_S, complex_L = (float(v) for v in mobius_seminorms(mat))
+    with mpmath.workdps(40):
+        m = [mpmath.mpf(float(v)) for v in mat.ravel()]
+        # the pole of L g nearest the circle: U^2 + V^2 = 0, tan(pi z) = (i d - b) / (a - i c)
+        rho = abs(mpmath.im(mpmath.atan((1j * m[3] - m[1]) / (m[0] - 1j * m[2])) / mpmath.pi))
+        for closed, part, height in ((sup_L, 0, 0), (sup_S, 1, 0), (complex_L, 0, rho / 2)):
+            exact = mp_circle_max(
+                lambda x: logd_prime_and_schwarzian(mat.ravel(), x + 1j * float(height), np)[part],
+                lambda x: logd_prime_and_schwarzian(m, x + 1j * height, mpmath)[part])
+            assert abs(closed / exact - 1) <= 1e-12
+        assert abs(rho_lower_bound(MobiusMap(mat)) / rho - 1) <= 1e-10
+
+
+def grid_holder(mat, tau, n=4096):
+    """max over all pairs of an n-point circle grid of
+    |log g'(x) - log g'(y)| / dist(x, y)^tau: a lower bound of the seminorm."""
+    ld = np.log(mobius_jet(mat, np.arange(n) / n).d1)
+    return max(float(np.max(np.abs(np.roll(ld, -k) - ld))) / (k / n) ** tau for k in range(1, n // 2 + 1))
+
+
+@pytest.mark.parametrize("tau", [0.25, 0.5, 1.0])
+def test_holder_bound_is_at_least_a_fine_grid_value(tau):
+    from circlelab.configs import BUILTIN_CONFIGS, build_step_distribution
+
+    mats = np.concatenate([mu.matrices() for mu in map(build_step_distribution, BUILTIN_CONFIGS.values())
+                           if mu.matrices() is not None])
+    holder, sup_L, _, _ = mobius_seminorms(mats, tau)
+    if tau == 1.0:
+        assert np.array_equal(holder, sup_L)
+    n = 4096
+    for mat, bound in zip(mats, holder):
+        grid = grid_holder(mat, tau, n)
+        # the grid's rounding of log g', over the smallest distance 1/n
+        assert bound >= grid - 4 * np.finfo(float).eps * n ** tau
+        assert bound <= 2.0 * grid + 1e-12    # and not far above it
+
+
+def test_rotations_have_zero_seminorms():
+    mats = np.stack([rotation(0.123).matrix, rotation(0.41421356237309515).matrix, np.eye(2)])
+    for tau in (0.5, 1.0):
+        for values in mobius_seminorms(mats, tau):
+            assert np.array_equal(values, np.zeros(3))
 
 
 def scalar_mobius_jet(m, x):

@@ -44,9 +44,9 @@ def test_symmetric_support_accepted(sanov_mu):
     assert list(sanov_mu.inverse_index) == [1, 0, 3, 2]
 
 
-def moment_sums(mu, tau, grid_size):
-    """The four moment sums sum mu(g) |.|, from the per-atom seminorm cache."""
-    sem = atom_seminorms(mu, tau, grid_size)
+def moment_sums(mu, tau):
+    """The four moment sums sum mu(g) |.|, from the per-atom seminorms."""
+    sem = atom_seminorms(mu, tau)
     inv_rho = np.where(np.isinf(sem.rho), 0.0, 1.0 / sem.rho)
     return (mu.probs @ sem.holder, mu.probs @ sem.sup_L, mu.probs @ sem.sup_S,
             mu.probs @ inv_rho)
@@ -54,13 +54,13 @@ def moment_sums(mu, tau, grid_size):
 
 def test_moment_report_identity_atom():
     mu = make_step_distribution([MobiusMap(np.eye(2))], [1.0])
-    holder, log_derivative, schwarzian, inverse_rho = moment_sums(mu, tau=1.0, grid_size=512)
+    holder, log_derivative, schwarzian, inverse_rho = moment_sums(mu, tau=1.0)
     assert holder < 1e-9 and log_derivative < 1e-12
     assert schwarzian < 1e-12 and inverse_rho == 0.0
 
 
 def test_moment_report_sanov_finite(sanov_mu):
-    for v in moment_sums(sanov_mu, tau=1.0, grid_size=1024):
+    for v in moment_sums(sanov_mu, tau=1.0):
         assert np.isfinite(v) and v > 0
 
 
