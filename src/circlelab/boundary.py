@@ -12,7 +12,7 @@ of the straightened action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -250,7 +250,6 @@ class QuotientReport:
     degree: int
     commutation_defects: dict    # q -> defect of rotation-by-1/q in straightened coords
     tolerance: float
-    straightened_maps: list = field(repr=False, default_factory=list)
 
     def as_dict(self):
         return {
@@ -294,7 +293,7 @@ def finite_quotient_detect(
         if worst <= tolerance:
             degree = q
             break
-    return QuotientReport(degree, defects, tolerance, straightened)
+    return QuotientReport(degree, defects, tolerance)
 
 
 def quotient_boundary_entropy(

@@ -38,35 +38,9 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .circle import Arc, wrap
-from .jets import compose, identity_jet, log_derivative, schwarzian
-from .maps import direction_abs_im, mobius_jet, mobius_seminorms, rho_lower_bound
+from .maps import direction_abs_im, mobius_seminorms, mobius_window_extrema
 from .measure import GridMeasure
 from .walk import StepDistribution, WalkTrajectory
-
-
-@dataclass(frozen=True)
-class AtomSeminorms:
-    """Per-atom seminorms of a pure Mobius step distribution, used by the
-    constants: each the exact value (or, for the Holder seminorm at
-    tau < 1, an upper bound) from the atom's matrix, by `mobius_seminorms`."""
-
-    tau: float
-    holder: np.ndarray        # |log g'|_tau over the circle; sup_L itself at tau = 1
-    sup_L: np.ndarray         # sup |L g| over the circle
-    sup_S: np.ndarray         # sup |S g| over the circle
-    rho: np.ndarray           # annulus width of injective extension, `rho_lower_bound`
-    complex_L: np.ndarray     # sup |(log g')'| on the half-annulus A_{rho/2}
-
-
-def atom_seminorms(mu: StepDistribution, tau: float = 1.0) -> AtomSeminorms:
-    """The seminorms of mu's atoms (words by their product matrices); a
-    pure Mobius family only (a ValueError otherwise)."""
-    mats = mu.matrices()
-    if mats is None:
-        raise ValueError("closed-form seminorms require a pure Mobius family")
-    holder, sup_L, sup_S, complex_L = mobius_seminorms(mats, tau)
-    return AtomSeminorms(tau, holder, sup_L, sup_S,
-                         np.array([rho_lower_bound(a) for a in mu.atoms]), complex_L)
 
 
 _TINY_ARC = 1e-9
@@ -252,27 +226,29 @@ def walk_constants(
         raise ValueError("horizon must be >= 1")
     if nu.arc_mass(J) <= 0:
         raise ValueError("C1 needs nu(J) > 0")
-    sem = atom_seminorms(mu, tau)
     steps = rows[:, :horizon]
     x = float(wrap(x))
-    scan = prefix_scan(mu, steps, x, (J.left, J.right), nu)
+    scan = prefix_scan(mu, steps, x, (J.left, J.right), nu)   # a ValueError unless pure Mobius
+    holder, sup_L, sup_S, complex_L, rho = mobius_seminorms(mu.matrices(), tau)
     log_C1 = np.min(scan.c1_terms(h_nu, eps), axis=1)
 
     def with_tail(weights, rate):
         return (scan.step_sum(weights, rate),
                 float(np.max(weights) * np.exp(rate * horizon) / (1 - np.exp(rate))))
 
-    C3, C3_tail = with_tail(sem.holder, lam * tau / 2.0)
-    C4l, C4l_tail = with_tail(sem.sup_L, lam / 2.0)
-    C4s, C4s_tail = with_tail(sem.sup_S, lam)
-    C3cx, C3cx_tail = with_tail(sem.complex_L, lam / 2.0)
+    C3, C3_tail = with_tail(holder, lam * tau / 2.0)
+    C4l, C4l_tail = with_tail(sup_L, lam / 2.0)
+    C4s, C4s_tail = with_tail(sup_S, lam)
+    C3cx, C3cx_tail = with_tail(complex_L, lam / 2.0)
+    with np.errstate(over="ignore"):   # an infinite term is never the minimum
+        C5 = np.min(rho[steps] * np.exp(-lam / 2.0 * np.arange(horizon)), axis=1)
 
     rep = ConstantsReport(
         C1=np.where(np.isfinite(log_C1), np.exp(log_C1), 0.0), log_C1=log_C1, C2=scan.c2(lam),
         C3=C3, C3_tail=C3_tail,
         C4_log=C4l, C4_log_tail=C4l_tail,
         C4_schwarzian=C4s, C4_schwarzian_tail=C4s_tail,
-        C5=np.min(sem.rho[steps] * np.exp(-lam / 2.0 * np.arange(horizon)), axis=1),
+        C5=C5,
         C3_complex=C3cx, C3_complex_tail=C3cx_tail,
         r_real=np.nan, r_complex=np.nan,
         horizon=horizon, tau=tau, kappa_reference=kappa_reference,
@@ -331,14 +307,12 @@ def verify_real_distortion(
     kappa: float,
     x: float,
     N: int,
-    grid_size: int = 65,
 ) -> DistortionReport:
-    """Track jets of l_n on [x - r, x + r] and check, for every n <= N:
-    affine distortion <= kappa, |L l_n| and |S l_n| below their stated
-    bounds.  Requires constants computed over a horizon >= N.  Pure Mobius
-    steps only: each step takes every walk's jet at once, by `mobius_jet`
-    on the stacked matrices of the walks' n-th atoms.
-    """
+    """Check, for every n <= N, on [x - r, x + r]: affine distortion <= kappa,
+    |L l_n| and |S l_n| below their stated bounds, read exactly by
+    `mobius_window_extrema` from l_n's product matrix, rescaled at each step
+    to |P|_F^2 = 2 with the log of the scale apart.  Requires constants
+    computed over a horizon >= N.  Pure Mobius steps only."""
     if constants.horizon < N:
         raise ValueError("constants were computed over a shorter horizon than the verification")
     mats = walk.distribution.matrices()
@@ -348,19 +322,18 @@ def verify_real_distortion(
     r = np.asarray(constants.radius_real(kappa))
     # a distortion-free family has an infinite radius: any window works
     r = np.full(len(steps), np.minimum(np.where(np.isfinite(r), r, 0.25), 0.249))
-    jets = identity_jet(wrap(float(x) + np.linspace(-r, r, grid_size, axis=-1)))
     L_bound = constants.C2 * (constants.C4_log + constants.C4_log_tail) * np.exp(kappa)
     S_bound = constants.C2 ** 2 * (constants.C4_schwarzian + constants.C4_schwarzian_tail) * np.exp(2 * kappa)
-    logd = np.zeros(jets.value.shape)
+    prod = np.broadcast_to(np.eye(2), (len(steps), 2, 2))   # l_n's matrix is e^{log_a / 2} prod
+    log_a = np.zeros(len(steps))
     max_k, max_L, max_S = np.zeros((3, len(steps)))
     violations = []
     for n in range(1, N + 1):
-        step_jet = mobius_jet(np.take(mats, steps[:, n - 1, None], axis=0), jets.value)
-        jets = compose(step_jet, jets)
-        logd += np.log(step_jet.d1)
-        kap = np.max(logd, axis=1) - np.min(logd, axis=1)
-        Ln = np.max(np.abs(log_derivative(jets)), axis=1)
-        Sn = np.max(np.abs(schwarzian(jets)), axis=1)
+        prod = np.take(mats, steps[:, n - 1], axis=0) @ prod
+        scale = np.einsum("kij,kij->k", prod, prod) / 2.0
+        prod /= np.sqrt(scale)[:, None, None]
+        log_a += np.log(scale)
+        kap, Ln, Sn = mobius_window_extrema(prod, log_a, float(x) - r, float(x) + r)
         for worst, value in ((max_k, kap), (max_L, Ln), (max_S, Sn)):
             np.maximum(worst, value, out=worst)
         _record(violations, n, "affine", kap, kappa)
@@ -396,42 +369,40 @@ def verify_complex_distortion(
     kappa: float,
     x: float,
     N: int,
-    disk_grid: tuple = (64, 16),
+    ring: int = 64,
 ) -> ComplexDistortionReport:
-    """Push a polar grid of D(x, r) through the complex extensions of the
-    steps; check the distortion stays below kappa and the images stay in
-    the shrinking annuli A_{C5 e^{lam n / 2}}.  Pure Mobius steps only.
-    Points are carried as `mu.state`s w = (cos pi z, sin pi z), one row of
-    disk points per walk; log |g'| is the real part of `step_state`'s
-    log g', |Im z| is `direction_abs_im(w)`.
+    """Push `ring` points of the circle bounding D(x, r) through the complex
+    extensions of the steps; check the distortion stays below kappa and the
+    images stay in the shrinking annuli A_{C5 e^{lam n / 2}}.  While no pole
+    enters the disk (`PoleInDiskError`), log |l_n'| and Im l_n are harmonic
+    on it, so the circle carries their extremes.  Pure Mobius steps only.
+    Points are carried as `mu.state`s w = (cos pi z, sin pi z), one row per
+    walk; log |g'| is the real part of `step_state`'s log g', |Im z| is
+    `direction_abs_im(w)`.
     """
     if constants.horizon < N:
         raise ValueError("constants were computed over a shorter horizon than the verification")
     mu = walk.distribution
     if mu.matrices() is None:
         raise ValueError("complex verification requires pure Mobius steps")
-    sem = atom_seminorms(mu, constants.tau)
+    rho = mobius_seminorms(mu.matrices())[4]
     steps = _rows(walk)
     r = np.asarray(constants.radius_complex(kappa))
     # a distortion-free family has an infinite radius: any small disk works
     r = np.full(len(steps), np.where(np.isfinite(r), r, 0.05))
-    n_th, n_rad = disk_grid
-    th = np.linspace(0.0, 2 * np.pi, n_th, endpoint=False)
-    rad = np.linspace(0.0, 1.0, n_rad + 1)[1:]
-    disk = (r[:, None, None] * rad[:, None] * np.exp(1j * th[None, :])).reshape(len(r), -1)
-    z = np.concatenate([np.full((len(r), 1), complex(x)), float(x) + disk], axis=1)
+    z = float(x) + r[:, None] * np.exp(1j * np.linspace(0.0, 2 * np.pi, ring, endpoint=False))
     w, im_max = mu.state(z), np.max(np.abs(z.imag), axis=1)
     logd = np.zeros(z.shape)
     max_k, max_im_excess = np.zeros(len(r)), np.zeros(len(r))
     violations = []
     for n in range(1, N + 1):
         k = steps[:, n - 1]
-        pole = np.flatnonzero(im_max >= sem.rho[k])
+        pole = np.flatnonzero(im_max >= rho[k])
         if pole.size:
             b = pole[0]
             raise PoleInDiskError(
                 f"walk {b}, step {n}: disk image reaches the singular annulus of the next map "
-                f"(|Im| = {im_max[b]:.3e} >= rho = {sem.rho[k[b]]:.3e})"
+                f"(|Im| = {im_max[b]:.3e} >= rho = {rho[k[b]]:.3e})"
             )
         w, ld = mu.step_state(k[:, None], w)
         logd += ld.real

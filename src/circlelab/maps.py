@@ -167,13 +167,20 @@ def mobius_jet(mats: np.ndarray, x) -> Jet3:
     return Jet3(val, d1, d2, d3)
 
 
+def _cosine_form(mats: np.ndarray):
+    """(B, C, hypot(B, C)) of stacked M (..., 2, 2): U^2 + V^2 = |M|_F^2 / 2 + B cos 2 pi x + C sin 2 pi x."""
+    a, b, c, d = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1]
+    B, C = ((b * b + d * d) - (a * a + c * c)) / 2.0, a * b + c * d
+    return B, C, np.hypot(B, C)
+
+
 def mobius_seminorms(mats: np.ndarray, tau: float = 1.0):
-    """(Holder, sup |L|, sup |S|, sup |L| on A_{rho/2}) of stacked
+    """(Holder, sup |L|, sup |S|, sup |L| on A_{rho/2}, rho) of stacked
     unimodular matrices (..., 2, 2) over the circle, in closed form.
 
     For M = [[a, b], [c, d]], 1/g'(x) = A + B cos 2 pi x + C sin 2 pi x
     with B = (b^2 + d^2 - a^2 - c^2)/2, C = ab + cd, r = hypot(B, C) and
-    A = sqrt(1 + r^2).  Shifting x by the phase of (B, C),
+    A = sqrt(1 + r^2) (`_cosine_form`).  Shifting x by the phase of (B, C),
     1/g' = A + r cos theta with theta = 2 pi x, and g' ranges over
     [1/(A + r), A + r].  So
       L g = 2 pi r sin theta / (A + r cos theta) peaks at cos theta = -r/A:
@@ -184,9 +191,9 @@ def mobius_seminorms(mats: np.ndarray, tau: float = 1.0):
         min(osc, Lip d) / d^tau <= osc^{1-tau} Lip^tau, its maximum over d
         (at d = osc/Lip <= 1/pi).
     The poles of L g sit at cos theta = -A/r, Im theta = +-2V with
-    cosh 2V = A/r, so rho = asinh(1/r) / (2 pi).  On the strip
-    |Im theta| <= V, i.e. |Im z| <= rho/2, |L g| peaks on an edge (maximum
-    modulus).  There, with c = cos Re theta, |L g|^2 / (2 pi r)^2 is
+    cosh 2V = A/r, so rho = asinh(1/r) / (2 pi), infinite for a rotation.
+    On the strip |Im theta| <= V, i.e. |Im z| <= rho/2, |L g| peaks on an
+    edge (maximum modulus).  There, with c = cos Re theta, |L g|^2 / (2 pi r)^2 is
       (sinh^2 V + 1 - c^2) / ((A + r c cosh V)^2 + r^2 sinh^2 V (1 - c^2)),
     which decreases from c = -1 (its derivative there has the sign of
     -(A - r)^2) and has at most one critical point in (-1, 1) (the two
@@ -197,13 +204,45 @@ def mobius_seminorms(mats: np.ndarray, tau: float = 1.0):
       sup_{A_{rho/2}} |L g| = 4 pi q (A + q) / (2A + r),
     which is 0 for a rotation (r = 0).
     """
-    a, b, c, d = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1]
-    r = np.hypot(((b * b + d * d) - (a * a + c * c)) / 2.0, a * b + c * d)   # 0 for a rotation
+    r = _cosine_form(mats)[2]   # 0 for a rotation
     A = np.hypot(1.0, r)
     sup_L = 2.0 * np.pi * r
     holder = (2.0 * np.arcsinh(r)) ** (1.0 - tau) * sup_L ** tau   # sup_L bit for bit at tau = 1
     q = np.sqrt(r * (A + r) / 2.0)
-    return holder, sup_L, 4.0 * np.pi ** 2 * r * (A + r), 4.0 * np.pi * q * (A + q) / (2.0 * A + r)
+    with np.errstate(divide="ignore"):   # rho is infinite for a rotation
+        return (holder, sup_L, 4.0 * np.pi ** 2 * r * (A + r), 4.0 * np.pi * q * (A + q) / (2.0 * A + r),
+                np.arcsinh(1.0 / r) / (2.0 * np.pi))
+
+
+def mobius_window_extrema(mats: np.ndarray, log_a, lo, hi):
+    """(osc log g', sup |L g|, sup |S g|) over arcs [lo, hi] shorter than 1/2,
+    of unimodular matrices given as M / sqrt(A), A = |M|_F^2 / 2, with
+    log_a = log A kept apart, so that long products keep their digits.
+
+    With the scaled matrix's (B, C, r), 1/g' = A (1 + r cos theta) with
+    theta = 2 pi x - atan2(C, B), and 1 + r cos theta equals
+    e^{-2 log_a} / (1 + r) + 2 r cos^2(theta / 2), free of cancellation.
+    log g' and S g = 2 pi^2 (1 - g'^2) peak at the ends or at theta = 0, pi;
+    |L g| = 2 pi r |sin theta| / (1 + r cos theta) peaks at the ends or at
+    cos theta = -r, where it is 2 pi r A.
+    """
+    B, C, r = _cosine_form(mats)
+    r = np.minimum(r, 1.0)   # 1 + an ulp after rounding
+    zero = np.arctan2(C, B) / (2.0 * np.pi)   # the x of theta = 0
+    ends = np.array([lo, hi]) - zero
+    h = np.exp(-2.0 * log_a) / (1.0 + r) + 2.0 * r * np.cos(np.pi * ends) ** 2
+
+    def inside(turn):
+        return wrap(zero + turn - lo) <= hi - lo
+
+    log_min = np.where(inside(0.5), -2.0 * log_a - np.log1p(r), np.log(np.min(h, axis=0)))
+    log_max = np.where(inside(0.0), np.log1p(r), np.log(np.max(h, axis=0)))
+    crit = np.arccos(-r) / (2.0 * np.pi)
+    with np.errstate(over="ignore"):   # an infinite sup is a violation, not an error
+        g1 = np.exp(-log_a - np.array([log_min, log_max]))
+        sup_L = np.where(inside(crit) | inside(-crit), 2.0 * np.pi * r * np.exp(log_a),
+                         np.max(2.0 * np.pi * r * np.abs(np.sin(2.0 * np.pi * ends)) / h, axis=0))
+        return log_max - log_min, sup_L, 2.0 * np.pi ** 2 * np.max(np.abs(1.0 - g1 * g1), axis=0)
 
 
 def mobius_value_logd(mats: np.ndarray, x):
@@ -677,23 +716,14 @@ def rho_lower_bound(gen) -> float:
     """Certified lower bound on the annulus width of injective holomorphic
     extension of a generator.
 
-    For pure Mobius maps this is exact: the extension through the angle
-    chart is injective up to the imaginary height of the preimage of the
-    ramification points +-i, computed in closed form.  Rotations extend
-    to the whole cylinder (returns inf).  Conjugated generators get a
-    conservative bound from the conjugator's coefficient decay.
+    For pure Mobius maps this is exact: rho of `mobius_seminorms`, the
+    height of the preimage of the ramification points +-i.  Rotations
+    extend to the whole cylinder (returns inf).  Conjugated generators get
+    a conservative bound from the conjugator's coefficient decay.
     """
-    if isinstance(gen, Word):
-        mob = gen.as_mobius()
-        if mob is not None:
-            gen = mob
-    if isinstance(gen, MobiusMap):
-        a, b, c, d = gen.inverse().matrix.ravel()
-        w = (a * 1j + b) / (c * 1j + d)
-        if abs(w - 1j) < 1e-14:
-            return np.inf
-        z = _c_arctan(w) / np.pi
-        return float(abs(z.imag))
+    mob = gen.as_mobius() if isinstance(gen, Word) else gen
+    if isinstance(mob, MobiusMap):
+        return float(mobius_seminorms(mob.matrix)[4])
     if isinstance(gen, ConjugatedMap):
         return _rho_conjugated(gen)
     raise ValueError(f"no annulus bound for maps of type {type(gen).__name__}")

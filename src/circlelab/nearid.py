@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circle import Arc, circle_dist, wrap
-from .distortion import atom_seminorms, prefix_scan
+from .distortion import prefix_scan
 from .jets import log_derivative, schwarzian
-from .maps import LinearChart, MobiusMap, Word, eval_jet3, linearizing_chart, mobius_value_logd
+from .maps import (LinearChart, MobiusMap, Word, eval_jet3, linearizing_chart, mobius_seminorms,
+                   mobius_value_logd)
 from .measure import GridMeasure
 from .rng import stream
 from .walk import StepDistribution, canonical_key
@@ -136,7 +137,6 @@ class NearIdentityReport:
     h_word: Word = field(repr=False, default=None)
     chart: LinearChart = field(repr=False, default=None)
     eta: float = 0.0
-    thresholds: dict = field(default_factory=dict)
 
     def as_dict(self):
         return {
@@ -173,15 +173,14 @@ def chart_frame_log_derivative(word_mat: np.ndarray, chart: LinearChart, x):
     return logd + _chart_log_deriv(chart, val) - _chart_log_deriv(chart, x)
 
 
-def chart_distortion(word: Word, chart: LinearChart, y_lo: float, y_hi: float,
-                     grid_size: int = 65) -> float:
+def chart_distortion(word: Word, chart: LinearChart, y_lo: float, y_hi: float) -> float:
     """Affine distortion of a pure Mobius word over [y_lo, y_hi] in chart
-    coordinates, from the jet of its product matrix."""
-    ys = np.linspace(y_lo, y_hi, grid_size)
-    xs = chart.from_chart(ys)
+    coordinates, from the jet of its product matrix at the two ends: in the
+    chart frame the word is a line Mobius map, whose log derivative is monotone."""
+    xs = chart.from_chart(np.array([y_lo, y_hi]))
     j = word.as_mobius().jet(xs)
     ld = np.log(j.d1) + _chart_log_deriv(chart, np.asarray(j.value, dtype=float)) - _chart_log_deriv(chart, xs)
-    return float(np.max(ld) - np.min(ld))
+    return float(abs(ld[1] - ld[0]))
 
 
 def search_near_identity_pairs(
@@ -210,7 +209,7 @@ def search_near_identity_pairs(
     mats = mu.matrices()
     if mats is None:
         raise ValueError("the pair search requires a pure Mobius family")
-    sem = atom_seminorms(mu, _TAU)
+    holder = mobius_seminorms(mats, _TAU)[0]
     x_star = chart.fixed_point
 
     reports = []
@@ -227,7 +226,7 @@ def search_near_identity_pairs(
         scan = prefix_scan(mu, steps, x_star, (arc_lo, arc_hi), nu)
         pos, logd = scan.pos, scan.logd[:, -1].copy()
         C2 = scan.c2(lam)
-        C3 = scan.step_sum(sem.holder, lam * _TAU / 2.0)
+        C3 = scan.step_sum(holder, lam * _TAU / 2.0)
         # an empty window counts as mass 1e-300, keeping the quantile finite
         logC1 = np.maximum(np.min(scan.c1_terms(h_nu, _EPS), axis=1), np.log(1e-300))
         del scan   # frees its (samples, n + 1) histories before the next m
@@ -236,7 +235,6 @@ def search_near_identity_pairs(
         c3_thr = float(np.quantile(C3, _C2_QUANTILE))
         c1_thr = float(np.quantile(logC1, _C1_QUANTILE))
         keep = (C2 <= c2_thr) & (C3 <= c3_thr) & (logC1 >= c1_thr)
-        thresholds = {"C2": c2_thr, "C3": c3_thr, "log_C1": c1_thr}
 
         gap = 2.0 * eta * alpha ** m * c2_thr * c3_thr ** (1.0 / _TAU)
         try:
@@ -310,7 +308,6 @@ def search_near_identity_pairs(
             derivative_gap=dgap,
             kappa_g_measured=kap_g, kappa_h_measured=kap_h,
             g_word=g_word, h_word=h_word, chart=chart, eta=eta,
-            thresholds=thresholds,
         ))
     return reports, misses
 

@@ -4,7 +4,7 @@ import pytest
 from conftest import fd_jet
 
 from circlelab.circle import Arc, circle_dist, wrap
-from circlelab.jets import Jet3
+from circlelab.jets import Jet3, log_derivative, schwarzian
 from circlelab.maps import (
     ConjugatedMap,
     LiftedMap,
@@ -18,6 +18,7 @@ from circlelab.maps import (
     make_generator,
     mobius_jet,
     mobius_seminorms,
+    mobius_window_extrema,
     rho_lower_bound,
     rotation,
 )
@@ -253,7 +254,7 @@ STIFF = [np.diag([0.01, 100.0]), np.diag([0.05, 20.0]),
 @pytest.mark.parametrize("k", range(len(STIFF)), ids=["diag(0.01,100)", "diag(0.05,20)", "generic"])
 def test_closed_form_seminorms_match_a_40_digit_maximisation(k):
     mat = STIFF[k]
-    _, sup_L, sup_S, complex_L = (float(v) for v in mobius_seminorms(mat))
+    _, sup_L, sup_S, complex_L, closed_rho = (float(v) for v in mobius_seminorms(mat))
     with mpmath.workdps(40):
         m = [mpmath.mpf(float(v)) for v in mat.ravel()]
         # the pole of L g nearest the circle: U^2 + V^2 = 0, tan(pi z) = (i d - b) / (a - i c)
@@ -263,7 +264,8 @@ def test_closed_form_seminorms_match_a_40_digit_maximisation(k):
                 lambda x: logd_prime_and_schwarzian(mat.ravel(), x + 1j * float(height), np)[part],
                 lambda x: logd_prime_and_schwarzian(m, x + 1j * height, mpmath)[part])
             assert abs(closed / exact - 1) <= 1e-12
-        assert abs(rho_lower_bound(MobiusMap(mat)) / rho - 1) <= 1e-10
+        assert abs(closed_rho / rho - 1) <= 1e-14
+        assert rho_lower_bound(MobiusMap(mat)) == closed_rho
 
 
 def grid_holder(mat, tau, n=4096):
@@ -279,7 +281,7 @@ def test_holder_bound_is_at_least_a_fine_grid_value(tau):
 
     mats = np.concatenate([mu.matrices() for mu in map(build_step_distribution, BUILTIN_CONFIGS.values())
                            if mu.matrices() is not None])
-    holder, sup_L, _, _ = mobius_seminorms(mats, tau)
+    holder, sup_L = mobius_seminorms(mats, tau)[:2]
     if tau == 1.0:
         assert np.array_equal(holder, sup_L)
     n = 4096
@@ -293,8 +295,63 @@ def test_holder_bound_is_at_least_a_fine_grid_value(tau):
 def test_rotations_have_zero_seminorms():
     mats = np.stack([rotation(0.123).matrix, rotation(0.41421356237309515).matrix, np.eye(2)])
     for tau in (0.5, 1.0):
-        for values in mobius_seminorms(mats, tau):
-            assert np.array_equal(values, np.zeros(3))
+        *values, rho = mobius_seminorms(mats, tau)
+        for v in values:
+            assert np.array_equal(v, np.zeros(3))
+        assert np.all(np.isinf(rho))
+
+
+def jet_grid_extrema(mat, lo, hi, n):
+    """(osc log g', max |L g|, max |S g|) on an n-point grid of [lo, hi]:
+    lower bounds of the sups."""
+    j = mobius_jet(mat, np.linspace(lo, hi, n))
+    ld = np.log(j.d1)
+    return np.array([ld.max() - ld.min(), np.max(np.abs(log_derivative(j))), np.max(np.abs(schwarzian(j)))])
+
+
+@pytest.mark.parametrize("word", ["a", "b.a", "b^-1.a", "a^-1.b^-1"])
+@pytest.mark.parametrize("point", ["min g'", "max g'", "max |L|"])
+def test_window_extrema_match_a_fine_jet_grid(word, point):
+    # each arc puts the point where g' or |L g| peaks halfway between two
+    # points of a 65-point grid, which reads low there
+    gens = {"a": [[1.0, 2.0], [0.0, 1.0]], "b": [[1.0, 0.0], [2.0, 1.0]]}
+    gens.update({f"{k}^-1": MobiusMap(m).inverse().matrix for k, m in list(gens.items())})
+    mat = Word([MobiusMap(gens[s]) for s in word.split(".")]).matrix()
+    (a, b), (c, d) = mat
+    A, B, C = (a * a + b * b + c * c + d * d) / 2, (b * b + d * d - a * a - c * c) / 2, a * b + c * d
+    turn = {"min g'": 0.0, "max g'": 0.5, "max |L|": np.arccos(-np.hypot(B, C) / A) / (2 * np.pi)}[point]
+    half = 0.01
+    mid = np.arctan2(C, B) / (2 * np.pi) + turn + half / 64
+    got = np.concatenate(mobius_window_extrema((mat / np.sqrt(A))[None], np.log([A]),
+                                               np.array([mid - half]), np.array([mid + half])))
+    np.testing.assert_allclose(got, jet_grid_extrema(mat, mid - half, mid + half, 100_001), rtol=1e-9)
+    coarse = jet_grid_extrema(mat, mid - half, mid + half, 65)
+    peak = 1 if point == "max |L|" else 0
+    assert coarse[peak] < got[peak] * (1 - 1e-6)
+
+
+def test_window_extrema_of_a_long_product_stay_finite():
+    # 700 steps of a Schottky pair: the product's derivative on a contracted
+    # window falls below 1e-308, where a composed jet reads 0 and its L and
+    # S NaN; the scaled matrix and the log of its scale keep them finite
+    s, t = np.array([[0.2, 0.0], [0.0, 5.0]]), np.array([[2.6, 2.4], [2.4, 2.6]])
+    letters = [s, np.linalg.inv(s), t, np.linalg.inv(t)]
+    prod, log_a = np.eye(2), 0.0
+    for k in np.random.default_rng(9).integers(0, 4, 700):
+        prod = letters[k] @ prod
+        scale = np.sum(prod * prod) / 2.0
+        prod, log_a = prod / np.sqrt(scale), log_a + np.log(scale)
+    assert log_a > 709
+    (a, b), (c, d) = prod
+    zero = np.arctan2(a * b + c * d, (b * b + d * d - a * a - c * c) / 2) / (2 * np.pi)
+    mids = zero + np.array([0.0, 0.25, 0.5])     # theta = 0, pi / 2, pi
+    osc, sup_L, sup_S = mobius_window_extrema(np.broadcast_to(prod, (3, 2, 2)), np.full(3, log_a),
+                                              mids - 0.01, mids + 0.01)
+    assert np.all(np.isfinite(osc)) and np.all(np.isfinite(sup_L[:2]) & np.isfinite(sup_S[:2]))
+    assert sup_S[0] == pytest.approx(2 * np.pi ** 2)      # g' = 0 to float precision
+    # around the repelling point (theta = pi) g' reaches e^{log_a} (1 + r):
+    # osc is about 2 log_a, and sup |L| and sup |S| are past the float range
+    assert osc[2] > 1.9 * log_a and np.isinf(sup_L[2]) and np.isinf(sup_S[2])
 
 
 def scalar_mobius_jet(m, x):

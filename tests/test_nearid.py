@@ -9,8 +9,9 @@ from circlelab import experiments
 from circlelab.circle import Arc, circle_dist
 from circlelab.cli import run_experiment
 from circlelab.configs import builtin_config
-from circlelab.distortion import atom_seminorms, prefix_scan
-from circlelab.maps import MobiusMap, Word, eval_jet3, linearizing_chart, mobius_value_logd, rotation
+from circlelab.distortion import prefix_scan
+from circlelab.maps import (MobiusMap, Word, eval_jet3, linearizing_chart, mobius_seminorms,
+                            mobius_value_logd, rotation)
 from circlelab.measure import estimate_stationary_measure, lyapunov_exponent
 from circlelab.nearid import (
     DistortionWindowError,
@@ -217,7 +218,8 @@ def test_prefix_scan_reproduces_the_inline_search_scan(dense_setup):
     # `position_rounding_bound` of its terms
     mu, l, nu, lam = dense_setup
     chart = linearizing_chart(l)
-    mats, sem = mu.matrices(), atom_seminorms(mu)
+    mats = mu.matrices()
+    holder, sup_L = mobius_seminorms(mats)[:2]
     samples, n, m, h_nu, eps = 512, 24, 12, 0.05, 0.1
     steps = mu.sample_indices(np.random.default_rng(5), (samples, n))
     arc_lo = float(chart.from_chart(-0.02 * chart.alpha ** (2 * m)))
@@ -240,8 +242,8 @@ def test_prefix_scan_reproduces_the_inline_search_scan(dense_setup):
         kk = k + 1
         C2 = np.maximum(C2, np.maximum(np.exp(logd - kk * lam / 2.0),
                                        np.exp(3.0 * kk * lam / 2.0 - logd)))
-        C3 += sem.holder[idx] * np.exp(lam * 1.0 / 2.0 * k)
-        C4 += sem.sup_L[idx] * np.exp(lam / 2.0 * k)
+        C3 += holder[idx] * np.exp(lam * 1.0 / 2.0 * k)
+        C4 += sup_L[idx] * np.exp(lam / 2.0 * k)
         mass = np.maximum(nu.interval_mass(lo, hi), 1e-300)
         logC1 = np.minimum(logC1, np.log(mass) + (h_nu + eps) * kk)
         c1_bound = np.maximum(c1_bound, position_rounding_bound(nu, lo, hi, mass))
@@ -251,8 +253,8 @@ def test_prefix_scan_reproduces_the_inline_search_scan(dense_setup):
     assert np.max(circle_dist(scan.pos, pos)) <= ROUNDING_ULPS * EPS
     assert np.max(np.abs(scan.logd[:, -1] - logd)) <= logd_bound
     np.testing.assert_allclose(scan.c2(lam), C2, rtol=2 * logd_bound, atol=0)
-    assert np.array_equal(scan.step_sum(sem.holder, lam * 1.0 / 2.0), C3)
-    assert np.array_equal(scan.step_sum(sem.sup_L, lam / 2.0), C4)
+    assert np.array_equal(scan.step_sum(holder, lam * 1.0 / 2.0), C3)
+    assert np.array_equal(scan.step_sum(sup_L, lam / 2.0), C4)
     assert np.all(np.abs(np.min(scan.c1_terms(h_nu, eps), axis=1) - logC1) <= c1_bound)
 
 
