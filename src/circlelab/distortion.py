@@ -10,8 +10,12 @@ constants below quantify how well the compositions behave near a point:
                  resp. sum_n |S g_{n+1}|_inf e^{n lam}        (Schwarzian)
     C5         = inf_n rho(g_n) e^{-(n-1) lam / 2}            (analytic width)
 
-C1..C4 are defined once, by `prefix_scan` over a batch of walks of a
+C1..C4 are defined once, by `PrefixScan` over a batch of walks of a
 pure Mobius family: the near-identity search scans its whole sample.
+The scan steps every walk in place and hands each step's log l_k' and
+log nu(l_k J) to its consumer, which reduces them as the scan runs
+(running minima, maxima and step sums for the constants) or collects
+them (the decay terms); no consumer keeps a history it does not read.
 `walk_constants`, the two verifiers and `interval_mass_decay` take a walk
 whose steps are one walk or a (walks, n) batch, and run every row at once;
 a row's values do not depend on the batch it was run in.  A batch gets
@@ -50,49 +54,31 @@ _LOG_SIN_TINY = float(np.log(np.pi * _TINY_ARC))   # log sin(pi l) at l = _TINY_
 LOG_C1_FLOOR = float(np.log(1e-100))
 
 
-@dataclass(frozen=True)
 class PrefixScan:
-    """Prefix data of l_k = g_k ... g_1, k = 0..n, along each row of a step
-    array.  Every value of a row is computed from that row alone, so it
-    does not depend on the batch the row was scanned in.
-    """
+    """The prefix scan of l_k = g_k ... g_1, k = 0..n, along each row of a
+    (batch, n) step array of a pure Mobius family (a ValueError otherwise):
+    the point x and the arc J = (lo, hi) pushed along every row.  Every
+    value of a row is computed from that row alone, so it does not depend
+    on the batch the row was scanned in.
 
-    steps: np.ndarray        # (batch, n) atom indices
-    pos: np.ndarray          # l_n(x), shape (batch,)
-    logd: np.ndarray         # log l_k'(x), shape (batch, n + 1)
-    log_mass: np.ndarray     # log nu(l_k J), shape (batch, n + 1); -inf on an empty window
+    Iterating runs the scan and yields k = 0..n.  At k, `logd` holds
+    log l_k'(x) and `log_mass` log nu(l_k J) (-inf on an empty window),
+    each of shape (batch,), and `step` the atoms of g_k (k >= 1), read
+    from the steps' column k - 1 into one contiguous row.  They live in
+    buffers allocated once per scan, which step k + 1 overwrites, so a
+    consumer reduces them as the scan runs: `constants` keeps running
+    C1..C4 reductions, `history` collects every k.  After the last step,
+    `position()` is l_n(x).  A step allocates nothing unless some row's
+    arc is tiny or its window flat (below).
 
-    def c1_terms(self, h_nu: float, eps: float) -> np.ndarray:
-        """log nu(l_k J) + (h_nu + eps) k; log C1 is their row minimum."""
-        return self.log_mass + (h_nu + eps) * np.arange(self.log_mass.shape[1])
-
-    def c2(self, lam: float) -> np.ndarray:
-        """Smallest C with e^{3 k lam/2}/C <= l_k'(x) <= C e^{k lam/2} for k <= n."""
-        k = np.arange(self.logd.shape[1])
-        upper = np.max(np.exp(self.logd - k * lam / 2.0), axis=1)
-        lower = np.max(np.exp(3.0 * k * lam / 2.0 - self.logd), axis=1)
-        return np.maximum(upper, lower)
-
-    def step_sum(self, weights: np.ndarray, rate: float) -> np.ndarray:
-        """sum_{k<n} weights[g_{k+1}] e^{rate k}, added in step order: C3 from
-        the Holder seminorms at rate lam tau/2, C4 from sup |L| at lam/2 or
-        sup |S| at lam, the complex C3 from sup |L| on annuli at lam/2."""
-        terms = weights[self.steps]
-        terms *= np.exp(rate * np.arange(self.steps.shape[1]))
-        return np.cumsum(terms, axis=1, out=terms)[:, -1].copy()   # a view would pin terms
-
-
-def prefix_scan(mu: StepDistribution, steps, x: float, arc, nu: GridMeasure) -> PrefixScan:
-    """Push the point x and the arc J = (lo, hi) along every row of steps;
-    a pure Mobius family only (a ValueError otherwise).
-
-    x, lo and hi are stepped as direction states w = (cos pi y, sin pi y)
-    by `mu.step_state`.  A unimodular D keeps D w_lo x D w_hi = w_lo x w_hi
-    = +-sin(pi |l_k J|) and divides each state by |D w| = e^{-log g'/2}, so
-    L = log sin(pi |l_k J|) gains (log g'(lo) + log g'(hi)) / 2 per step,
-    exactly.  The cross product keeps its sign (+ when hi >= lo); that sign
-    times w_lo . w_hi is cos(pi |l_k J|), negative when the image is the
-    circle but for a short complement.
+    x, lo and hi are stepped in place as direction states
+    w = (cos pi y, sin pi y) by `mu.step_state`.  A unimodular D keeps
+    D w_lo x D w_hi = w_lo x w_hi = +-sin(pi |l_k J|) and divides each
+    state by |D w| = e^{-log g'/2}, so L = log sin(pi |l_k J|) gains
+    (log g'(lo) + log g'(hi)) / 2 per step, exactly.  The cross product
+    keeps its sign (+ when hi >= lo); that sign times w_lo . w_hi is
+    cos(pi |l_k J|), negative when the image is the circle but for a short
+    complement.
 
     Each step reads every row by one rule.  Below L = log(pi 1e-9), where
     the ends are no longer float-distinguishable, the nu-mass is the CDF
@@ -101,52 +87,112 @@ def prefix_scan(mu: StepDistribution, steps, x: float, arc, nu: GridMeasure) -> 
     CDF difference of the ends, or the density times wrap(hi - lo) where
     that difference is not positive (a flat or under-resolved cell).
     Positions are formed (by arctan2) only where they are read.
-
-    The histories are built step-major, (n + 1, batch), so each step
-    writes whole contiguous rows; `PrefixScan` gets their transposes.
     """
-    if mu.matrices() is None:
-        raise ValueError("the prefix scan requires a pure Mobius family")
-    steps = np.asarray(steps)
-    batch, n = steps.shape
-    lo, hi = float(arc[0]), float(arc[1])
-    w = np.repeat(mu.state([x, lo, hi])[:, :, None], batch, axis=2)   # states of x, lo, hi
-    sign = 1.0 if hi >= lo else -1.0
-    L = np.full(batch, np.log(np.sin(np.pi * max(wrap(hi - lo), 1e-300))))
-    lo, hi = np.full(batch, lo), np.full(batch, hi)
-    logd = np.zeros((n + 1, batch))
-    log_mass = np.empty((n + 1, batch))
-    # log of a zero density is -inf; a window mass that is not positive is
-    # logged with its row and then overwritten by the fallback below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(n + 1):
-            if k:
-                w, ld = mu.step_state(steps[:, k - 1], w)
-                np.add(logd[k - 1], ld[0], out=logd[k])
-                L += 0.5 * (ld[1] + ld[2])
-            tiny = L < _LOG_SIN_TINY
-            n_tiny = np.count_nonzero(tiny)
-            if n_tiny < batch:
+
+    def __init__(self, mu: StepDistribution, steps, x: float, arc, nu: GridMeasure):
+        if mu.matrices() is None:
+            raise ValueError("the prefix scan requires a pure Mobius family")
+        steps = np.asarray(steps)
+        if steps.size and (steps.min() < 0 or steps.max() >= len(mu)):
+            raise IndexError("atom index out of range")
+        self.batch, self.n = steps.shape
+        self.steps, self.step = steps, np.empty(self.batch, dtype=np.intp)
+        self.mu, self.nu, self.x, self.arc = mu, nu, float(x), (float(arc[0]), float(arc[1]))
+        self.logd, self.log_mass = np.empty((2, self.batch))
+        self._w = None
+
+    def __iter__(self):
+        mu, nu, batch = self.mu, self.nu, self.batch
+        lo, hi = self.arc
+        w = self._w = np.repeat(mu.state([self.x, lo, hi])[:, :, None], batch, axis=2)   # x, lo, hi
+        buffers = mu.state_buffers(w)
+        sign = 1.0 if hi >= lo else -1.0
+        L = np.full(batch, np.log(np.sin(np.pi * max(wrap(hi - lo), 1e-300))))
+        ends, scratch = np.empty((2, 2, batch))
+        ends[0], ends[1] = lo, hi
+        mass, half = np.empty((2, batch))
+        tiny, flat = np.empty((2, batch), dtype=bool)
+        interval_mass = nu.interval_mass_into(batch)
+        logd, log_mass = self.logd, self.log_mass
+        logd.fill(0.0)
+        for k in range(self.n + 1):
+            # log of a zero density is -inf; a window mass that is not positive
+            # is logged with its row and then overwritten by the fallback below
+            with np.errstate(divide="ignore", invalid="ignore"):
                 if k:
-                    lo, hi = mu.position(w[:, 1:])
-                mass = nu.interval_mass(lo, hi)
-                np.log(mass, out=log_mass[k])
-                flat = np.nonzero(~tiny & (mass <= 0.0))[0]
-                if flat.size:
-                    span = wrap(hi[flat] - lo[flat])
-                    log_mass[k, flat] = (np.log(np.maximum(span, 1e-300))
-                                         + np.log(nu.cell_density(wrap(lo[flat] + 0.5 * span))))
-            if n_tiny:
-                # read on every row, kept on the tiny ones
-                dot = w[0, 1] * w[0, 2] + w[1, 1] * w[1, 2]
-                mid = mu.position(w[:, 1] + np.copysign(1.0, dot) * w[:, 2])
-                lm = L + np.log(nu.cell_density(mid) / np.pi)
-                comp = sign * dot < 0.0
-                if comp.any():
-                    lm = np.where(comp, np.log1p(-np.minimum(np.exp(lm), 1.0)), lm)
-                np.copyto(log_mass[k], lm, where=tiny)
-    pos = mu.position(w[:, 0]) if n else np.full(batch, float(x))
-    return PrefixScan(steps, pos, logd.T, log_mass.T)
+                    np.copyto(self.step, self.steps[:, k - 1])
+                    _, ld = mu.step_state(self.step, w, buffers)
+                    logd += ld[0]
+                    L += np.multiply(0.5, np.add(ld[1], ld[2], out=half), out=half)
+                n_tiny = np.count_nonzero(np.less(L, _LOG_SIN_TINY, out=tiny))
+                if n_tiny < batch:
+                    if k:   # mu.position(w[:, 1:]), in place
+                        np.arctan2(w[1, 1:], w[0, 1:], out=ends)
+                        ends /= np.pi
+                        ends -= np.floor(ends, out=scratch)
+                    np.log(interval_mass(ends[0], ends[1], mass), out=log_mass)
+                    if np.less_equal(mass, 0.0, out=flat).any():
+                        rows = np.flatnonzero(flat & ~tiny)
+                        span = wrap(ends[1, rows] - ends[0, rows])
+                        log_mass[rows] = (np.log(np.maximum(span, 1e-300))
+                                          + np.log(nu.cell_density(wrap(ends[0, rows] + 0.5 * span))))
+                if n_tiny:
+                    # read on every row, kept on the tiny ones
+                    dot = w[0, 1] * w[0, 2] + w[1, 1] * w[1, 2]
+                    mid = mu.position(w[:, 1] + np.copysign(1.0, dot) * w[:, 2])
+                    lm = L + np.log(nu.cell_density(mid) / np.pi)
+                    comp = sign * dot < 0.0
+                    if comp.any():
+                        lm = np.where(comp, np.log1p(-np.minimum(np.exp(lm), 1.0)), lm)
+                    np.copyto(log_mass, lm, where=tiny)
+            yield k
+
+    def position(self) -> np.ndarray:
+        """l_n(x) per row, once the scan has run."""
+        return self.mu.position(self._w[:, 0]) if self.n else np.full(self.batch, self.x)
+
+    def constants(self, lam: float, c1_rate: float, sums=()) -> "ScanConstants":
+        """Run the scan, reducing as it goes: a running minimum of the C1
+        terms log nu(l_k J) + c1_rate k, running maxima of C2's two sides
+        and, for each (weights, rate) of sums, the step sum
+        sum_{k<n} weights[g_{k+1}] e^{rate k} added in step order.  Every
+        reduction is, bit for bit, its definition over the histories."""
+        t = np.empty(self.batch)
+        log_c1 = np.full(self.batch, np.inf)
+        upper, lower = np.full((2, self.batch), -np.inf)
+        totals = [np.zeros(self.batch) for _ in sums]
+        factors = [np.exp(rate * np.arange(self.n)) for _, rate in sums]
+        for k in self:
+            np.minimum(log_c1, np.add(self.log_mass, c1_rate * k, out=t), out=log_c1)
+            np.maximum(upper, np.exp(np.subtract(self.logd, k * lam / 2.0, out=t), out=t), out=upper)
+            np.maximum(lower, np.exp(np.subtract(3.0 * k * lam / 2.0, self.logd, out=t), out=t), out=lower)
+            if k:
+                for total, (weights, _), e in zip(totals, sums, factors):
+                    np.take(weights, self.step, out=t, mode="clip")
+                    t *= e[k - 1]
+                    total += t
+        return ScanConstants(self.position(), self.logd.copy(), log_c1, np.maximum(upper, lower), totals)
+
+    def history(self):
+        """Run the scan and collect it: (l_n(x), log l_k'(x), log nu(l_k J)),
+        the last two of shape (batch, n + 1)."""
+        logd, log_mass = np.empty((2, self.n + 1, self.batch))
+        for k in self:
+            logd[k], log_mass[k] = self.logd, self.log_mass
+        return self.position(), logd.T, log_mass.T
+
+
+@dataclass(frozen=True)
+class ScanConstants:
+    """The running reductions of `PrefixScan.constants`, one value per row."""
+
+    pos: np.ndarray          # l_n(x)
+    logd: np.ndarray         # log l_n'(x)
+    log_c1: np.ndarray       # min_k log nu(l_k J) + c1_rate k: log C1 at c1_rate = h_nu + eps
+    c2: np.ndarray           # smallest C with e^{3 k lam/2}/C <= l_k'(x) <= C e^{k lam/2}, k <= n
+    sums: list               # per (weights, rate): C3 from the Holder seminorms at lam tau/2,
+                             # C4 from sup |L| at lam/2 or sup |S| at lam, the complex C3 from
+                             # sup |L| on annuli at lam/2
 
 
 @dataclass
@@ -215,7 +261,7 @@ def walk_constants(
 ) -> ConstantsReport:
     """Compute every constant over n <= horizon exactly as its defining
     inf/sum, with geometric tail bounds for the truncated sums, for every
-    walk of the batch from one `prefix_scan`.
+    walk of the batch from the running reductions of one `PrefixScan`.
     """
     if lam >= 0:
         raise ValueError("constants require negative exponent")
@@ -228,23 +274,19 @@ def walk_constants(
         raise ValueError("C1 needs nu(J) > 0")
     steps = rows[:, :horizon]
     x = float(wrap(x))
-    scan = prefix_scan(mu, steps, x, (J.left, J.right), nu)   # a ValueError unless pure Mobius
+    scan = PrefixScan(mu, steps, x, (J.left, J.right), nu)   # a ValueError unless pure Mobius
     holder, sup_L, sup_S, complex_L, rho = mobius_seminorms(mu.matrices(), tau)
-    log_C1 = np.min(scan.c1_terms(h_nu, eps), axis=1)
-
-    def with_tail(weights, rate):
-        return (scan.step_sum(weights, rate),
-                float(np.max(weights) * np.exp(rate * horizon) / (1 - np.exp(rate))))
-
-    C3, C3_tail = with_tail(holder, lam * tau / 2.0)
-    C4l, C4l_tail = with_tail(sup_L, lam / 2.0)
-    C4s, C4s_tail = with_tail(sup_S, lam)
-    C3cx, C3cx_tail = with_tail(complex_L, lam / 2.0)
+    sums = ((holder, lam * tau / 2.0), (sup_L, lam / 2.0), (sup_S, lam), (complex_L, lam / 2.0))
+    run = scan.constants(lam, h_nu + eps, sums)
+    log_C1 = run.log_c1
+    C3, C4l, C4s, C3cx = run.sums
+    C3_tail, C4l_tail, C4s_tail, C3cx_tail = (
+        float(np.max(weights) * np.exp(rate * horizon) / (1 - np.exp(rate))) for weights, rate in sums)
     with np.errstate(over="ignore"):   # an infinite term is never the minimum
         C5 = np.min(rho[steps] * np.exp(-lam / 2.0 * np.arange(horizon)), axis=1)
 
     rep = ConstantsReport(
-        C1=np.where(np.isfinite(log_C1), np.exp(log_C1), 0.0), log_C1=log_C1, C2=scan.c2(lam),
+        C1=np.where(np.isfinite(log_C1), np.exp(log_C1), 0.0), log_C1=log_C1, C2=run.c2,
         C3=C3, C3_tail=C3_tail,
         C4_log=C4l, C4_log_tail=C4l_tail,
         C4_schwarzian=C4s, C4_schwarzian_tail=C4s_tail,
@@ -458,6 +500,7 @@ def interval_mass_decay(
     """
     if nu.arc_mass(J) <= 0:
         raise ValueError("nu(J) must be positive")
-    scan = prefix_scan(walk.distribution, _rows(walk)[:, :N], J.midpoint, (J.left, J.right), nu)
-    log_vals = scan.c1_terms(h_nu, eps)
+    _, _, log_mass = PrefixScan(walk.distribution, _rows(walk)[:, :N], J.midpoint, (J.left, J.right),
+                                nu).history()
+    log_vals = log_mass + (h_nu + eps) * np.arange(log_mass.shape[1])
     return DecayReport(np.arange(log_vals.shape[1]), log_vals if np.ndim(walk.steps) == 2 else log_vals[0])

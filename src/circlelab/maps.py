@@ -92,6 +92,11 @@ class MobiusMap:
     def jet(self, x) -> Jet3:
         return mobius_jet(self.matrix, x)
 
+    def value_d1(self, x):
+        """The value and d1 of `jet`, bit for bit."""
+        U, V = self._uv(x)
+        return wrap(np.arctan2(V, U) / np.pi), 1.0 / (U * U + V * V)
+
     def inverse(self) -> "MobiusMap":
         a, b, c, d = self.matrix.ravel()
         return MobiusMap([[d, -b], [-c, a]])
@@ -254,16 +259,34 @@ def mobius_value_logd(mats: np.ndarray, x):
     return wrap(np.arctan2(V, U) / np.pi), -np.log(U * U + V * V)
 
 
-def mobius_direction_step(dirs: np.ndarray, w):
+def mobius_direction_step(dirs: np.ndarray, w, out=None):
     """Images and log derivatives of unit direction vectors
     w = (cos pi x, sin pi x), stacked on the first axis of shape (2, ...),
-    under stacked direction matrices D (..., 2, 2) broadcasting against
-    w[0]: w <- D w / |D w|, log g' = -log |D w|^2.  No trigonometry."""
-    U, V = _direction_image(dirs, w[0], w[1])
-    R = U * U + V * V
-    image = np.array((U, V))
-    image /= np.sqrt(R)
-    return image, np.negative(np.log(R, out=R), out=R)
+    under stacked direction matrices D (..., 2, 2) broadcasting to w[0]'s
+    shape: w <- D w / |D w|, log g' = -log |D w|^2.  No trigonometry.
+
+    The step is made in place: U, V and R = U^2 + V^2 live in out, an array
+    (3,) + w[0].shape of w's dtype, the images overwrite w, and (w, log g')
+    come back with log g' in out[2]; nothing is allocated.  With out None,
+    w is copied (in the dtype of D and w) and out allocated first."""
+    if out is None:
+        w = np.array(w, dtype=np.result_type(dirs, w))
+        out = np.empty((3,) + w.shape[1:], dtype=w.dtype)
+    U, V, R = out
+    c, s = w   # read, then scratch until the images land
+    np.multiply(dirs[..., 0, 0], c, out=U)
+    np.multiply(dirs[..., 0, 1], s, out=R)
+    U += R
+    np.multiply(dirs[..., 1, 0], c, out=V)
+    np.multiply(dirs[..., 1, 1], s, out=R)
+    V += R
+    np.multiply(U, U, out=R)
+    R += np.multiply(V, V, out=c)
+    np.sqrt(R, out=s)
+    np.divide(U, s, out=c)
+    np.divide(V, s, out=s)
+    np.log(R, out=R)
+    return w, np.negative(R, out=R)
 
 
 def direction(x):
@@ -409,6 +432,14 @@ class ConjugatedMap:
         jc = self.conj.jet(jm.value)
         return compose(jc, compose(jm, ji))
 
+    def value_d1(self, x):
+        """The value and d1 of `jet`, bit for bit: the same first-order
+        factors, multiplied in the order `compose` multiplies them."""
+        xi = self.conj.inverse_value(x)
+        di = 1.0 / self.conj._lift_d1(xi)
+        vm, dm = self.mobius.value_d1(xi)
+        return self.conj.apply(vm), self.conj._lift_d1(vm) * (dm * di)
+
     def inverse(self) -> "ConjugatedMap":
         return ConjugatedMap(self.mobius.inverse(), self.conj)
 
@@ -457,6 +488,11 @@ class LiftedMap:
         val = wrap((b + p + self.j) / self.k)
         return Jet3(val, jb.d1, self.k * jb.d2, self.k ** 2 * jb.d3)
 
+    def value_d1(self, x):
+        """The value and d1 of `jet`, bit for bit."""
+        u, p, b = self._lift_parts(x)
+        return wrap((b + p + self.j) / self.k), self.base.value_d1(u)[1]
+
     def inverse(self) -> "_LiftedInverse":
         return _LiftedInverse(self)
 
@@ -503,6 +539,11 @@ class _LiftedInverse:
             (3.0 * (self.fwd.k * c2) ** 2 / c1 ** 5 - self.fwd.k ** 2 * c3 / c1 ** 4) / 1.0,
         )
 
+    def value_d1(self, y):
+        """The value and d1 of `jet`, bit for bit."""
+        u, p = self._solve(y)
+        return wrap((u + p) / self.fwd.k), 1.0 / self.fwd.base.value_d1(u)[1]
+
     def inverse(self) -> LiftedMap:
         return self.fwd
 
@@ -538,6 +579,11 @@ class Word:
         for f in self.factors:
             j = compose(f.jet(j.value), j)
         return j
+
+    def value_d1(self, x):
+        """The value and d1 of `jet`, read off it."""
+        j = self.jet(x)
+        return j.value, j.d1
 
     def inverse(self) -> "Word":
         return Word(tuple(f.inverse() for f in reversed(self.factors)))

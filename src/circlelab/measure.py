@@ -86,25 +86,60 @@ class GridMeasure:
         # query, since most pushforward measures are never queried
         return np.append(self.grid, np.inf), np.append(np.diff(self.cdf) / np.diff(self.grid), 0.0)
 
-    def cdf_at(self, x):
-        """np.interp(wrap(x), grid, cdf) bit for bit, its cell found in O(1):
-        floor(xN), moved by one where that rounds across a grid point."""
-        x = wrap(x)
+    def _interp_into(self, x, out, j, moved):
+        """np.interp(x, grid, cdf) for x in [0, 1], bit for bit, written into
+        out, its cell found in O(1): floor(xN), moved by one where that
+        rounds across a grid point.  j (intp) and moved (bool) are scratch of
+        x's shape, and x is overwritten; nothing is allocated."""
         g, slopes = self._cells
-        j = (x * self.N).astype(np.intp)
-        j -= g[j] > x
-        j += g[j + 1] <= x
-        return slopes[j] * (x - g[j]) + self.cdf[j]
+        # the indices are in range; mode "raise" would buffer each take
+        np.copyto(j, np.multiply(x, self.N, out=out), casting="unsafe")
+        j -= np.greater(g.take(j, out=out, mode="clip"), x, out=moved)
+        j += np.less_equal(g[1:].take(j, out=out, mode="clip"), x, out=moved)
+        x -= g.take(j, out=out, mode="clip")
+        np.multiply(slopes.take(j, out=out, mode="clip"), x, out=out)
+        out += self.cdf.take(j, out=x, mode="clip")
+        return out
+
+    def cdf_at(self, x):
+        """np.interp(wrap(x), grid, cdf) bit for bit."""
+        x = np.asarray(wrap(x))   # a new array, which the lookup overwrites
+        return self._interp_into(x, np.empty_like(x), np.empty(x.shape, np.intp),
+                                 np.empty(x.shape, bool))[()]
 
     def cdf_lifted(self, y):
         y = np.asarray(y, dtype=float)
         return np.floor(y) + self.cdf_at(y)
 
     def interval_mass(self, lo, hi):
-        """Mass of the positively oriented arc from lo to hi."""
-        lo = np.asarray(lo, dtype=float)
-        span = wrap(np.asarray(hi, dtype=float) - lo)
-        return self.cdf_lifted(lo + span) - self.cdf_lifted(lo)
+        """Mass of the positively oriented arc from lo to hi:
+        cdf_lifted(lo + wrap(hi - lo)) - cdf_lifted(lo)."""
+        shape = np.broadcast_shapes(np.shape(lo), np.shape(hi))
+        return self.interval_mass_into(shape)(lo, hi, np.empty(shape))[()]
+
+    def interval_mass_into(self, shape):
+        """A function (lo, hi, out) that writes `interval_mass(lo, hi)` into
+        out, for lo, hi and out of the given shape.  Its scratch arrays are
+        allocated here, once, so that a per-step loop allocates nothing; it
+        returns out."""
+        y, lifted, t = (np.empty(shape) for _ in range(3))
+        j, moved = np.empty(shape, dtype=np.intp), np.empty(shape, dtype=bool)
+
+        def cdf_lifted(into):
+            # floor(y) + cdf_at(y), cdf_at reading wrap(y) = y - floor(y); y is overwritten
+            np.floor(y, out=into)
+            np.subtract(y, into, out=y)
+            return np.add(into, self._interp_into(y, t, j, moved), out=into)
+
+        def interval_mass(lo, hi, out):
+            np.subtract(hi, lo, out=y)   # y = lo + wrap(hi - lo)
+            np.subtract(y, np.floor(y, out=t), out=y)
+            np.add(y, lo, out=y)
+            cdf_lifted(lifted)
+            np.copyto(y, lo)
+            return np.subtract(lifted, cdf_lifted(out), out=out)
+
+        return interval_mass
 
     def arc_mass(self, arc: Arc):
         return float(self.cdf_lifted(arc.left + arc.length) - self.cdf_lifted(arc.left))
@@ -147,7 +182,8 @@ class GridMeasure:
     def pushforward_from_preimages(self, preimages) -> "GridMeasure":
         """Image measure under the map sending preimages[i] to grid[i]."""
         ylift = unwrap_increasing(np.asarray(preimages, dtype=float))
-        vals = self.cdf_lifted(ylift) - self.cdf_lifted(ylift[0])
+        vals = self.cdf_lifted(ylift)
+        vals -= vals[0]
         vals[0] = 0.0
         vals[-1] = 1.0
         return GridMeasure(np.maximum.accumulate(np.clip(vals, 0.0, 1.0)))
@@ -186,7 +222,8 @@ def _transfer_apply(mu: StepDistribution, nu: GridMeasure, inv_lifts) -> np.ndar
     """One application of the averaged pushforward operator to the CDF."""
     out = np.zeros_like(nu.cdf)
     for p, ylift in zip(mu.probs, inv_lifts):
-        out += p * (nu.cdf_lifted(ylift) - nu.cdf_lifted(ylift[:1]))
+        lifted = nu.cdf_lifted(ylift)
+        out += p * (lifted - lifted[0])
     out[0] = 0.0
     out[-1] = 1.0
     return out
@@ -256,8 +293,9 @@ def estimate_stationary_measure(
             x = wrap(x + counts @ angles)
         else:
             s = mu.state(x)
+            buffers = mu.state_buffers(s)
             for _ in range(mc_steps):
-                s, _ = mu.step_state(mu.sample_indices(rng, mc_samples), s)
+                s, _ = mu.step_state(mu.sample_indices(rng, mc_samples), s, buffers)
             x = mu.position(s)
         nu = GridMeasure.from_samples(x, grid_size)
         nu.atom_tolerance = atom_tolerance
@@ -326,12 +364,13 @@ def lyapunov_exponent(
 
     rng_p = stream(seed, _TAG_LYAPUNOV, 2)
     s = mu.state(nu.sample(rng_p, trajectories))
+    buffers = mu.state_buffers(s)
     acc = np.zeros(trajectories)
     # indices drawn in blocks of steps: the same draws, in the same order, as
     # one draw per step; the block bounds the index array's memory
     for start in range(0, n_steps, _LYAPUNOV_BLOCK):
         for idx in mu.sample_indices(rng_p, (min(_LYAPUNOV_BLOCK, n_steps - start), trajectories)):
-            s, logd = mu.step_state(idx, s)
+            s, logd = mu.step_state(idx, s, buffers)
             acc += logd
     slopes = acc / n_steps
     lam_path = float(slopes.mean())

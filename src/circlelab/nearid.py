@@ -2,8 +2,7 @@
 
 Around a hyperbolic element l, exactly linearized by a chart y with
 l = (y -> alpha y), the search samples walk endpoints w = l_n, keeps the
-set G_m of walks whose distortion constants (C1..C3 from the batched
-prefix scan of `distortion.prefix_scan`) pass percentile thresholds,
+set G_m of walks whose distortion constants pass percentile thresholds,
 buckets them by the log derivative at the fixed point into intervals of
 width 1/m, and looks inside the fullest bucket for two elements whose
 images of the tiny interval I_{2m} = alpha^{2m} I intersect.  A hit
@@ -17,6 +16,13 @@ and phi_m = h_m^{-1} o g_m is then close to the identity on the inner
 half of I, quantitatively via c_m = e^{-2 kappa_m - 1/m} (1 - alpha^m).
 Misses are legitimate outcomes: for discrete groups the images
 eventually never intersect.
+
+C1..C3 come from one batched `distortion.PrefixScan` of the whole sample
+per m, reduced as it runs (a running minimum of the C1 terms, a running
+maximum for C2, a running step sum for C3): a search keeps the sample's
+steps, its buffers and one value per walk and constant, never a
+(samples, n + 1) history.  The steps are drawn in uint8 chunks by
+`StepDistribution.sample_indices`.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circle import Arc, circle_dist, wrap
-from .distortion import prefix_scan
+from .distortion import PrefixScan
 from .jets import log_derivative, schwarzian
 from .maps import (LinearChart, MobiusMap, Word, eval_jet3, linearizing_chart, mobius_seminorms,
                    mobius_value_logd)
@@ -219,17 +225,15 @@ def search_near_identity_pairs(
         rng = stream(seed, _TAG_SEARCH, m)
         steps = mu.sample_indices(rng, (samples, n))
 
-        # prefix scan at the fixed point and along the arc I_{2m}
+        # prefix scan at the fixed point and along the arc I_{2m}, reduced as it runs
         half_2m = eta * alpha ** (2 * m)
         arc_lo = float(chart.from_chart(-half_2m))
         arc_hi = float(chart.from_chart(half_2m))
-        scan = prefix_scan(mu, steps, x_star, (arc_lo, arc_hi), nu)
-        pos, logd = scan.pos, scan.logd[:, -1].copy()
-        C2 = scan.c2(lam)
-        C3 = scan.step_sum(holder, lam * _TAU / 2.0)
+        run = PrefixScan(mu, steps, x_star, (arc_lo, arc_hi), nu).constants(
+            lam, h_nu + _EPS, [(holder, lam * _TAU / 2.0)])
+        pos, logd, C2, (C3,) = run.pos, run.logd, run.c2, run.sums
         # an empty window counts as mass 1e-300, keeping the quantile finite
-        logC1 = np.maximum(np.min(scan.c1_terms(h_nu, _EPS), axis=1), np.log(1e-300))
-        del scan   # frees its (samples, n + 1) histories before the next m
+        logC1 = np.maximum(run.log_c1, np.log(1e-300))
 
         c2_thr = float(np.quantile(C2, _C2_QUANTILE))
         c3_thr = float(np.quantile(C3, _C2_QUANTILE))

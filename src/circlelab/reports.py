@@ -12,9 +12,12 @@ import csv
 import hashlib
 import json
 import math
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
+
+_CSV_BLOCK = 512   # rows formatted at a time; 4096 wrote as fast but added 1.3 MB to the suite's peak RSS
 
 
 def _sanitize(obj):
@@ -59,16 +62,39 @@ def write_report(out_dir, report: dict) -> Path:
     return path
 
 
+def _is_float(t: type) -> bool:
+    return issubclass(t, (float, np.floating))
+
+
+def _csv_column(cells: tuple):
+    """A column's cells as the csv writer takes them: each float (Python
+    or numpy) as repr(float(v)), any other cell as it is.  A column of
+    floats only is converted once, by `.tolist()`; only a column mixing
+    floats with other types is formatted cell by cell."""
+    types = set(map(type, cells))
+    if not any(map(_is_float, types)):
+        return cells
+    if all(map(_is_float, types)):
+        return list(map(repr, np.array(cells, dtype=float).tolist()))
+    return [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in cells]
+
+
 def write_csv(out_dir, name: str, header, rows) -> Path:
+    """A CSV of header and rows, floats written as repr(float(v)), so a
+    value round-trips; rows must all have one length.  Rows are formatted
+    by columns, _CSV_BLOCK rows at a time."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
+    rows, widths = iter(rows), set()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
-                             for v in row])
+        while block := [tuple(row) for row in islice(rows, _CSV_BLOCK)]:
+            widths.update(map(len, block))
+            if len(widths) > 1:
+                raise ValueError(f"{name}: rows of unequal length")
+            writer.writerows(zip(*map(_csv_column, zip(*block))))
     return path
 
 

@@ -29,6 +29,11 @@ _FINGERPRINT_POINTS = np.array([0.137, 0.391, 0.823])
 # most atoms `sample_indices` draws by comparisons: on 400 000 draws (numpy 2.4,
 # 2-core x86) they took 0.17 of searchsorted's time at 4 atoms, 0.6 at 32, 1 at 64
 _COMPARE_ATOMS = 32
+# uniforms `sample_indices` draws and compares at a time, so that a chunk
+# and its masks stay in cache: over the 16 draws of one near-identity
+# search (6144 x 10..40, numpy 2.4, 2-core x86) chunks of 2048, 4096, 8192
+# and 15000 took 35, 26, 22 and 24 ms, about 20 of them Philox's
+_DRAW_CHUNK = 8192
 
 
 def canonical_key(map_like, quant: float = 1e-9):
@@ -99,13 +104,24 @@ class StepDistribution:
 
     def sample_indices(self, rng: np.random.Generator, size) -> np.ndarray:
         """searchsorted(cum, u, side="right").clip(0, n - 1) for u = rng.random(size),
-        counted as sum_{j < n-1} (u >= cum[j]) up to _COMPARE_ATOMS atoms."""
-        u = rng.random(size)
+        as intp.  Up to _COMPARE_ATOMS atoms it is counted as
+        sum_{j < n-1} (u >= cum[j]) in uint8, a chunk at a time: u is drawn
+        _DRAW_CHUNK at a time into one buffer by `random(out=)`, in C order,
+        so the stream is consumed as by one draw of the whole size."""
         if len(self.atoms) > _COMPARE_ATOMS:
+            u = rng.random(size)
             return np.searchsorted(self._cum, u, side="right").clip(0, len(self.atoms) - 1)
-        idx = np.zeros(np.shape(u), dtype=np.intp)
-        for c in self._cum[:-1]:
-            idx += u >= c
+        idx = np.empty(() if size is None else size, dtype=np.intp)
+        flat = idx.reshape(-1)
+        u_buf = np.empty(min(flat.size, _DRAW_CHUNK))
+        ge_buf, count_buf = np.empty(len(u_buf), dtype=bool), np.empty(len(u_buf), dtype=np.uint8)
+        for start in range(0, flat.size, _DRAW_CHUNK):
+            u = rng.random(out=u_buf[:flat.size - start])
+            ge, count = ge_buf[:len(u)], count_buf[:len(u)]
+            count.fill(0)
+            for c in self._cum[:-1]:
+                count += np.greater_equal(u, c, out=ge)
+            flat[start:start + len(u)] = count
         return idx[()]
 
     def matrices(self):
@@ -126,8 +142,8 @@ class StepDistribution:
         for j, atom in enumerate(self.atoms):
             sel = idx == j
             if sel.any():
-                jet = atom.jet(x[sel])
-                val[sel], logd[sel] = jet.value, np.log(jet.d1)
+                v, d1 = atom.value_d1(x[sel])
+                val[sel], logd[sel] = v, np.log(d1)
         return val, logd
 
     # -- states: what every per-step loop steps ---------------------------
@@ -138,13 +154,28 @@ class StepDistribution:
         for complex x, the positions themselves for other families."""
         return direction(x) if self._dirs is not None else np.asarray(x, dtype=float)[None].copy()
 
-    def step_state(self, idx, s):
+    def state_buffers(self, s):
+        """Buffers for in-place `step_state(idx, s, out)` calls on states
+        shaped like s, with one index per entry of s's last axis; None for
+        a family that steps positions (its steps allocate)."""
+        if self._dirs is None:
+            return None
+        return np.empty((s.shape[-1], 2, 2)), np.empty((3,) + s.shape[1:])
+
+    def step_state(self, idx, s, out=None):
         """`step` on states: (image states, log g_idx'), idx broadcasting
         against s[0].  Pure Mobius families act on directions by their
         direction matrices, with no trigonometry (log g' complex on complex
-        ones); other families step positions through `step`."""
+        ones); other families step positions through `step`.  With
+        out = `state_buffers(s)` (not None), a Mobius step is made in
+        place: the images overwrite s and log g' is a view of out, both
+        valid until the next step in the same buffers; nothing is
+        allocated, and idx, one index per state, is not range-checked."""
         if self._dirs is not None:
-            return mobius_direction_step(np.take(self._dirs, idx, axis=0), s)
+            dirs, uvr = (None, None) if out is None else out
+            # np.take gathers like self._dirs[idx]; into dirs, mode "raise" would buffer it
+            dirs = np.take(self._dirs, idx, axis=0, out=dirs, mode="raise" if out is None else "clip")
+            return mobius_direction_step(dirs, s, uvr)
         val, logd = self.step(idx, s[0])
         return val[None], logd
 

@@ -28,7 +28,7 @@ def fd_jet(map_like, x, h1=1e-4, h3=1e-3):
     return d1, d2, d3
 
 
-# `distortion.prefix_scan` steps a pure Mobius family's points as direction
+# `distortion.PrefixScan` steps a pure Mobius family's points as direction
 # vectors (cos pi x, sin pi x); the reference loops of its tests step
 # positions x.  Each step rounds the two differently, so a position differs
 # by a few ulps and a log derivative by a few ulps per step.  The bound
@@ -42,6 +42,33 @@ def position_rounding_bound(nu, lo, hi, mass):
     move by ROUNDING_ULPS ulps: that times the CDF slope at the ends, over
     the mass."""
     return ROUNDING_ULPS * EPS * (nu.cell_density(lo) + nu.cell_density(hi)) / mass
+
+
+def history_constants(history, steps, lam, c1_rate, sums):
+    """The definitions `PrefixScan.constants` reduces as it runs, over the
+    scan's histories (pos, logd, log_mass): (pos, log l_n'(x), log C1,
+    C2, one step sum per (weights, rate)), each per row."""
+    pos, logd, log_mass = history
+    k = np.arange(logd.shape[1])
+    log_c1 = np.min(log_mass + c1_rate * k, axis=1)
+    upper = np.max(np.exp(logd - k * lam / 2.0), axis=1)
+    lower = np.max(np.exp(3.0 * k * lam / 2.0 - logd), axis=1)
+    step_sums = []
+    for weights, rate in sums:
+        terms = weights[steps] * np.exp(rate * np.arange(steps.shape[1]))
+        step_sums.append(np.cumsum(terms, axis=1)[:, -1])
+    return pos, logd[:, -1], log_c1, np.maximum(upper, lower), step_sums
+
+
+def assert_reductions_are_the_history_definitions(scan, steps, lam, c1_rate, sums):
+    """`scan.constants` equals `history_constants` of `scan.history()`, bit for bit."""
+    run = scan.constants(lam, c1_rate, sums)
+    want = history_constants(scan.history(), steps, lam, c1_rate, sums)
+    for field, w in zip(("pos", "logd", "log_c1", "c2"), want):
+        assert np.array_equal(getattr(run, field), w), field
+    assert len(run.sums) == len(want[4])
+    for got, w in zip(run.sums, want[4]):
+        assert np.array_equal(got, w)
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ import pytest
 
 from circlelab.cli import main, run_experiment
 from circlelab.configs import BUILTIN_CONFIGS, ConfigError, build_step_distribution, builtin_config
-from circlelab.reports import canonical_json, config_hash, verify_report
+from circlelab.reports import canonical_json, config_hash, verify_report, write_csv
 
 
 def test_examples_catalog(capsys):
@@ -384,3 +384,37 @@ def test_the_run_path_imports_no_scipy():
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def cell_by_cell_csv(path, header, rows):
+    """The writer `write_csv` replaced, kept as its oracle: each float
+    (Python or numpy) as repr(float(v)), checked cell by cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                             for v in row])
+
+
+def test_write_csv_writes_the_cell_by_cell_bytes(tmp_path):
+    rng = np.random.default_rng(2)
+    x = rng.random(9000) * 10.0 ** rng.integers(-300, 300, 9000)
+    x[::7] *= -1.0
+    x[[5, 50, 500]] = np.nan, np.inf, -np.inf
+    tables = {
+        # numpy floats (a 9000-row column crosses the formatting blocks),
+        # Python floats, numpy and Python ints, strings
+        "floats.csv": list(zip(x, x.tolist(), np.arange(9000), range(9000))),
+        # a column mixing float types with ints, strings and bools
+        "mixed.csv": [(1, 0.1, "a b^-1", np.float32(0.1)), (np.float64(-0.0), 2, "x,y", True),
+                      (float("nan"), np.int32(3), "", np.float16(2.5)), (np.inf, -1e-320, None, 7)],
+        "empty.csv": [],
+    }
+    for name, rows in tables.items():
+        header = [f"c{i}" for i in range(4)]
+        write_csv(tmp_path / "new", name, header, iter(rows))
+        cell_by_cell_csv(tmp_path / name, header, rows)
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / name).read_bytes(), name
+    with pytest.raises(ValueError, match="unequal length"):
+        write_csv(tmp_path, "ragged.csv", ["a", "b"], [(1, 2), (3,)])

@@ -5,15 +5,16 @@ from dataclasses import fields, replace
 import mpmath
 import numpy as np
 import pytest
-from conftest import EPS, ROUNDING_ULPS, position_rounding_bound
+from conftest import (EPS, ROUNDING_ULPS, assert_reductions_are_the_history_definitions,
+                      position_rounding_bound)
 
 from circlelab.circle import Arc
 from circlelab.distortion import (
     LOG_C1_FLOOR,
     DecayReport,
     PoleInDiskError,
+    PrefixScan,
     interval_mass_decay,
-    prefix_scan,
     verify_complex_distortion,
     verify_real_distortion,
     walk_constants,
@@ -620,6 +621,11 @@ class ReferenceArcTracker:
         return self.log_len + float(np.log(dens))
 
 
+def scan_log_mass(mu, steps, x, J, nu):
+    """log nu(l_k J), k = 0..n, along one walk's steps, from the scan's history."""
+    return PrefixScan(mu, steps[None, :], x, (J.left, J.right), nu).history()[2][0]
+
+
 def reference_c1_terms(walk, nu, J, h_nu, eps, N):
     """C1 terms by the scalar per-step loop; also the first tiny step and,
     per term, how far a scan that rounds positions differently may be from
@@ -660,8 +666,8 @@ def test_scan_c1_terms_match_scalar_tracker_through_tiny_arcs(case, request):
     ref, first_tiny, bound = reference_c1_terms(walk, nu, J, 0.55, 0.1, N)
     assert first_tiny is not None and first_tiny < N   # the arc passes 1e-9 mid-walk
     assert J.length > 1e-9
-    scan = prefix_scan(walk.distribution, walk.steps[None, :], J.midpoint, (J.left, J.right), nu)
-    got = scan.c1_terms(0.55, 0.1)[0]
+    log_mass = scan_log_mass(walk.distribution, walk.steps, J.midpoint, J, nu)
+    got = log_mass + (0.55 + 0.1) * np.arange(N + 1)
     assert got.shape == (N + 1,)
     assert np.all(np.abs(got - ref) <= bound), np.max(np.abs(got - ref) / bound)
 
@@ -674,7 +680,7 @@ def test_an_image_covering_the_circle_keeps_its_mass(sanov_mu, sanov_nu, walk_in
     # arc, and log nu(l_k J) fell from about 0 to the log 1e-300 floor in one
     # step; tracked by its complement, the mass stays near 1
     walk, J = sample_walk(sanov_mu, 200, 7, walk_index), sanov_J(sanov_nu)
-    log_mass = prefix_scan(sanov_mu, walk.steps[None, :], 0.3, (J.left, J.right), sanov_nu).log_mass[0]
+    log_mass = scan_log_mass(sanov_mu, walk.steps, 0.3, J, sanov_nu)
     assert np.all(np.isfinite(log_mass))
     full = log_mass[:-1] > -1e-9      # images holding all but 1e-9 of the mass
     assert full[first_full - 1]
@@ -687,14 +693,15 @@ def test_a_strongly_contracting_atom_makes_a_tiny_arc():
     # below 1e-9 but not a complement; its mass under Lebesgue measure is
     # that length
     mu = make_step_distribution([MobiusMap([[1e-5, 0.0], [0.0, 1e5]])], [1.0])
-    scan = prefix_scan(mu, np.zeros((1, 1), dtype=int), 0.0, (0.75, 0.25), GridMeasure.lebesgue(1024))
-    assert scan.log_mass[0, 0] == pytest.approx(np.log(0.5))
-    assert scan.log_mass[0, 1] == pytest.approx(np.log(2e-10 / np.pi), rel=1e-12, abs=0.0)
+    _, _, log_mass = PrefixScan(mu, np.zeros((1, 1), dtype=int), 0.0, (0.75, 0.25),
+                                GridMeasure.lebesgue(1024)).history()
+    assert log_mass[0, 0] == pytest.approx(np.log(0.5))
+    assert log_mass[0, 1] == pytest.approx(np.log(2e-10 / np.pi), rel=1e-12, abs=0.0)
 
 
 def test_the_scan_refuses_a_family_that_is_not_pure_mobius(conjugated_mu):
     with pytest.raises(ValueError, match="pure Mobius"):
-        prefix_scan(conjugated_mu, np.zeros((1, 3), dtype=int), 0.3, (0.2, 0.3), GridMeasure.lebesgue(1024))
+        PrefixScan(conjugated_mu, np.zeros((1, 3), dtype=int), 0.3, (0.2, 0.3), GridMeasure.lebesgue(1024))
     # the constants take their seminorms from the matrices behind the scan's refusal
     with pytest.raises(ValueError, match="pure Mobius"):
         walk_constants(sample_walk(conjugated_mu, 3, seed=1), GridMeasure.lebesgue(1024), lam=-0.5,
@@ -737,7 +744,7 @@ def test_tiny_arc_log_masses_match_a_high_precision_evaluation(sanov_mu, sanov_n
     # with none of the ~1e-7 relative error of a length read from two float
     # ends at the 1e-9 switch
     walk, J = sample_walk(sanov_mu, 200, 7, walk_index), sanov_J(sanov_nu)
-    got = prefix_scan(sanov_mu, walk.steps[None, :], 0.3, (J.left, J.right), sanov_nu).log_mass[0]
+    got = scan_log_mass(sanov_mu, walk.steps, 0.3, J, sanov_nu)
     exact, length = exact_log_masses(sanov_mu, walk.steps, J.left, J.right, sanov_nu)
     tiny = np.minimum(length, 1.0 - length) < 1e-9
     assert tiny.sum() > 100
@@ -749,13 +756,30 @@ def test_scan_rows_are_independent_of_the_batch(sanov_mu, sanov_nu, sanov_lambda
     # mixes rows on either side of the switch
     steps = np.stack([sample_walk(sanov_mu, 200, 7, k).steps for k in range(8)])
     J = sanov_J(sanov_nu)
-    weights = mobius_seminorms(sanov_mu.matrices())[:3]
-    batch = prefix_scan(sanov_mu, steps, 0.3, (J.left, J.right), sanov_nu)
+    sums = [(w, sanov_lambda / 2.0) for w in mobius_seminorms(sanov_mu.matrices())[:3]]
+    batch = PrefixScan(sanov_mu, steps, 0.3, (J.left, J.right), sanov_nu)
+    batch_history, batch_run = batch.history(), batch.constants(sanov_lambda, 0.65, sums)
     for k in range(8):
-        one = prefix_scan(sanov_mu, steps[k:k + 1], 0.3, (J.left, J.right), sanov_nu)
-        for field in ("pos", "logd", "log_mass"):
-            assert np.array_equal(getattr(batch, field)[k:k + 1], getattr(one, field)), field
-        assert np.array_equal(batch.c2(sanov_lambda)[k:k + 1], one.c2(sanov_lambda))
-        for w in weights:
-            assert np.array_equal(batch.step_sum(w, sanov_lambda / 2.0)[k:k + 1],
-                                  one.step_sum(w, sanov_lambda / 2.0))
+        one = PrefixScan(sanov_mu, steps[k:k + 1], 0.3, (J.left, J.right), sanov_nu)
+        for field, b, o in zip(("pos", "logd", "log_mass"), batch_history, one.history()):
+            assert np.array_equal(b[k:k + 1], o), field
+        one_run = one.constants(sanov_lambda, 0.65, sums)
+        for field in ("pos", "logd", "log_c1", "c2"):
+            assert np.array_equal(getattr(batch_run, field)[k:k + 1], getattr(one_run, field)), field
+        for b, o in zip(batch_run.sums, one_run.sums):
+            assert np.array_equal(b[k:k + 1], o)
+
+
+@pytest.mark.parametrize("x, arc", [(0.3, None), (0.95, (0.9, 0.05)), (0.5, (0.25, 0.75))])
+def test_running_reductions_are_the_history_definitions(sanov_mu, sanov_nu, sanov_lambda, x, arc):
+    # the walks of the batch test (arcs passing 1e-9 mid-walk) from three
+    # starts; every reduction equals its definition bit for bit
+    steps = np.stack([sample_walk(sanov_mu, 200, 7, k).steps for k in range(8)])
+    if arc is None:
+        J = sanov_J(sanov_nu)
+        arc = (J.left, J.right)
+    holder, sup_L, sup_S, complex_L = mobius_seminorms(sanov_mu.matrices(), 0.5)[:4]
+    sums = [(holder, sanov_lambda * 0.25), (sup_L, sanov_lambda / 2.0), (sup_S, sanov_lambda),
+            (complex_L, sanov_lambda / 2.0)]
+    assert_reductions_are_the_history_definitions(PrefixScan(sanov_mu, steps, x, arc, sanov_nu), steps,
+                                                  sanov_lambda, 0.65, sums)

@@ -165,6 +165,27 @@ def test_lifted_map_jets():
     assert abs(f3 - j.d3) <= 1e-3 * max(1.0, abs(j.d3))
 
 
+def _first_order_maps():
+    """Mobius, conjugated and degree-2 lifted maps (over both), their inverses
+    and a word, whose `value_d1` reads its jet."""
+    A = make_generator([[1, 2], [0, 1]])
+    C = make_generator([[1, 0], [2, 1]], [[0.01, 0.02], [0.005, -0.01]])
+    maps = [A, C, LiftedMap(A, 2), LiftedMap(A, 2, 1), LiftedMap(C, 2, 1), Word([A, C])]
+    return maps + [f.inverse() for f in maps]
+
+
+@pytest.mark.parametrize("f", _first_order_maps(), ids=repr)
+def test_value_d1_is_the_jet_bit_for_bit(f):
+    # the first-order forms repeat the jets' operations in their order
+    rng = np.random.default_rng(8)
+    x = np.concatenate([rng.random(2000), [0.0, 0.25, 0.5, 0.75, 1.0 - 2 ** -53]])
+    j = f.jet(x)
+    val, d1 = f.value_d1(x)
+    assert np.array_equal(val, j.value) and np.array_equal(d1, j.d1)
+    v1, d1 = f.value_d1(0.3)
+    assert v1 == f.jet(0.3).value and d1 == f.jet(0.3).d1
+
+
 # -- affine distortion -------------------------------------------------------
 
 def test_distortion_of_rotation_vanishes():

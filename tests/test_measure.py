@@ -72,6 +72,38 @@ def test_cdf_at_is_np_interp_bit_for_bit(N):
             assert isinstance(v, float) and v == ref
 
 
+@pytest.mark.parametrize("N", [256, 1000, 2048, 3000])
+def test_interval_mass_into_is_the_cdf_difference_bit_for_bit(N):
+    # the in-place form (which interval_mass runs) writes the bits of
+    # floor(y) + np.interp(y % 1, grid, cdf) differenced at y = lo + (hi - lo) % 1
+    # and lo, on grids of 2^p and other sizes and at the points where the
+    # cell corrections act (grid points and their neighbours, ends rounding
+    # to 1.0, lifted values)
+    rng = np.random.default_rng(N)
+    cdf = np.sort(rng.random(N + 1))
+    cdf[N // 3: N // 3 + 40] = cdf[N // 3]
+    cdf[0], cdf[-1] = 0.0, 1.0
+    g = np.arange(N + 1) / N
+    ends = np.concatenate([rng.random(3000), g, np.nextafter(g, -np.inf), np.nextafter(g, np.inf),
+                           [-1e-20, -0.0, 1.0, 1.0 - 2 ** -53, -1e-300], rng.random(1000) * 6.0 - 3.0])
+    lo = rng.permutation(ends)
+    hi = np.concatenate([lo[:500], lo[500:1000] + 1e-12, rng.permutation(ends)[1000:]])
+    for nu in (GridMeasure(cdf), GridMeasure(cdf ** 20), GridMeasure.lebesgue(N)):
+
+        def lifted(y):
+            return np.floor(y) + np.interp(y % 1.0, g, nu.cdf)
+
+        mass_of = nu.interval_mass_into(lo.size)
+        out = np.empty(lo.size)
+        for a, b in ((lo, hi), (hi, lo)):
+            want = lifted(a + (b - a) % 1.0) - lifted(a)
+            assert mass_of(a, b, out) is out
+            assert np.array_equal(out, want) and np.array_equal(nu.interval_mass(a, b), want)
+        a, b = map(float, lo[::211]), map(float, hi[::211])
+        for ai, bi in zip(a, b):
+            assert nu.interval_mass(ai, bi) == lifted(ai + (bi - ai) % 1.0) - lifted(ai)
+
+
 def test_cdf_at_on_grid_points_where_floor_rounds_down():
     # at N = 3000, floor(grid[j] * N) is j - 1 for 156 grid points; a large
     # jump in the cell left of such a point exposes a wrong cell choice

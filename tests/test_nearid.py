@@ -1,15 +1,17 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import EPS, ROUNDING_ULPS, position_rounding_bound
+from conftest import (EPS, ROUNDING_ULPS, assert_reductions_are_the_history_definitions,
+                      position_rounding_bound)
 
 from circlelab import experiments
 from circlelab.circle import Arc, circle_dist
 from circlelab.cli import run_experiment
 from circlelab.configs import builtin_config
-from circlelab.distortion import prefix_scan
+from circlelab.distortion import PrefixScan
 from circlelab.maps import (MobiusMap, Word, eval_jet3, linearizing_chart, mobius_seminorms,
                             mobius_value_logd, rotation)
 from circlelab.measure import estimate_stationary_measure, lyapunov_exponent
@@ -248,14 +250,51 @@ def test_prefix_scan_reproduces_the_inline_search_scan(dense_setup):
         logC1 = np.minimum(logC1, np.log(mass) + (h_nu + eps) * kk)
         c1_bound = np.maximum(c1_bound, position_rounding_bound(nu, lo, hi, mass))
 
-    scan = prefix_scan(mu, steps, chart.fixed_point, (arc_lo, arc_hi), nu)
+    run = PrefixScan(mu, steps, chart.fixed_point, (arc_lo, arc_hi), nu).constants(
+        lam, h_nu + eps, [(holder, lam * 1.0 / 2.0), (sup_L, lam / 2.0)])
     logd_bound = ROUNDING_ULPS * EPS * n
-    assert np.max(circle_dist(scan.pos, pos)) <= ROUNDING_ULPS * EPS
-    assert np.max(np.abs(scan.logd[:, -1] - logd)) <= logd_bound
-    np.testing.assert_allclose(scan.c2(lam), C2, rtol=2 * logd_bound, atol=0)
-    assert np.array_equal(scan.step_sum(holder, lam * 1.0 / 2.0), C3)
-    assert np.array_equal(scan.step_sum(sup_L, lam / 2.0), C4)
-    assert np.all(np.abs(np.min(scan.c1_terms(h_nu, eps), axis=1) - logC1) <= c1_bound)
+    assert np.max(circle_dist(run.pos, pos)) <= ROUNDING_ULPS * EPS
+    assert np.max(np.abs(run.logd - logd)) <= logd_bound
+    np.testing.assert_allclose(run.c2, C2, rtol=2 * logd_bound, atol=0)
+    assert np.array_equal(run.sums[0], C3)
+    assert np.array_equal(run.sums[1], C4)
+    assert np.all(np.abs(run.log_c1 - logC1) <= c1_bound)
+
+
+def test_running_reductions_are_the_history_definitions_on_the_search(dense_setup):
+    # the search's scan at m = 12 and at m = 20 (the benchmark's largest
+    # arc-shrink), its C3 and C4 step sums: bit for bit the definitions
+    mu, l, nu, lam = dense_setup
+    chart = linearizing_chart(l)
+    holder, sup_L = mobius_seminorms(mu.matrices())[:2]
+    sums = [(holder, lam * 1.0 / 2.0), (sup_L, lam / 2.0)]
+    for m in (12, 20):
+        steps = mu.sample_indices(np.random.default_rng(m), (512, 2 * m))
+        arc = tuple(float(chart.from_chart(s * 0.02 * chart.alpha ** (2 * m))) for s in (-1, 1))
+        assert_reductions_are_the_history_definitions(PrefixScan(mu, steps, chart.fixed_point, arc, nu),
+                                                      steps, lam, 0.05 + 0.1, sums)
+
+
+# the benchmark's search size: one m at 6144 walks of 40 steps
+_SAMPLES, _M = 6144, 20
+_STEPS_BYTES = _SAMPLES * 2 * _M * 8     # the drawn (samples, n) intp steps
+# above the steps, the scan's buffers (states, gathered matrices, U/V/R,
+# the mass scratch, the running reductions) and the search's per-walk
+# arrays peaked at 40 floats per walk (numpy 2.4, Python 3.11); the budget
+# is 50, a 25 % margin, and one (samples, n + 1) history adds 41
+_PEAK_MARGIN = _SAMPLES * 50 * 8
+
+
+def test_one_search_m_keeps_no_history(dense_setup):
+    mu, l, nu, lam = dense_setup
+    tracemalloc.start()
+    try:
+        search_near_identity_pairs(mu, l, eta=0.02, m_range=[_M], nu=nu, lam=lam, h_nu=0.05,
+                                   samples=_SAMPLES, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _STEPS_BYTES < peak <= _STEPS_BYTES + _PEAK_MARGIN, peak
 
 
 # -- endgame ---------------------------------------------------------------------

@@ -15,7 +15,9 @@ from circlelab.maps import (
     mobius_value_logd,
     rotation,
 )
+from circlelab.rng import stream
 from circlelab.walk import (
+    _DRAW_CHUNK,
     StepDistribution,
     canonical_key,
     make_step_distribution,
@@ -212,6 +214,33 @@ def test_step_state_matches_step_on_mobius_families(sanov_mu):
     assert np.max(np.abs(ld - logd) / np.maximum(1.0, np.abs(logd))) <= 4 * eps
 
 
+@pytest.mark.parametrize("shape", [(5_000,), (3, 2_000), (2, 1)])
+def test_step_state_in_place_is_the_allocating_step(sanov_mu, shape):
+    # in the buffers of `state_buffers` the step overwrites the states and
+    # writes log g' into the buffers, bit for bit the allocating step's
+    rng = np.random.default_rng(11)
+    idx, x = sanov_mu.sample_indices(rng, shape[-1]), rng.random(shape)
+    want_s, want_ld = sanov_mu.step_state(idx, sanov_mu.state(x))
+    s = sanov_mu.state(x)
+    buffers = sanov_mu.state_buffers(s)
+    for _ in range(2):   # the buffers are reused
+        got_s, got_ld = sanov_mu.step_state(idx, s, buffers)
+        assert got_s is s and np.shares_memory(got_ld, buffers[1])
+        assert np.array_equal(got_s, want_s) and np.array_equal(got_ld, want_ld)
+        want_s, want_ld = sanov_mu.step_state(idx, want_s)
+
+
+@pytest.mark.parametrize("family", ["conjugated_mu", "lifted_mu"])
+def test_step_on_other_families_is_the_atom_jets_bit_for_bit(family, request):
+    # the grouped fallback reads first-order values and log derivatives,
+    # bit for bit the jets' value and log d1
+    mu = request.getfixturevalue(family)
+    idx, x = _indices_and_points(mu, 5_000, 3)
+    val, logd = mu.step(idx, x)
+    ref_val, ref_d1 = reference_apply_indexed(mu, idx, x, want_d1=True)
+    assert np.array_equal(val, ref_val) and np.array_equal(logd, np.log(ref_d1))
+
+
 @pytest.mark.parametrize("family", ["conjugated_mu", "lifted_mu"])
 def test_step_state_is_step_on_other_families(family, request):
     # other families step positions: bit for bit what step gives
@@ -221,6 +250,7 @@ def test_step_state_is_step_on_other_families(family, request):
     s, ld = mu.step_state(idx, mu.state(x))
     assert s.shape == (1, x.size)
     assert np.array_equal(mu.position(s), val) and np.array_equal(ld, logd)
+    assert mu.state_buffers(s) is None   # their steps allocate
 
 
 def test_matrices_are_cached_and_read_only(sanov_mu, conjugated_mu):
@@ -233,13 +263,18 @@ def test_matrices_are_cached_and_read_only(sanov_mu, conjugated_mu):
 
 
 class _Uniforms:
-    """Stands in for a Generator whose random(size) returns chosen uniforms."""
+    """Stands in for a Generator whose draws return chosen uniforms in C
+    order: random(size) all of them, random(out=) the next out.size."""
 
     def __init__(self, u):
-        self.u = u
+        self.u, self.flat, self.used = u, np.ravel(u), 0
 
-    def random(self, size=None):
-        return self.u if size is None else np.reshape(self.u, size)
+    def random(self, size=None, out=None):
+        if out is None:
+            return self.u if size is None else np.reshape(self.u, size)
+        out[...] = self.flat[self.used:self.used + out.size].reshape(out.shape)
+        self.used += out.size
+        return out
 
 
 def _searchsorted_draw(mu, u):
@@ -294,3 +329,19 @@ def test_sample_indices_property(monkeypatch):
             assert np.array_equal(mu.sample_indices(_Uniforms(u), len(u)), want)
 
     check()
+
+
+@pytest.mark.parametrize("size", [None, 1, _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1, 3 * _DRAW_CHUNK + 5,
+                                  (3, 5000), (2, 3, 3000)])
+@pytest.mark.parametrize("weights", [[0.3, 0.3, 0.2, 0.2], [0.5, 0.5], [1.0]])
+def test_sample_indices_consume_the_stream_as_one_draw(size, weights):
+    # drawn in chunks into one buffer, the indices are the searchsorted
+    # draw of one random(size) call, and the stream continues from the
+    # same place
+    mu = make_step_distribution([rotation(0.07 * j) for j in range(len(weights))], weights)
+    rng, ref = stream(3, 1), stream(3, 1)
+    got = mu.sample_indices(rng, size)
+    want = _searchsorted_draw(mu, ref.random(size))
+    assert got.dtype == np.intp and np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+    assert rng.random() == ref.random()
