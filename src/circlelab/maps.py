@@ -465,33 +465,36 @@ class LiftedMap:
         self.j = int(j) % int(k)
         self._base0 = float(np.asarray(base.apply(0.0)))
 
-    def _lift_parts(self, x):
-        x = np.asarray(x, dtype=float)
-        kx = self.k * x
+    def _split(self, x):
+        """(u, p): the base point u = wrap(k x) and the sheet p = round(k x - u)."""
+        kx = self.k * np.asarray(x, dtype=float)
         u = wrap(kx)
-        p = np.round(kx - u)
-        b = np.asarray(self.base.apply(u), dtype=float)
+        return u, np.round(kx - u)
+
+    def _value(self, b, p):
+        """The lifted value from the base value b at u = wrap(k x) and the sheet p."""
         # canonical lift value in [base(0), base(0)+1), branch consistent
         # with u even when u sits an ulp below the wrap point
-        b = self._base0 + wrap(b - self._base0)
-        return u, p, b
+        b = self._base0 + wrap(np.asarray(b, dtype=float) - self._base0)
+        return wrap((b + p + self.j) / self.k)
 
     def apply(self, x):
-        u, p, b = self._lift_parts(x)
-        return wrap((b + p + self.j) / self.k)
+        u, p = self._split(x)
+        return self._value(self.base.apply(u), p)
 
     __call__ = apply
 
     def jet(self, x) -> Jet3:
-        u, p, b = self._lift_parts(x)
+        """The base jet at u, taken once: its value gives the lifted value."""
+        u, p = self._split(x)
         jb = self.base.jet(u)
-        val = wrap((b + p + self.j) / self.k)
-        return Jet3(val, jb.d1, self.k * jb.d2, self.k ** 2 * jb.d3)
+        return Jet3(self._value(jb.value, p), jb.d1, self.k * jb.d2, self.k ** 2 * jb.d3)
 
     def value_d1(self, x):
         """The value and d1 of `jet`, bit for bit."""
-        u, p, b = self._lift_parts(x)
-        return wrap((b + p + self.j) / self.k), self.base.value_d1(u)[1]
+        u, p = self._split(x)
+        b, d1 = self.base.value_d1(u)
+        return self._value(b, p), d1
 
     def inverse(self) -> "_LiftedInverse":
         return _LiftedInverse(self)
@@ -546,6 +549,9 @@ class _LiftedInverse:
 
     def inverse(self) -> LiftedMap:
         return self.fwd
+
+    def __repr__(self):
+        return f"_LiftedInverse({self.fwd!r})"
 
 
 class Word:

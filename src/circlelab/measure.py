@@ -53,10 +53,7 @@ class GridMeasure:
         cdf = np.asarray(cdf, dtype=float)
         if cdf.ndim != 1 or len(cdf) < 2:
             raise ValueError("cdf must be a 1-d array of at least 2 values")
-        if abs(cdf[0]) > 1e-12 or abs(cdf[-1] - 1.0) > 1e-12:
-            raise ValueError("cdf endpoints must be pinned at 0 and 1")
-        if np.any(np.diff(cdf) < -1e-12):
-            raise ValueError("cdf must be nondecreasing")
+        _require_cdfs(cdf, np.empty(len(cdf) - 1), np.empty(len(cdf) - 1, dtype=bool))
         self.cdf = np.maximum.accumulate(np.clip(cdf, 0.0, 1.0))
         self.cdf[0] = 0.0
         self.cdf[-1] = 1.0
@@ -181,12 +178,44 @@ class GridMeasure:
 
     def pushforward_from_preimages(self, preimages) -> "GridMeasure":
         """Image measure under the map sending preimages[i] to grid[i]."""
-        ylift = unwrap_increasing(np.asarray(preimages, dtype=float))
-        vals = self.cdf_lifted(ylift)
-        vals -= vals[0]
-        vals[0] = 0.0
-        vals[-1] = 1.0
-        return GridMeasure(np.maximum.accumulate(np.clip(vals, 0.0, 1.0)))
+        pre = np.array(preimages, dtype=float)
+        out = np.empty_like(pre)
+        return GridMeasure(self._push_into(pre, out, np.empty_like(pre),
+                                           np.empty(pre.shape, np.intp), np.empty(pre.shape, bool)))
+
+    def _push_into(self, pre, out, fl, j, moved):
+        """The CDFs of the image measures under the maps sending each row of
+        pre (..., N+1) to the grid, written into out: the preimages lifted
+        to a monotone sequence (`unwrap_increasing`), their lifted CDF
+        values less the first, the ends pinned, clipped to [0, 1] and made
+        nondecreasing.  pre is overwritten; fl (float), j (intp) and moved
+        (bool) are scratch of its shape, and nothing is allocated."""
+        d = fl[..., 1:]   # ylift = v[0] + cumsum(wrap(diff(v))), into pre
+        np.subtract(pre[..., 1:], pre[..., :-1], out=d)
+        d -= np.floor(d, out=out[..., 1:])
+        np.cumsum(d, axis=-1, out=d)
+        np.add(pre[..., :1], d, out=pre[..., 1:])
+        pre -= np.floor(pre, out=fl)   # cdf_lifted(ylift) = floor + cdf_at(wrap)
+        self._interp_into(pre, out, j, moved)
+        out += fl
+        first = fl[..., :1]
+        np.copyto(first, out[..., :1])
+        out -= first
+        out[..., 0] = 0.0
+        out[..., -1] = 1.0
+        np.clip(out, 0.0, 1.0, out=out)
+        return np.maximum.accumulate(out, axis=-1, out=out)
+
+
+def _require_cdfs(cdf, diffs, below):
+    """ValueError unless every row of cdf (..., N+1) is pinned at 0 and 1
+    and nondecreasing, to 1e-12: GridMeasure's checks, on a batch at once.
+    diffs (float) and below (bool), shaped (..., N), are scratch."""
+    if np.any(np.abs(cdf[..., 0]) > 1e-12) or np.any(np.abs(cdf[..., -1] - 1.0) > 1e-12):
+        raise ValueError("cdf endpoints must be pinned at 0 and 1")
+    np.subtract(cdf[..., 1:], cdf[..., :-1], out=diffs)
+    if np.less(diffs, -1e-12, out=below).any():
+        raise ValueError("cdf must be nondecreasing")
 
 
 # ---------------------------------------------------------------------------
@@ -218,29 +247,43 @@ def _rotation_angles(mu: StepDistribution):
     return np.array(angles)
 
 
-def _transfer_apply(mu: StepDistribution, nu: GridMeasure, inv_lifts) -> np.ndarray:
-    """One application of the averaged pushforward operator to the CDF."""
-    out = np.zeros_like(nu.cdf)
-    for p, ylift in zip(mu.probs, inv_lifts):
-        lifted = nu.cdf_lifted(ylift)
-        out += p * (lifted - lifted[0])
+def _transfer_cells(mu: StepDistribution, nu: GridMeasure):
+    """What `nu.cdf_lifted(y)` reads of each atom inverse's lifted grid
+    preimages y, for any CDF on nu's grid: (floor(y), the cells j of
+    wrap(y), wrap(y) - grid[j]).  y is fixed, so each transfer step is
+    gathers from these."""
+    cells = []
+    for a in mu.atoms:
+        y = unwrap_increasing(np.asarray(a.inverse().apply(nu.grid), dtype=float))
+        fl = np.floor(y)
+        x = y - fl
+        j = np.empty(x.shape, np.intp)   # the lookup's cells, its other output discarded
+        nu._interp_into(x.copy(), np.empty_like(x), j, np.empty(x.shape, bool))
+        cells.append((fl, j, x - nu._cells[0][j]))
+    return cells
+
+
+def _transfer_apply(mu: StepDistribution, cdf: np.ndarray, cells) -> np.ndarray:
+    """One application of the averaged pushforward operator to the CDF on
+    the grid of `cells`: each lifted value is `cdf_lifted`'s, bit for bit."""
+    N = len(cdf) - 1
+    slopes = np.append(np.diff(cdf) / np.diff(np.arange(N + 1) / N), 0.0)
+    out, lifted, t = np.zeros_like(cdf), np.empty_like(cdf), np.empty_like(cdf)
+    for p, (fl, j, dx) in zip(mu.probs, cells):
+        np.multiply(slopes.take(j, out=lifted), dx, out=lifted)   # fl + (slope * dx + cdf)
+        lifted += cdf.take(j, out=t)
+        lifted += fl
+        lifted -= lifted[0]
+        lifted *= p
+        out += lifted
     out[0] = 0.0
     out[-1] = 1.0
     return out
 
 
-def _inverse_lifts(mu: StepDistribution, grid: np.ndarray):
-    lifts = []
-    for a in mu.atoms:
-        y = np.asarray(a.inverse().apply(grid), dtype=float)
-        lifts.append(unwrap_increasing(y))
-    return lifts
-
-
 def stationarity_residual(mu: StepDistribution, nu: GridMeasure) -> float:
     """sup_x |F(x) - sum_g mu(g) (g nu)([0, x])| on the grid."""
-    lifts = _inverse_lifts(mu, nu.grid)
-    return float(np.max(np.abs(_transfer_apply(mu, nu, lifts) - nu.cdf)))
+    return float(np.max(np.abs(_transfer_apply(mu, nu.cdf, _transfer_cells(mu, nu)) - nu.cdf)))
 
 
 def estimate_stationary_measure(
@@ -265,21 +308,22 @@ def estimate_stationary_measure(
     """
     if grid_size < 256:
         raise ValueError("grid_size must be >= 256")
-    grid = np.arange(grid_size + 1) / grid_size
-    inv_lifts = _inverse_lifts(mu, grid)
+    leb = GridMeasure.lebesgue(grid_size)
+    cells = _transfer_cells(mu, leb)
 
     if method in ("transfer_iteration", "transfer"):
-        nu = GridMeasure.lebesgue(grid_size)
+        cdf = leb.cdf
         iterations = 0
         for iterations in range(1, max_iterations + 1):
-            new = _transfer_apply(mu, nu, inv_lifts)
+            new = _transfer_apply(mu, cdf, cells)
             new = np.maximum.accumulate(np.clip(new, 0.0, 1.0))
             new[0] = 0.0
             new[-1] = 1.0
-            delta = float(np.max(np.abs(new - nu.cdf)))
-            nu = GridMeasure(new, atom_tolerance)
+            delta = float(np.max(np.abs(new - cdf)))
+            cdf = new
             if delta < stop_residual:
                 break
+        nu = GridMeasure(cdf, atom_tolerance)
         samples = 0
     elif method == "monte_carlo":
         rng = stream(seed, _TAG_STATIONARY)
@@ -304,7 +348,7 @@ def estimate_stationary_measure(
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    residual = float(np.max(np.abs(_transfer_apply(mu, nu, inv_lifts) - nu.cdf)))
+    residual = float(np.max(np.abs(_transfer_apply(mu, nu.cdf, cells) - nu.cdf)))
     nu.info = StationaryInfo(method, residual, iterations, grid_size, samples,
                              nu.max_cell_mass, nu.atom_warning)
     if method in ("transfer_iteration", "transfer"):
@@ -657,11 +701,61 @@ class ConcentrationCurve:
         }
 
 
-def _smallest_arc_width(nu_cdf: np.ndarray, grid: np.ndarray, q: float) -> float:
-    ext = np.concatenate([nu_cdf, nu_cdf[1:] + 1.0])
-    xg = np.concatenate([grid, grid[1:] + 1.0])
-    idx = np.searchsorted(ext, nu_cdf + q, side="left").clip(0, len(ext) - 1)
-    return float(np.min(xg[idx] - grid))
+def _least_gap(ext, cq, gap, hit):
+    """The least index gap D in [0, N] with ext[i + D] >= cq[i] for some i,
+    for ext (2N+1,) nondecreasing and cq (N+1,).  The predicate is monotone
+    in D and holds at D = N when cq <= ext[:N+1] + 1, so it is galloped
+    from the guess gap (the row's D at the previous step), then bisected:
+    O(N log |D - gap|) compares instead of searchsorted's O(N log N).  hit
+    (bool, N+1) is scratch."""
+    n = len(cq) - 1
+
+    def meets(d):
+        return np.greater_equal(ext[d:d + n + 1], cq, out=hit).any()
+
+    # gallop until lo fails (or is -1) and hi meets (or is N), then bisect
+    if meets(gap):
+        hi, lo, step = gap, gap - 1, 1
+        while lo >= 0 and meets(lo):
+            hi, step = lo, 2 * step
+            lo = hi - step
+        lo = max(lo, -1)
+    else:
+        lo, hi, step = gap, min(gap + 1, n), 1
+        while hi < n and not meets(hi):
+            lo, step = hi, 2 * step
+            hi = min(lo + step, n)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if meets(mid) else (mid, hi)
+    return hi
+
+
+def _arc_widths(ext, q, xg, gaps, widths, cq, hit, w):
+    """The smallest width of an arc carrying q in (0, 1] for each CDF row
+    ext[t, :N+1] of ext (rows, 2N+1), whose tail ext[t, N+1:] is written
+    here as the row's CDF[1:] + 1: from grid[i] the arc reaches xg[idx_i],
+    idx_i the first j with ext[j] >= CDF[i] + q.  idx_i - i is least, D,
+    exactly at the i with ext[i + D] >= CDF[i] + q, and one index farther
+    adds 1/N to a width, so the minimum over those i is the same float as
+    the minimum over every i.  gaps (rows,) holds each row's previous D
+    and is updated; widths (rows,) receives the widths; cq, hit (bool) and
+    w, shaped (N+1,), are scratch."""
+    n = len(cq) - 1
+    np.add(ext[:, 1:n + 1], 1.0, out=ext[:, n + 1:])
+    for t in range(len(gaps)):
+        np.add(ext[t, :n + 1], q, out=cq)
+        d = gaps[t] = _least_gap(ext[t], cq, gaps[t], hit)
+        np.greater_equal(ext[t, d:d + n + 1], cq, out=hit)
+        np.subtract(xg[d:d + n + 1], xg[:n + 1], out=w)
+        widths[t] = np.minimum.reduce(w, where=hit, initial=np.inf)
+
+
+def _median_rows(a):
+    """np.median(a, axis=0), bit for bit, from a sort (np.median imports numpy.ma)."""
+    s = np.sort(a, axis=0)
+    m = len(s) // 2
+    return s[m] if len(s) % 2 else (s[m - 1] + s[m]) / 2.0
 
 
 def dirac_convergence_probe(
@@ -673,21 +767,61 @@ def dirac_convergence_probe(
     seed: int = 0,
 ) -> ConcentrationCurve:
     """Concentration of r_n nu: per n, the median over seeded trials of the
-    smallest arc carrying `quantile` of the pushed-forward mass.
+    smallest arc carrying `quantile` (in (0, 1]) of the pushed-forward mass.
 
     r_n = g_1 ... g_n grows on the inside, so its grid preimages obey
     r_n^{-1}(grid) = g_n^{-1}(r_{n-1}^{-1}(grid)): one atom inverse per step.
-    A trial draws its `horizon` indices at once, the same indices as one
-    draw per step.
+    Trial t draws its `horizon` indices at once from its own stream, the
+    same indices as one draw per step, and every trial is stepped at once,
+    as one row of a (trials, N+1) array.  A pure Mobius family steps the
+    rows as direction states by the inverse atoms' direction matrices and
+    reads positions by arctan2 alone.  Another family applies each row's
+    inverse atom to that row alone: a conjugator's Newton inverse stops on
+    the worst point of the array it is given, so a row batched with others
+    would depend on them, and the temporaries of a several-row gather are
+    large enough for the allocator to map and unmap them at every step
+    (about 12 000 page faults per call on the lifted free pair, against
+    600 row by row).  Each row's pushed CDF is built in
+    place by `pushforward_from_preimages`' own body, and its smallest arc
+    by a galloping search for the least index gap from the row's previous
+    one (`_arc_widths`).  Nothing is allocated per step on the Mobius path.
     """
-    inverses = [a.inverse() for a in mu.atoms]
-    widths = np.zeros((trials, horizon + 1))
-    for t in range(trials):
-        rng = stream(seed, _TAG_DIRAC, t)
-        widths[t, 0] = _smallest_arc_width(nu.cdf, nu.grid, quantile)
-        pre = wrap(nu.grid)
-        for n, k in enumerate(mu.sample_indices(rng, horizon), 1):
-            pre = inverses[k].apply(pre)
-            pushed = nu.pushforward_from_preimages(pre)
-            widths[t, n] = _smallest_arc_width(pushed.cdf, pushed.grid, quantile)
-    return ConcentrationCurve(np.arange(horizon + 1), np.median(widths, axis=0), quantile, trials)
+    if not 0.0 < quantile <= 1.0:
+        raise ValueError(f"quantile must lie in (0, 1], got {quantile}")
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    N = nu.N
+    steps = np.stack([mu.sample_indices(stream(seed, _TAG_DIRAC, t), horizon) for t in range(trials)])
+    inv_mu = StepDistribution([a.inverse() for a in mu.atoms], mu.probs)
+    xg = np.concatenate([nu.grid, nu.grid[1:] + 1.0])
+    pre, fl = np.empty((trials, N + 1)), np.empty((trials, N + 1))
+    j, moved = np.empty((trials, N + 1), np.intp), np.empty((trials, N + 1), bool)
+    ext = np.empty((trials, 2 * N + 1))
+    cdf = ext[:, :N + 1]
+    cq, hit, w = np.empty(N + 1), np.empty(N + 1, bool), np.empty(N + 1)
+    widths = np.empty((trials, horizon + 1))
+    gaps = np.full(trials, N)
+
+    cdf[...] = nu.cdf
+    _arc_widths(ext, quantile, xg, gaps, widths[:, 0], cq, hit, w)
+    pos = np.broadcast_to(wrap(nu.grid), pre.shape).copy()
+    mobius = inv_mu.matrices() is not None
+    if mobius:
+        s = inv_mu.state(pos)
+        buffers = inv_mu.state_buffers(s, (trials, 1))   # one atom per row
+    for n in range(1, horizon + 1):
+        if mobius:
+            inv_mu.step_state(steps[:, n - 1:n], s, buffers)
+            np.arctan2(s[1], s[0], out=pre)   # `position`, in place
+            pre /= np.pi
+            pre -= np.floor(pre, out=fl)
+        else:
+            for t, a in enumerate(steps[:, n - 1]):
+                pos[t] = inv_mu.atoms[a].apply(pos[t])
+            np.copyto(pre, pos)
+        nu._push_into(pre, cdf, fl, j, moved)
+        _require_cdfs(cdf, fl[:, 1:], moved[:, 1:])
+        _arc_widths(ext, quantile, xg, gaps, widths[:, n], cq, hit, w)
+    return ConcentrationCurve(np.arange(horizon + 1), _median_rows(widths), quantile, trials)

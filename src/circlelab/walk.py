@@ -154,23 +154,25 @@ class StepDistribution:
         for complex x, the positions themselves for other families."""
         return direction(x) if self._dirs is not None else np.asarray(x, dtype=float)[None].copy()
 
-    def state_buffers(self, s):
+    def state_buffers(self, s, index_shape=None):
         """Buffers for in-place `step_state(idx, s, out)` calls on states
-        shaped like s, with one index per entry of s's last axis; None for
-        a family that steps positions (its steps allocate)."""
+        shaped like s, with idx of index_shape, broadcasting against s[0]
+        (by default one index per entry of s's last axis); None for a
+        family that steps positions (its steps allocate)."""
         if self._dirs is None:
             return None
-        return np.empty((s.shape[-1], 2, 2)), np.empty((3,) + s.shape[1:])
+        index_shape = s.shape[-1:] if index_shape is None else index_shape
+        return np.empty(tuple(index_shape) + (2, 2)), np.empty((3,) + s.shape[1:])
 
     def step_state(self, idx, s, out=None):
         """`step` on states: (image states, log g_idx'), idx broadcasting
         against s[0].  Pure Mobius families act on directions by their
         direction matrices, with no trigonometry (log g' complex on complex
         ones); other families step positions through `step`.  With
-        out = `state_buffers(s)` (not None), a Mobius step is made in
+        out = `state_buffers(s, idx.shape)` (not None), a Mobius step is made in
         place: the images overwrite s and log g' is a view of out, both
         valid until the next step in the same buffers; nothing is
-        allocated, and idx, one index per state, is not range-checked."""
+        allocated, and idx is not range-checked."""
         if self._dirs is not None:
             dirs, uvr = (None, None) if out is None else out
             # np.take gathers like self._dirs[idx]; into dirs, mode "raise" would buffer it

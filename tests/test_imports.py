@@ -3,8 +3,10 @@ every module-level private function or class is referenced somewhere,
 every local that a function assigns by name is read (in tests/ too),
 every reduction mod 1 goes through `circle.wrap`, no module imports a
 thread or process pool (runs are serial), no loop steps points by
-`.step`, `.cval` or `.cderiv` (per-step loops step states), and no loop
-in `distortion.py` takes a one-map `.jet` (its checks step batches).
+`.step`, `.cval` or `.cderiv` (per-step loops step states), no loop
+in `distortion.py` takes a one-map `.jet` (its checks step batches), and
+no loop in `measure.py` builds a `GridMeasure` (its kernels write CDFs
+into buffers).
 
 `__init__.py` is exempt from the import check; its imports are the
 package's public names.
@@ -154,10 +156,11 @@ def test_no_module_imports_a_thread_or_process_pool():
 POINT_STEPPERS = {"step", "cval", "cderiv"}
 
 
-def loop_point_steps(source: str, methods=POINT_STEPPERS) -> list:
+def loop_point_steps(source: str, methods=POINT_STEPPERS, functions=()) -> list:
     """Lines of calls of the methods (by default `.step(`, `.cval(` or
-    `.cderiv(`) inside the body of a `for` or `while` loop or the element
-    of a comprehension, at any depth."""
+    `.cderiv(`), or of the functions named in functions, inside the body
+    of a `for` or `while` loop or the element of a comprehension, at any
+    depth."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
@@ -169,8 +172,9 @@ def loop_point_steps(source: str, methods=POINT_STEPPERS) -> list:
         else:
             continue
         found.update(n.lineno for body in bodies for n in ast.walk(body)
-                     if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
-                     and n.func.attr in methods)
+                     if isinstance(n, ast.Call) and (
+                         isinstance(n.func, ast.Attribute) and n.func.attr in methods
+                         or isinstance(n.func, ast.Name) and n.func.id in functions))
     return sorted(found)
 
 
@@ -197,6 +201,24 @@ def test_loop_checker_flags_only_jets_in_loops():
 
 def test_no_distortion_loop_takes_a_one_map_jet():
     assert loop_point_steps((SRC / "distortion.py").read_text(), {"jet"}) == []
+
+
+# what builds a GridMeasure: its constructor, its constructions and its pushforwards
+MEASURE_BUILDS = {"pushforward", "pushforward_from_preimages", "lebesgue", "from_samples"}
+
+
+def test_loop_checker_flags_only_measure_builds_in_loops():
+    src = ("def f(nu, pre, n):\n    m = GridMeasure(pre)\n    for _ in range(n):\n"
+           "        m = GridMeasure(pre)\n        p = nu.pushforward_from_preimages(pre)\n"
+           "        nu._push_into(pre, m, p)\n        q = measure.GridMeasure(p)\n"
+           "    return [GridMeasure.lebesgue(k) for k in pre], m, q\n")
+    assert loop_point_steps(src, MEASURE_BUILDS, {"GridMeasure"}) == [4, 5, 8]
+    assert loop_point_steps(src, MEASURE_BUILDS | {"GridMeasure"}, {"GridMeasure"}) == [4, 5, 7, 8]
+
+
+def test_no_measure_loop_builds_a_grid_measure():
+    methods = MEASURE_BUILDS | {"GridMeasure"}
+    assert loop_point_steps((SRC / "measure.py").read_text(), methods, {"GridMeasure"}) == []
 
 
 def test_checker_flags_only_unused_names():

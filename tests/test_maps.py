@@ -186,6 +186,44 @@ def test_value_d1_is_the_jet_bit_for_bit(f):
     assert v1 == f.jet(0.3).value and d1 == f.jet(0.3).d1
 
 
+class _CountingMap:
+    """A map that counts the evaluations made through it."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def apply(self, x):
+        self.calls += 1
+        return self.f.apply(x)
+
+    def jet(self, x):
+        self.calls += 1
+        return self.f.jet(x)
+
+    def value_d1(self, x):
+        self.calls += 1
+        return self.f.value_d1(x)
+
+
+@pytest.mark.parametrize("base", [make_generator([[1, 2], [0, 1]]),
+                                  make_generator([[1, 0], [2, 1]], [[0.01, 0.02], [0.005, -0.01]])],
+                         ids=["mobius", "conjugated"])
+def test_lifted_jet_takes_its_value_from_one_base_evaluation(base):
+    # the lift value comes from the base jet's value, which is the base
+    # map's value bit for bit, branch included at the wrap points of k x
+    rng = np.random.default_rng(9)
+    for k, j in ((2, 0), (2, 1), (3, 2)):
+        x = np.concatenate([rng.random(500), np.arange(k + 1) / k,
+                            np.nextafter(np.arange(1, k + 1) / k, 0.0), [1.0 - 2 ** -53]])
+        counted = _CountingMap(base)
+        g = LiftedMap(counted, k, j)
+        want = LiftedMap(base, k, j).apply(x)
+        for evaluate in (lambda v: g.jet(v).value, lambda v: g.value_d1(v)[0], g.apply):
+            counted.calls = 0
+            assert np.array_equal(evaluate(x), want)
+            assert counted.calls == 1
+
+
 # -- affine distortion -------------------------------------------------------
 
 def test_distortion_of_rotation_vanishes():

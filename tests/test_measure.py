@@ -2,16 +2,20 @@ import numpy as np
 import pytest
 from conftest import reference_apply_indexed
 
-from circlelab.circle import Arc, wrap
+from circlelab.circle import Arc, unwrap_increasing, wrap
+from circlelab.configs import build_step_distribution, builtin_config
 from circlelab.maps import LiftedMap, MobiusMap, Word, make_generator, rotation
 from circlelab.measure import (
     _TAG_BOUNDARY,
     _TAG_DIRAC,
     _TAG_LYAPUNOV,
     _TAG_STATIONARY,
-    _smallest_arc_width,
     GridMeasure,
     MeasureGapError,
+    _arc_widths,
+    _median_rows,
+    _transfer_apply,
+    _transfer_cells,
     asymptotic_entropy,
     boundary_entropy,
     dirac_convergence_probe,
@@ -168,6 +172,26 @@ def test_stationarity_residual_function(sanov_mu):
     assert stationarity_residual(sanov_mu, nu) <= 1e-6
     leb = GridMeasure.lebesgue(1024)
     assert stationarity_residual(sanov_mu, leb) > 0.01
+
+
+def test_transfer_step_is_the_averaged_lifted_cdf_bit_for_bit(sanov_mu, lifted_mu, conjugated_mu):
+    # the transfer step reads fixed cells of the preimages; the reference
+    # looks each preimage up afresh through `cdf_lifted`
+    rng = np.random.default_rng(11)
+    for N in (1000, 1024):
+        grid = np.arange(N + 1) / N
+        mass = rng.random(N) * (rng.random(N) < 0.7)
+        cdf = np.concatenate([[0.0], np.cumsum(mass) / mass.sum()])
+        cdf[-1] = 1.0
+        for nu in (GridMeasure(cdf), GridMeasure.lebesgue(N)):
+            for mu in (sanov_mu, lifted_mu, conjugated_mu):
+                want = np.zeros(N + 1)
+                for p, a in zip(mu.probs, mu.atoms):
+                    lifted = nu.cdf_lifted(unwrap_increasing(a.inverse().apply(grid)))
+                    want += p * (lifted - lifted[0])
+                want[0], want[-1] = 0.0, 1.0
+                got = _transfer_apply(mu, nu.cdf, _transfer_cells(mu, GridMeasure.lebesgue(N)))
+                assert np.array_equal(got, want)
 
 
 # -- Lyapunov -----------------------------------------------------------------
@@ -331,6 +355,15 @@ def test_dirac_probe_sanov_contracts(sanov_mu):
     assert curve.median_width[-1] <= 1e-3
 
 
+def _smallest_arc_width(nu_cdf: np.ndarray, grid: np.ndarray, q: float) -> float:
+    """The searchsorted oracle of the probe's arc search: from each grid
+    point, the first index at which the doubled CDF reaches its value + q."""
+    ext = np.concatenate([nu_cdf, nu_cdf[1:] + 1.0])
+    xg = np.concatenate([grid, grid[1:] + 1.0])
+    idx = np.searchsorted(ext, nu_cdf + q, side="left").clip(0, len(ext) - 1)
+    return float(np.min(xg[idx] - grid))
+
+
 def probe_by_words(mu, nu, horizon, trials, quantile=0.99, seed=0):
     """Reference probe: rebuild the word r_n = g_1 ... g_n every step and
     push nu forward through it."""
@@ -383,6 +416,132 @@ def test_dirac_probe_matches_word_reference_mobius(sanov_mu):
     curve = dirac_convergence_probe(sanov_mu, nu, horizon=12, trials=3, seed=2)
     ref = probe_by_words(sanov_mu, nu, 12, 3, seed=2)
     assert np.max(np.abs(curve.median_width - ref)) <= 1e-12
+
+
+def test_dirac_probe_matches_per_step_apply_on_a_cantor_set():
+    # direction states against per-step `apply` where widths flip most
+    # easily: a Monte Carlo nu of a Schottky pair, flat on most cells
+    mu = build_step_distribution(builtin_config("schottky"))
+    nu = estimate_stationary_measure(mu, "monte_carlo", grid_size=4096, mc_samples=50_000,
+                                     mc_steps=60, seed=9)
+    assert np.mean(np.diff(nu.cdf) == 0.0) > 0.9
+    for seed in range(6):   # one trial: its widths are the curve
+        curve = dirac_convergence_probe(mu, nu, horizon=40, trials=1, seed=seed)
+        assert np.array_equal(curve.median_width, probe_by_per_step_draws(mu, nu, 40, 1, seed=seed))
+    curve = dirac_convergence_probe(mu, nu, horizon=40, trials=4, seed=6)
+    assert np.array_equal(curve.median_width, probe_by_per_step_draws(mu, nu, 40, 4, seed=6))
+
+
+def test_dirac_probe_on_other_families_is_the_per_step_apply(conjugated_mu, lifted_mu):
+    # rows of families without direction states are stepped one at a time
+    # by `apply`, bit for bit the per-trial loop: a conjugator's Newton
+    # inverse stops on the worst point of the array it is given
+    mixed = make_step_distribution(list(lifted_mu.atoms) + [rotation(1 / 3), rotation(-1 / 3)],
+                                   [1.0] * 6, symmetric=True)
+    for mu in (conjugated_mu, lifted_mu, mixed):
+        nu = GridMeasure.lebesgue(512)
+        curve = dirac_convergence_probe(mu, nu, horizon=8, trials=3, seed=2)
+        assert np.array_equal(curve.median_width, probe_by_per_step_draws(mu, nu, 8, 3, seed=2))
+
+@pytest.mark.parametrize("kwargs", [{"quantile": 0.0}, {"quantile": -0.5}, {"quantile": 1.0 + 1e-12},
+                                    {"quantile": 2.0}, {"quantile": float("nan")}, {"horizon": -1},
+                                    {"trials": 0}, {"trials": -3}])
+def test_dirac_probe_rejects_arguments_out_of_range(kwargs):
+    with pytest.raises(ValueError):
+        dirac_convergence_probe(rotations_mu(), GridMeasure.lebesgue(256), **kwargs)
+
+
+def test_dirac_probe_edges_of_the_ranges(sanov_mu):
+    nu = GridMeasure.lebesgue(256)
+    curve = dirac_convergence_probe(rotations_mu(), nu, horizon=0, trials=1, quantile=1.0)
+    assert np.array_equal(curve.ns, [0]) and np.array_equal(curve.median_width, [1.0])
+    curve = dirac_convergence_probe(sanov_mu, nu, horizon=6, trials=2, quantile=1.0, seed=3)
+    assert np.array_equal(curve.median_width, probe_by_per_step_draws(sanov_mu, nu, 6, 2, 1.0, seed=3))
+
+
+def gap_search(cdf, q, guess):
+    """(width, least gap) of `_arc_widths` on one CDF row, galloped from guess."""
+    N = len(cdf) - 1
+    grid = np.arange(N + 1) / N
+    ext = np.concatenate([cdf, np.zeros(N)])[None]
+    gaps, widths = np.array([guess]), np.empty(1)
+    _arc_widths(ext, q, np.concatenate([grid, grid[1:] + 1.0]), gaps, widths, np.empty(N + 1),
+                np.empty(N + 1, bool), np.empty(N + 1))
+    return widths[0], gaps[0]
+
+
+def least_gap_oracle(cdf, q):
+    ext = np.concatenate([cdf, cdf[1:] + 1.0])
+    return int(np.min(np.searchsorted(ext, cdf + q, side="left") - np.arange(len(cdf))))
+
+
+def test_gap_search_is_the_searchsorted_oracle():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @st.composite
+    def cdfs(draw):
+        N = draw(st.integers(2, 300))
+        kind = draw(st.sampled_from(["flat", "atom", "lebesgue"]))
+        if kind == "lebesgue":
+            return np.arange(N + 1) / N
+        # cell masses, most of them zero: monotone CDFs with flat stretches
+        mass = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=N, max_size=N)))
+        mass[np.array(draw(st.lists(st.booleans(), min_size=N, max_size=N)))] = 0.0
+        if kind == "atom":   # one cell carrying at least 0.99 of the mass
+            mass[draw(st.integers(0, N - 1))] = 99.0 * max(mass.sum(), 1.0)
+        if mass.sum() == 0.0:
+            mass[0] = 1.0
+        cdf = np.concatenate([[0.0], np.cumsum(mass) / mass.sum()])
+        cdf[-1] = 1.0
+        return np.maximum.accumulate(np.clip(cdf, 0.0, 1.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(cdfs(), st.sampled_from([1e-6, 0.5, 0.99, 1.0]), st.sampled_from(["0", "N", "random"]),
+           st.randoms(use_true_random=False))
+    def check(cdf, q, start, rnd):
+        N = len(cdf) - 1
+        guess = {"0": 0, "N": N, "random": rnd.randint(0, N)}[start]
+        width, gap = gap_search(cdf, q, guess)
+        assert width == _smallest_arc_width(cdf, np.arange(N + 1) / N, q)
+        assert gap == least_gap_oracle(cdf, q)
+
+    check()
+
+
+def test_median_rows_is_np_median_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for rows in range(1, 8):
+        a = rng.random((rows, 40)) * 10.0 ** rng.integers(-12, 2, (rows, 40))
+        a[:, :5] = 0.25   # ties
+        assert np.array_equal(_median_rows(a), np.median(a, axis=0))
+
+
+def pushed_cdf_reference(nu, preimages):
+    """The pushed CDF as `pushforward_from_preimages` built it, op by op."""
+    ylift = unwrap_increasing(preimages)
+    vals = nu.cdf_lifted(ylift)
+    vals -= vals[0]
+    vals[0] = 0.0
+    vals[-1] = 1.0
+    return np.maximum.accumulate(np.clip(vals, 0.0, 1.0))
+
+
+def test_pushforward_is_the_unwrapped_cdf_bit_for_bit(sanov_mu, lifted_mu):
+    # one body builds a single pushed CDF and the probe's batches of them
+    nu = estimate_stationary_measure(sanov_mu, grid_size=1024, seed=3)
+    cdf = nu.cdf ** 3
+    for measure in (nu, GridMeasure(cdf / cdf[-1]), GridMeasure.lebesgue(1024)):
+        rows = [wrap(measure.grid + 0.3), wrap(measure.grid * (1.0 - 1e-9)), measure.grid]
+        rows += [a.inverse().apply(measure.grid) for a in sanov_mu.atoms + lifted_mu.atoms]
+        want = np.array([pushed_cdf_reference(measure, r) for r in rows])
+        for r, w in zip(rows, want):
+            assert np.array_equal(measure.pushforward_from_preimages(r).cdf, w)
+        pre = np.array(rows)
+        out = np.empty_like(pre)
+        measure._push_into(pre, out, np.empty_like(pre), np.empty(pre.shape, np.intp),
+                           np.empty(pre.shape, bool))
+        assert np.array_equal(out, want)
 
 
 # -- the stepping kernel against the grouped per-atom loop it replaced ----------
