@@ -16,11 +16,9 @@ from .maps import (
     MobiusMap,
     TrigConjugacy,
     Word,
-    affine_distortion,
     eval_jet3,
     linearizing_chart,
     make_generator,
-    rho_lower_bound,
     rotation,
 )
 from .walk import (StepDistribution, WalkTrajectory, canonical_key, make_step_distribution, sample_walk,
@@ -46,7 +44,6 @@ from .distortion import (
 )
 from .nearid import (
     brute_force_min_c1,
-    ck_distance_to_identity,
     endgame_estimates,
     kappa_m_solve,
     search_near_identity_pairs,

@@ -68,11 +68,6 @@ class Arc:
     def midpoint(self) -> float:
         return float(wrap(self.left + 0.5 * self.length))
 
-    def contains(self, x) -> np.ndarray:
-        """Membership test, consistent under mod-1 wraparound."""
-        rel = wrap(np.asarray(x, dtype=float) - self.left)
-        return rel <= self.length
-
     def grid(self, n: int) -> np.ndarray:
         """n evenly spaced points on the arc, endpoints included."""
         if n < 2:

@@ -82,7 +82,7 @@ KEYS = {
     "mu": ({"atoms": None, "symmetric": bool}, None),
     "lift": ({"degree": int}, None),
     "extra_atoms": (None, None),
-    "method": (("transfer_iteration", "transfer", "monte_carlo", "both"), "transfer_iteration"),
+    "method": (("transfer_iteration", "monte_carlo", "both"), "transfer_iteration"),
     "grid_size": (Bounded(int, 256), 8192),
     "mc_samples": (Bounded(int, 1), 200_000),
     "mc_steps": (Bounded(int, 1), 300),

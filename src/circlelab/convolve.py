@@ -262,9 +262,6 @@ class ConvolutionTable:
     def support_size(self) -> int:
         return len(self.masses)
 
-    def entropy(self) -> float:
-        return entropy_of(self.masses)
-
     def masses_of_matrices(self, matrices) -> np.ndarray:
         """Masses of the elements given by stacked (k, 2, 2) matrices (0.0 where absent).
 

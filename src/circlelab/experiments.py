@@ -98,7 +98,7 @@ def scenario_stationary(cfg, p, seed, out_dir, measures):
     results = {}
     invs = []
     nu_t = nu_mc = None
-    if p["method"] in ("transfer_iteration", "transfer", "both"):
+    if p["method"] in ("transfer_iteration", "both"):
         nu_t = _transfer_measure(measures, mu, N, tol)
         results["transfer"] = nu_t.info.__dict__.copy()
         invs.append(invariant("stationarity_residual_transfer", nu_t.info.residual <= tol,

@@ -104,7 +104,11 @@ class MobiusMap:
     # -- complex extension -----------------------------------------------
 
     def cval(self, z):
-        """Holomorphic extension to C/Z, values reduced mod 1 in the real part."""
+        """Holomorphic extension to C/Z, values reduced mod 1 in the real part.
+
+        With `cderiv`, the reference that tests compare the complex
+        distortion check's direction-state stepping against; no run calls
+        them."""
         U, V = self._uv(z, complex)
         w = _c_arctan(V / U) / np.pi
         return wrap(w.real) + 1j * w.imag
@@ -311,7 +315,10 @@ class TrigConjugacy:
 
     The lift is global and monotone, so inverses are solved in lift
     coordinates (a linear-interpolation seed on a dense grid, then Newton
-    to machine precision).
+    to machine precision).  The harmonic sums are elementwise products
+    summed along the harmonics, not matrix-vector products: BLAS blocks
+    those by the number of points, so a point's value would depend on the
+    points evaluated with it.
     """
 
     __slots__ = ("coeffs", "_grid_x", "_grid_lift", "_lift0")
@@ -338,22 +345,22 @@ class TrigConjugacy:
 
     def _lift(self, x):
         k, cs, sn = self._harmonics(x)
-        return np.asarray(x, dtype=float) + cs @ self.coeffs[:, 0] + sn @ self.coeffs[:, 1]
+        return np.asarray(x, dtype=float) + (cs * self.coeffs[:, 0]).sum(-1) + (sn * self.coeffs[:, 1]).sum(-1)
 
     def _lift_d1(self, x):
         k, cs, sn = self._harmonics(x)
         w = 2.0 * np.pi * k
-        return 1.0 + sn @ (-w * self.coeffs[:, 0]) + cs @ (w * self.coeffs[:, 1])
+        return 1.0 + (sn * (-w * self.coeffs[:, 0])).sum(-1) + (cs * (w * self.coeffs[:, 1])).sum(-1)
 
     def _lift_d2(self, x):
         k, cs, sn = self._harmonics(x)
         w = (2.0 * np.pi * k) ** 2
-        return cs @ (-w * self.coeffs[:, 0]) + sn @ (-w * self.coeffs[:, 1])
+        return (cs * (-w * self.coeffs[:, 0])).sum(-1) + (sn * (-w * self.coeffs[:, 1])).sum(-1)
 
     def _lift_d3(self, x):
         k, cs, sn = self._harmonics(x)
         w = (2.0 * np.pi * k) ** 3
-        return sn @ (w * self.coeffs[:, 0]) + cs @ (-w * self.coeffs[:, 1])
+        return (sn * (w * self.coeffs[:, 0])).sum(-1) + (cs * (-w * self.coeffs[:, 1])).sum(-1)
 
     def apply(self, x):
         return wrap(self._lift(x))
@@ -364,25 +371,25 @@ class TrigConjugacy:
         return Jet3(self.apply(x), self._lift_d1(x), self._lift_d2(x), self._lift_d3(x))
 
     def inverse_value(self, y):
-        """Solve lift(x) = y in lift coordinates; returns x mod 1."""
+        """Solve lift(x) = y in lift coordinates; returns x mod 1.  Each point
+        leaves the Newton iteration after the step at which its own residual
+        is below 1e-15, so its value does not depend on the points solved
+        with it."""
         y = np.asarray(y, dtype=float)
-        ylift = self._lift0 + wrap(y - self._lift0)
+        ylift = (self._lift0 + wrap(y - self._lift0)).ravel()
         x = np.interp(ylift, self._grid_lift, self._grid_x)
+        live = np.arange(x.size)
         for _ in range(30):
-            f = self._lift(x) - ylift
-            x = x - f / self._lift_d1(x)
-            if np.max(np.abs(f)) < 1e-15:
+            xl = x[live]
+            f = self._lift(xl) - ylift[live]
+            x[live] = xl - f / self._lift_d1(xl)
+            live = live[np.abs(f) >= 1e-15]
+            if not live.size:
                 break
-        return wrap(x)
+        return wrap(x.reshape(y.shape))
 
     def inverse(self) -> "TrigConjugacyInverse":
         return TrigConjugacyInverse(self)
-
-    def coefficient_decay(self):
-        """(sum |coef|, sum 2 pi k |coef|, max frequency) for annulus bounds."""
-        k = np.arange(1, self.coeffs.shape[0] + 1)
-        mags = np.abs(self.coeffs).sum(axis=1)
-        return float(mags.sum()), float((2.0 * np.pi * k * mags).sum()), int(k[-1])
 
     def __repr__(self):
         return f"TrigConjugacy({self.coeffs.tolist()})"
@@ -594,10 +601,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word(tuple(f.inverse() for f in reversed(self.factors)))
 
-    def then(self, f) -> "Word":
-        """Word followed by one more map (applied last)."""
-        return Word(self.factors + (f,))
-
     def matrix(self):
         """Exact matrix product when every factor is Mobius, else None."""
         m = np.eye(2)
@@ -735,94 +738,3 @@ def linearizing_chart(gen) -> LinearChart:
     if abs(d_fix - alpha) > 1e-9 * max(1.0, abs(alpha)):
         raise AssertionError("chart multiplier disagrees with fixed-point derivative")
     return chart
-
-
-# ---------------------------------------------------------------------------
-# affine distortion on arcs (grid maxima, lower bounds of the true sup)
-# ---------------------------------------------------------------------------
-
-
-def distortion_over_points(map_like, points) -> float:
-    """max over point pairs of log(g'(y)/g'(x)); >= 0."""
-    ld = np.log(eval_jet3(map_like, points).d1)
-    return float(np.max(ld) - np.min(ld))
-
-
-def affine_distortion(map_like, arc: Arc, grid_size: int = 4096) -> float:
-    """Affine distortion kappa(g, I) measured on a uniform grid of the arc.
-
-    Grid maxima are lower bounds of the true supremum; refining the grid
-    (n -> 2n-1 keeps grids nested) can only increase the value.
-    """
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
-    return distortion_over_points(map_like, arc.grid(grid_size))
-
-
-# ---------------------------------------------------------------------------
-# annulus of analytic extension
-# ---------------------------------------------------------------------------
-
-
-def rho_lower_bound(gen) -> float:
-    """Certified lower bound on the annulus width of injective holomorphic
-    extension of a generator.
-
-    For pure Mobius maps this is exact: rho of `mobius_seminorms`, the
-    height of the preimage of the ramification points +-i.  Rotations
-    extend to the whole cylinder (returns inf).  Conjugated generators get
-    a conservative bound from the conjugator's coefficient decay.
-    """
-    mob = gen.as_mobius() if isinstance(gen, Word) else gen
-    if isinstance(mob, MobiusMap):
-        return float(mobius_seminorms(mob.matrix)[4])
-    if isinstance(gen, ConjugatedMap):
-        return _rho_conjugated(gen)
-    raise ValueError(f"no annulus bound for maps of type {type(gen).__name__}")
-
-
-def _rho_conjugated(gen: ConjugatedMap) -> float:
-    """Conservative annulus bound for c o M o c^{-1} from coefficient decay.
-
-    On A_r the trig polynomial T obeys |T(z)| <= C0 e^{2 pi K r} and
-    |T'(z)| <= C1 e^{2 pi K r}; where |T'| <= 1/2 the lift x + T is
-    injective, and the image/preimage annuli widen by at most |T|.
-    The bound runs the chain c^{-1}, M, c and shrinks r until every
-    stage stays inside its injectivity region.
-    """
-    C0, C1, K = gen.conj.coefficient_decay()
-    rho_m = rho_lower_bound(gen.mobius)
-
-    def drift(r):
-        return C0 * np.exp(2.0 * np.pi * K * r)
-
-    def conj_ok(r):
-        return C1 * np.exp(2.0 * np.pi * K * r) < 0.5
-
-    def feasible(r):
-        r1 = r + drift(r)            # c^{-1}(A_r) is contained in A_{r1}
-        if not conj_ok(r1):
-            return False
-        if r1 >= 0.9 * rho_m:        # Mobius stage must extend injectively
-            return False
-        r2 = _mobius_image_height(gen.mobius, r1)
-        return conj_ok(r2 + drift(r2))
-
-    lo, hi = 0.0, min(0.5, 0.9 * rho_m if np.isfinite(rho_m) else 0.5)
-    if not feasible(hi * 1e-6):
-        return 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return float(lo)
-
-
-def _mobius_image_height(mob: MobiusMap, r: float) -> float:
-    """max |Im| over the image of the annulus A_r under the extension (grid bound)."""
-    re = np.linspace(0.0, 1.0, 97)
-    im = np.array([-r, r])
-    z = re[None, :] + 1j * im[:, None]
-    return float(np.max(np.abs(mob.cval(z).imag)))

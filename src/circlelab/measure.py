@@ -311,7 +311,7 @@ def estimate_stationary_measure(
     leb = GridMeasure.lebesgue(grid_size)
     cells = _transfer_cells(mu, leb)
 
-    if method in ("transfer_iteration", "transfer"):
+    if method == "transfer_iteration":
         cdf = leb.cdf
         iterations = 0
         for iterations in range(1, max_iterations + 1):
@@ -351,7 +351,7 @@ def estimate_stationary_measure(
     residual = float(np.max(np.abs(_transfer_apply(mu, nu.cdf, cells) - nu.cdf)))
     nu.info = StationaryInfo(method, residual, iterations, grid_size, samples,
                              nu.max_cell_mass, nu.atom_warning)
-    if method in ("transfer_iteration", "transfer"):
+    if method == "transfer_iteration":
         require_stationary(nu, tol)
     return nu
 
@@ -776,12 +776,10 @@ def dirac_convergence_probe(
     as one row of a (trials, N+1) array.  A pure Mobius family steps the
     rows as direction states by the inverse atoms' direction matrices and
     reads positions by arctan2 alone.  Another family applies each row's
-    inverse atom to that row alone: a conjugator's Newton inverse stops on
-    the worst point of the array it is given, so a row batched with others
-    would depend on them, and the temporaries of a several-row gather are
-    large enough for the allocator to map and unmap them at every step
-    (about 12 000 page faults per call on the lifted free pair, against
-    600 row by row).  Each row's pushed CDF is built in
+    inverse atom to that row alone: the temporaries of a several-row
+    gather are large enough for the allocator to map and unmap them at
+    every step (about 12 000 page faults per call on the lifted free pair,
+    against 600 row by row).  Each row's pushed CDF is built in
     place by `pushforward_from_preimages`' own body, and its smallest arc
     by a galloping search for the least index gap from the row's previous
     one (`_arc_widths`).  Nothing is allocated per step on the Mobius path.

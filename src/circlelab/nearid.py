@@ -112,15 +112,6 @@ def ck_distances(map_like, arc: Arc, grid_size: int = 129, jet=None) -> tuple:
     return float(c1), float(c2), float(max(c2, np.max(np.abs(j.d3))))
 
 
-def ck_distance_to_identity(map_like, arc: Arc, k: int = 1, grid_size: int = 129) -> float:
-    """max over the arc grid of dist(phi(x), x), |phi' - 1|, |phi''|, |phi'''|
-    up to order k.
-    """
-    if k not in (1, 2, 3):
-        raise ValueError("order k must be 1, 2, or 3")
-    return ck_distances(map_like, arc, grid_size)[k - 1]
-
-
 # ---------------------------------------------------------------------------
 # the search
 # ---------------------------------------------------------------------------

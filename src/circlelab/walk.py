@@ -2,9 +2,10 @@
 
 A step distribution mu is a finite list of atoms (maps or words) with
 positive weights.  Walks are sampled from counter-based streams, so a
-(seed, index) pair pins the whole trajectory.  Both composition orders
-are exposed: r_n = g_1 ... g_n (new letters multiply on the right) and
-l_n = g_n ... g_1 (new letters act last).
+(seed, index) pair pins the whole trajectory.  The estimators read a
+walk in both composition orders: r_n = g_1 ... g_n (new letters
+multiply on the right; the entropies and the Dirac probe) and
+l_n = g_n ... g_1 (new letters act last; the distortion scan).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import circle_dist
 from .maps import (
     MobiusMap,
     Word,
@@ -192,9 +192,10 @@ def make_step_distribution(atoms, probs, symmetric: bool = False, names=None) ->
 
 @dataclass
 class WalkTrajectory:
-    """A seeded walk: the atom indices of its steps, composed on demand as
-    words.  steps may also be a (walks, n) batch, one walk per row, which
-    the distortion checks take whole."""
+    """A seeded walk: the atom indices of its steps, which the estimators
+    step through `StepDistribution.step_state`.  steps may also be a
+    (walks, n) batch, one walk per row, which the distortion checks take
+    whole."""
 
     distribution: StepDistribution
     seed: int
@@ -202,16 +203,6 @@ class WalkTrajectory:
 
     def __len__(self):
         return len(self.steps)
-
-    def l_word(self, n: int | None = None) -> Word:
-        """l_n = g_n ... g_1 (g_1 applied first)."""
-        n = len(self.steps) if n is None else n
-        return Word(tuple(self.distribution.atoms[k] for k in self.steps[:n]))
-
-    def r_word(self, n: int | None = None) -> Word:
-        """r_n = g_1 ... g_n (g_n applied first)."""
-        n = len(self.steps) if n is None else n
-        return Word(tuple(self.distribution.atoms[k] for k in self.steps[:n][::-1]))
 
 
 def sample_walk(mu: StepDistribution, n: int, seed: int, *path: int) -> WalkTrajectory:
@@ -226,8 +217,3 @@ def sample_walk(mu: StepDistribution, n: int, seed: int, *path: int) -> WalkTraj
 def sample_walks(mu: StepDistribution, n: int, seed: int, count: int) -> WalkTrajectory:
     """count walks of n steps as one batch: row k is sample_walk(mu, n, seed, k).steps."""
     return WalkTrajectory(mu, seed, np.stack([sample_walk(mu, n, seed, k).steps for k in range(count)]))
-
-
-def pointwise_equal(map_a, map_b, tol: float = 1e-10, points=_FINGERPRINT_POINTS) -> bool:
-    """Whether two maps act identically on the probe points (up to tol)."""
-    return bool(np.all(circle_dist(map_a.apply(points), map_b.apply(points)) <= tol))

@@ -318,6 +318,7 @@ def test_malformed_extra_atoms_row_is_a_config_error(tmp_path, capsys, row):
 
 @pytest.mark.parametrize("scenario, key, value", [
     ("stationary", "method", "montecarlo"),
+    ("stationary", "method", "transfer"),
     ("lyapunov", "method", "transfer_iter"),
     ("boundary", "method", "MC"),
     ("near-identity", "expectation", "discret"),

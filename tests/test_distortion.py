@@ -20,7 +20,7 @@ from circlelab.distortion import (
     walk_constants,
 )
 from circlelab.maps import (MobiusMap, Word, direction, direction_abs_im, direction_matrices,
-                            mobius_seminorms, rho_lower_bound, rotation)
+                            mobius_seminorms, rotation)
 from circlelab.measure import GridMeasure, estimate_stationary_measure, lyapunov_exponent
 from circlelab.walk import make_step_distribution, sample_walk, sample_walks
 
@@ -121,7 +121,6 @@ def test_word_atoms_get_their_product_matrix_closed_form():
     for k, atom in enumerate(mu.atoms):
         mob = atom.as_mobius() if isinstance(atom, Word) else atom
         np.testing.assert_allclose([v[k] for v in values], mobius_seminorms(mob.matrix), rtol=1e-12)
-        assert values[4][k] == pytest.approx(rho_lower_bound(mob), rel=1e-12)
     nu = estimate_stationary_measure(mu, grid_size=2048, seed=1)
     lam = lyapunov_exponent(mu, nu, n_steps=1000, trajectories=16, integral_samples=5000, seed=1).value
     rep = walk_constants(sample_walks(mu, 40, 3, 4), nu, lam, h_nu=0.5, eps=0.1, J=sanov_J(nu),

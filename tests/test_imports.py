@@ -1,5 +1,7 @@
 """Static checks on src/circlelab: every module-level import is used,
 every module-level private function or class is referenced somewhere,
+every public function, method and property is read by src code or is a
+test reference (`TEST_REFERENCES`),
 every local that a function assigns by name is read (in tests/ too),
 every reduction mod 1 goes through `circle.wrap`, no module imports a
 thread or process pool (runs are serial), no loop steps points by
@@ -47,6 +49,25 @@ def unreferenced_privates(sources: dict) -> list:
     return [f"{name}:{node.name}" for name, tree in trees.items() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and node.name.startswith("_") and node.name not in referenced]
+
+
+def unread_public_names(sources: dict) -> list:
+    """`module:name` or `module:Class.name` for each public module-level
+    function, and each public method or property of a module-level class,
+    whose name no module but `__init__.py` reads (as a name or an attribute)."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    read = {n.id if isinstance(n, ast.Name) else n.attr
+            for name, tree in trees.items() if name != "__init__.py" for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                defs = [(f"{node.name}.{f.name}", f.name) for f in node.body if isinstance(f, ast.FunctionDef)]
+            else:
+                defs = [(node.name, node.name)] if isinstance(node, ast.FunctionDef) else []
+            found += [f"{name}:{qual}" for qual, n in defs if not n.startswith("_") and n not in read]
+    return sorted(found)
 
 
 def unread_locals(source: str) -> list:
@@ -258,3 +279,33 @@ def test_private_checker_flags_only_unreferenced_names():
 def test_no_unreferenced_module_level_privates():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_privates(sources) == []
+
+
+def test_public_checker_flags_only_names_src_never_reads():
+    sources = {
+        "a.py": "def used():\n    def inner():\n        pass\n    return inner\ndef dead():\n    pass\n"
+                "class C:\n    def m(self):\n        pass\n    @property\n    def p(self):\n        return 1\n"
+                "    def alias(self):\n        pass\n    __call__ = alias\n    def _private(self):\n        pass\n"
+                "    def __len__(self):\n        return 0\n",
+        "b.py": "from a import used, dead\nimport a\nx = used() + a.C().p\n",
+        "__init__.py": "from .a import dead\nfrom . import a\ny = a.C.m\n",
+    }
+    assert unread_public_names(sources) == ["a.py:C.m", "a.py:dead"]
+
+
+# public names that no src module reads, each kept as a reference that tests compare against
+TEST_REFERENCES = {
+    "convolve.py:ConvolutionTable.mass_of_matrix": "one-matrix lookup that the batched masses_of_matrices must equal",
+    "jets.py:log_and_schwarzian": "(L, S) of a jet, for the chain-rule cocycle checks of criterion 6",
+    "jets.py:projective_schwarzian": "the corrected Schwarzian that vanishes on Mobius words",
+    "maps.py:MobiusMap.cderiv": "with cval, the loop the complex distortion check's direction states must match",
+    "maps.py:MobiusMap.cval": "with cderiv, the loop the complex distortion check's direction states must match",
+    "measure.py:GridMeasure.pushforward": "pushes nu through a whole word: the word-by-word reference Dirac probe",
+    "measure.py:rn_derivative": "the one-point RN window, checked against g' and the cocycle rule",
+    "measure.py:stationarity_residual": "the residual of criterion 4, recomputed from a measure alone",
+}
+
+
+def test_every_public_name_is_read_by_src_or_is_a_test_reference():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_public_names(sources) == sorted(TEST_REFERENCES)

@@ -434,8 +434,7 @@ def test_dirac_probe_matches_per_step_apply_on_a_cantor_set():
 
 def test_dirac_probe_on_other_families_is_the_per_step_apply(conjugated_mu, lifted_mu):
     # rows of families without direction states are stepped one at a time
-    # by `apply`, bit for bit the per-trial loop: a conjugator's Newton
-    # inverse stops on the worst point of the array it is given
+    # by `apply`, bit for bit the per-trial loop
     mixed = make_step_distribution(list(lifted_mu.atoms) + [rotation(1 / 3), rotation(-1 / 3)],
                                    [1.0] * 6, symmetric=True)
     for mu in (conjugated_mu, lifted_mu, mixed):

@@ -21,7 +21,6 @@ from circlelab.nearid import (
     NearIdentityReport,
     _chart_eval,
     chart_preimages,
-    ck_distance_to_identity,
     ck_distances,
     endgame_estimates,
     kappa_m_solve,
@@ -112,18 +111,18 @@ def test_kappa_residual_precision():
 
 def test_ck_identity_word():
     w = Word(())
-    assert ck_distance_to_identity(w, Arc(0.1, 0.2), 3) == 0.0
+    assert ck_distances(w, Arc(0.1, 0.2))[2] == 0.0
 
 
 def test_ck_cancelling_word():
     g = MobiusMap([[1, 2], [0, 1]])
     w = Word((g, rotation(0.3), rotation(0.3).inverse(), g.inverse()))
-    assert ck_distance_to_identity(w, Arc(0.1, 0.2), 3) < 1e-9
+    assert ck_distances(w, Arc(0.1, 0.2))[2] < 1e-9
 
 
 def test_ck_small_rotation_exact():
     w = Word((rotation(1e-4),))
-    assert abs(ck_distance_to_identity(w, Arc(0.3, 0.1), 1) - 1e-4) < 1e-12
+    assert abs(ck_distances(w, Arc(0.3, 0.1))[0] - 1e-4) < 1e-12
 
 
 def reference_ck_distance(map_like, arc, k, grid_size=129):
@@ -152,7 +151,6 @@ def test_ck_distances_equal_the_per_order_computation(dense_reports):
             ref = tuple(reference_ck_distance(phi, arc, k, n) for k in (1, 2, 3))
             assert ck_distances(phi, arc, n) == ref
             assert ck_distances(phi, arc, n, jet=eval_jet3(phi, arc.grid(n))) == ref
-            assert all(ck_distance_to_identity(phi, arc, k, n) == ref[k - 1] for k in (1, 2, 3))
 
 
 def test_product_matrix_jets_match_the_factor_jets(dense_reports):

@@ -21,7 +21,6 @@ from circlelab.walk import (
     StepDistribution,
     canonical_key,
     make_step_distribution,
-    pointwise_equal,
     sample_walk,
 )
 
@@ -71,13 +70,7 @@ def test_walk_determinism(sanov_mu):
     assert np.array_equal(w1.steps, w2.steps)
     w3 = sample_walk(sanov_mu, 200, seed=43)
     assert not np.array_equal(w1.steps, w3.steps)
-
-
-def test_zero_length_walk(sanov_mu):
-    w = sample_walk(sanov_mu, 0, seed=1)
-    xs = np.array([0.1, 0.7])
-    assert np.allclose(w.l_word().apply(xs), xs)
-    assert np.allclose(w.r_word().apply(xs), xs)
+    assert sample_walk(sanov_mu, 0, seed=1).steps.shape == (0,)
 
 
 def test_atom_frequencies_binomial(sanov_mu):
@@ -89,19 +82,7 @@ def test_atom_frequencies_binomial(sanov_mu):
         assert abs(freq - 0.25) <= 3 * sigma
 
 
-def test_prefix_caches_match_recomposition(sanov_mu):
-    # reference prefix products l_k = g_k ... g_1 and r_k = g_1 ... g_k from the atom matrices
-    w = sample_walk(sanov_mu, 12, seed=5)
-    mats = sanov_mu.matrices()
-    lm = [np.eye(2)]
-    rm = [np.eye(2)]
-    for s in w.steps:
-        lm.append(mats[s] @ lm[-1])
-        rm.append(rm[-1] @ mats[s])
-    xs = np.array([0.21, 0.55, 0.83])
-    for n in (0, 3, 7, 12):
-        assert np.allclose(MobiusMap(lm[n]).apply(xs), w.l_word(n).apply(xs), atol=1e-12)
-        assert np.allclose(MobiusMap(rm[n]).apply(xs), w.r_word(n).apply(xs), atol=1e-12)
+PROBES = np.array([0.137, 0.391, 0.823])
 
 
 def test_canonical_key_soundness(sanov_mu):
@@ -113,7 +94,7 @@ def test_canonical_key_soundness(sanov_mu):
         w1 = Word([atoms[i] for i in rng.integers(0, 4, k1)])
         w2 = Word([atoms[i] for i in rng.integers(0, 4, k2)])
         same_key = canonical_key(w1) == canonical_key(w2)
-        same_action = pointwise_equal(w1, w2, tol=1e-10)
+        same_action = bool(np.all(circle_dist(w1.apply(PROBES), w2.apply(PROBES)) <= 1e-10))
         assert same_key == same_action
 
 
