@@ -36,16 +36,32 @@ def circle_dist(u, v):
     return np.minimum(d, 1.0 - d)
 
 
+def lift_steps(steps, turns):
+    """Lift, in place, the differences steps (..., n) of rows of circle
+    values sampled along degree-one monotone paths; returns steps.  A row
+    wraps once, at its most negative step, which gains a turn; its other
+    negative steps are rounding backsteps (in a collapsed cluster) and stay,
+    and a step of a full turn (0 to 1.0) reads 0.  turns (float, steps'
+    shape) is scratch."""
+    if steps.shape[-1]:
+        at = np.argmin(steps, axis=-1, keepdims=True)
+        wrap_turn = np.take_along_axis(np.floor(steps, out=turns), at, axis=-1)
+        np.maximum(turns, 0.0, out=turns)
+        np.put_along_axis(turns, at, wrap_turn, axis=-1)
+        steps -= turns
+    return steps
+
+
 def unwrap_increasing(values):
     """Lift circle values sampled along an increasing path to a monotone
-    real sequence starting at values[0].
+    real sequence starting at values[0], wrapping once (`lift_steps`).
 
     Assumes consecutive samples advance by less than a full turn, which
     holds for any degree-one monotone map sampled on a reasonable grid.
     """
     v = np.asarray(values, dtype=float)
-    steps = wrap(np.diff(v))
-    return np.concatenate([v[:1], v[0] + np.cumsum(steps)])
+    steps = np.diff(v)
+    return np.concatenate([v[:1], v[0] + np.cumsum(lift_steps(steps, np.empty_like(steps)))])
 
 
 @dataclass(frozen=True)

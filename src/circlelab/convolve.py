@@ -11,13 +11,16 @@ keys sorted and unique, so the last step's arrays are the table.  The
 sort is `np.lexsort((lo, hi))`'s permutation, built from `np.sort` passes
 over the keys' 32-bit halves (`_key_order`), so each element's mass is
 summed in the same order as lexsort's.  The elementwise work (candidate
-keys, sort words, orders, masses, run boundaries) runs in chunks of
-_CHUNK elements, so a chunk's temporaries stay in cache, and writes into
-buffers already spent.  A step's peak holds about 36 bytes per candidate
-(support times atom count): the sorted keys, the masses formed over the
-order after the sort, and the run starts with their sums.  Sanov's pair
-at n = 14 (7.17 M elements) takes 1.6-2.0 s and peaks at 418 MB RSS
-in-process on a 2-core x86 host; n = 15 takes 6.0 s and 1.03 GB.
+keys, sort words, masses, runs) runs in chunks of _CHUNK elements, so a
+chunk's temporaries stay in cache, and writes into buffers already spent.
+Masses are formed over the order and summed a slice of whole runs at a
+time into the prefixes of the candidate-sized buffers, which then shrink
+in place.  A step's peak holds about 26 bytes per candidate (support
+times atom count) and the chunk temporaries: the keys and the last sort
+pass's word, then the sorted keys and the order, each beside the old
+masses.  Sanov's pair at n = 14 (7.17 M elements) takes 1.6-1.9 s and
+peaks at 283 MB RSS in-process on a 2-core x86 host; at n = 15 its keys
+need three sort passes, which hold 32 bytes per key: 6.2 s and 976 MB.
 
 On request (`words=True`) the table also tracks one freely reduced
 representative word per element (letters are atom indices; appending an
@@ -48,9 +51,9 @@ class ConvolutionBudgetError(RuntimeError):
         self.feasible_n = feasible_n
 
 
-def _chunks(start: int, stop: int):
-    """Consecutive slices of at most _CHUNK elements covering [start, stop)."""
-    return (slice(i, min(i + _CHUNK, stop)) for i in range(start, stop, _CHUNK))
+def _chunks(size: int):
+    """Consecutive slices of at most _CHUNK elements covering [0, size)."""
+    return (slice(i, min(i + _CHUNK, size)) for i in range(0, size, _CHUNK))
 
 
 def _entries(hi: np.ndarray, lo: np.ndarray) -> list:
@@ -141,19 +144,20 @@ def _pass_layout(bounds: list, size: int):
 
 def _key_order(hi: np.ndarray, lo: np.ndarray, bounds: list):
     """`np.lexsort((lo, hi))` of packed keys as value sorts of uint64 words,
-    and the keys in that order: returns (order, hi, lo).
+    and the keys in that order: returns (order, hi, lo), int64 arrays of
+    the keys' length that own their buffers.
 
     bounds are the [min, max] of the key halves a, b, c, d, as from
     `_pack_into`.  A pass of `_pass_layout` sorts the word (half - min)
-    << index_bits | position with `np.sort` and reads its permutation
-    from the low bits: the position breaks ties, so each pass is stable
-    and the passes compose to lexsort's permutation.  A pass's word is
-    built a chunk at a time, gathering each key word once into the order
-    so far.  A key word whose varying halves all sit in the last pass is
-    read back from that pass's sorted word; the others are gathered.
-    Two uint64 buffers hold the words and orders, so with the keys a sort
-    holds 32 bytes per key; the sorted keys overwrite the buffers of hi
-    and lo or of a spent order.
+    << index_bits | position with `np.sort`: the position breaks ties, so
+    each pass is stable and the passes compose to lexsort's permutation.
+    Sorted words stay whole, their index bits made candidate indices, and
+    the next pass gathers the key words through them.  One gather of the
+    pass before the last's words through the last pass's index bits gives
+    their halves and the order; the last pass's word gives its own, and a
+    key word with a half in an earlier pass is gathered through the order.
+    Spent buffers take the next words, the sorted keys and the order: two
+    passes with lo's halves in the first hold 24 bytes per key, others 32.
     """
     size = len(hi)
     bottoms, widths, passes = _pass_layout(bounds, size)
@@ -161,64 +165,88 @@ def _key_order(hi: np.ndarray, lo: np.ndarray, bounds: list):
         return np.arange(size), hi, lo
     index_bits = (size - 1).bit_length()
     index_mask = np.uint64((1 << index_bits) - 1)
-    keys = [lo.view(np.uint64), hi.view(np.uint64)]   # packed keys are nonnegative
-    shifts = {}   # each half's place in its pass's word
+    last = len(passes) - 1
+    pass_of = {k: p for p, halves in enumerate(passes) for k in halves}
+    shifts = {k: index_bits + sum(widths[i] for i in halves[: halves.index(k)])
+              for halves in passes for k in halves}   # each half's place in its pass's word
+    keys = [lo, hi]
+    # the last pass that reads each key word (-1: none), and whether the readback gathers it
+    reads = [max([pass_of[k] for k in (2 * w, 2 * w + 1) if k in pass_of], default=-1) for w in (0, 1)]
+    held = [any(pass_of.get(k, last) < last - 1 for k in (2 * w, 2 * w + 1)) for w in (0, 1)]
+    spare = [keys[w] for w in (0, 1) if reads[w] < 0]
 
-    order = None
-    word = np.empty(size, dtype=np.uint64)
-    for halves in passes:
-        for k in halves:
-            shifts[k] = index_bits + sum(widths[i] for i in halves[: halves.index(k)])
-        for ch in _chunks(0, size):
-            out = word[ch]
-            out[:] = np.arange(ch.start, ch.stop, dtype=np.uint64)
-            gathered = {}
+    def take():
+        return spare.pop() if spare else np.empty(size, dtype=np.int64)
+
+    prev = None   # the sorted word of the pass before, its index bits candidate indices
+    for p, halves in enumerate(passes):
+        own = [keys[w] for w in (0, 1) if p == 0 and reads[w] == 0 and not held[w]]
+        word = own[0] if own else take()
+        out = word.view(np.uint64)
+        for ch in _chunks(size):
+            at = ch if prev is None else (prev.view(np.uint64)[ch] & index_mask).view(np.int64)
+            gathered = {w: keys[w].view(np.uint64)[at] for w in {k // 2 for k in halves}}
+            acc = np.arange(ch.start, ch.stop, dtype=np.uint64)
             for k in halves:
-                if k // 2 not in gathered:
-                    gathered[k // 2] = (keys[k // 2][ch] if order is None
-                                        else np.take(keys[k // 2], order[ch].view(np.int64)))
-                key = gathered[k // 2]
-                h = key >> np.uint64(32) if k % 2 else key & np.uint64(_HALF_MASK)
+                h = gathered[k // 2] >> np.uint64(32) if k % 2 else gathered[k // 2] & np.uint64(_HALF_MASK)
                 h -= np.uint64(bottoms[k])
                 h <<= np.uint64(shifts[k])
-                out |= h
-        word.sort()
-        if halves is passes[-1]:
+                acc |= h
+            out[ch] = acc
+        spare += [keys[w] for w in (0, 1) if reads[w] == p and not held[w] and keys[w] is not word]
+        out.sort()
+        if p == last:
             break
-        if order is None:
-            word &= index_mask
-            order, word = word, np.empty(size, dtype=np.uint64)
-        else:   # composed in place; the old order's buffer takes the next word
-            for ch in _chunks(0, size):
-                np.take(order, (word[ch] & index_mask).view(np.int64), out=word[ch], mode="clip")
-            order, word = word, order
+        if prev is not None:   # index bits to candidate indices, the pass before's through them
+            for ch in _chunks(size):
+                index = prev.view(np.uint64)[(out[ch] & index_mask).view(np.int64)]
+                out[ch] ^= (out[ch] ^ index) & index_mask
+            spare.append(prev)
+        prev = word
 
-    def value(sorted_word, k):   # half k of the keys, read off their last-pass words
+    both = word   # one pass: its word holds its halves and the order
+    if prev is not None:   # the pass before the last's words, in the final order
+        both = take()
+        for ch in _chunks(size):
+            np.take(prev.view(np.uint64), (out[ch] & index_mask).view(np.int64),
+                    out=both.view(np.uint64)[ch], mode="clip")   # clip: out is not buffered
+        spare.append(prev)
+
+    def value(ch, k):   # half k of the sorted keys, read off the pass words
         if not widths[k]:
             return np.uint64(bottoms[k])
-        h = (sorted_word >> np.uint64(shifts[k])) & np.uint64((1 << widths[k]) - 1)
-        return h + np.uint64(bottoms[k])
+        h = (out if pass_of[k] == last else both.view(np.uint64))[ch] >> np.uint64(shifts[k])
+        return (h & np.uint64((1 << widths[k]) - 1)) + np.uint64(bottoms[k])
 
-    # read back into their own spent buffers the key words the last pass sorted whole,
-    # then compose the order in place over the sorted word
-    derived = [w for w in (0, 1) if all(k in passes[-1] or not widths[k] for k in (2 * w, 2 * w + 1))]
-    for ch in _chunks(0, size):
-        sorted_word = word[ch]
-        for w in derived:
-            keys[w][ch] = value(sorted_word, 2 * w + 1) << np.uint64(32) | value(sorted_word, 2 * w)
-        index = sorted_word & index_mask
-        if order is None:
-            sorted_word[:] = index
-        else:
-            np.take(order, index.view(np.int64), out=sorted_word, mode="clip")
-    # gather the other key words, each into the buffer spent last
-    spare = order
-    for w in (0, 1):
-        if w not in derived:
-            for ch in _chunks(0, size):
-                np.take(keys[w], word[ch].view(np.int64), out=spare[ch], mode="clip")
-            keys[w], spare = spare, keys[w]
-    return word.view(np.int64), keys[1].view(np.int64), keys[0].view(np.int64)
+    # lo into a spent buffer, hi over the last pass's word, the order over the gathered words
+    sorted_keys = [take(), word if both is not word else take()]
+    for ch in _chunks(size):
+        order = both[ch] & np.int64(index_mask)
+        for w in (0, 1):
+            sorted_keys[w][ch] = (keys[w][order] if held[w] else
+                                  value(ch, 2 * w + 1) << np.uint64(32) | value(ch, 2 * w))
+        both[ch] = order
+    return both, sorted_keys[1], sorted_keys[0]
+
+
+def _runs(hi: np.ndarray, lo: np.ndarray):
+    """(slice, run starts relative to its start) of consecutive slices
+    covering the sorted keys hi, lo, each about _CHUNK long and cut at a
+    run start, so that each holds whole runs of equal keys."""
+    size, start, stop = len(hi), 0, 0
+    while start < size:
+        stop = min(stop + _CHUNK, size)
+        end = min(stop + 1, size)   # the key at stop, if any, says whether a run starts there
+        first = np.empty(end - start, dtype=bool)
+        first[0] = True
+        np.not_equal(hi[start + 1:end], hi[start:end - 1], out=first[1:])
+        first[1:] |= lo[start + 1:end] != lo[start:end - 1]
+        starts, cut = np.flatnonzero(first), stop
+        if stop < size:   # the run from the last start may go on past stop
+            cut, starts = start + int(starts[-1]), starts[:-1]
+        if len(starts):   # else one run fills the slice, and the next one is longer
+            yield slice(start, cut), starts
+            start = cut
 
 
 def integer_matrices(mu: StepDistribution) -> np.ndarray | None:
@@ -379,7 +407,7 @@ def convolve_exact(mu: StepDistribution, n: int, max_support: int = 40_000_000,
         scratch = np.empty((5, min(m, _CHUNK)), dtype=np.int64)
         bounds = _no_bounds()
         try:
-            for ch in _chunks(0, m):
+            for ch in _chunks(m):
                 cur = cur_f[ch] if quantized else _entries(hi[ch], lo[ch])
                 for j in range(n_atoms):
                     block = slice(j * m + ch.start, j * m + ch.stop)
@@ -406,32 +434,34 @@ def convolve_exact(mu: StepDistribution, n: int, max_support: int = 40_000_000,
 
         order, hi, lo = _key_order(cand_hi, cand_lo, bounds)
         del cand_hi, cand_lo
-        size = len(order)
-        first = np.empty(size, dtype=bool)   # the first candidate of each element
-        first[0] = True
-        for ch in _chunks(1, size):
-            before = slice(ch.start - 1, ch.stop - 1)
-            np.not_equal(hi[ch], hi[before], out=first[ch])
-            first[ch] |= lo[ch] != lo[before]
-        starts = np.flatnonzero(first)
-        del first
+        # the candidates' masses over their indices, summed a slice of whole runs at a time;
+        # each element's key and mass go into the prefixes of hi, lo and order
+        sorted_mass = order.view(np.float64)
+        picked = []   # the first candidate of each element, for its word or float matrix
+        count = 0
+        for ch, starts in _runs(hi, lo):
+            if words or quantized:
+                picked.append(order[ch][starts])
+            atom, element = np.divmod(order[ch], m)
+            np.take(masses, element, out=sorted_mass[ch])
+            sorted_mass[ch] *= mu.probs[atom]
+            new = slice(count, count + len(starts))
+            hi[new], lo[new] = hi[ch][starts], lo[ch][starts]
+            sorted_mass[new] = np.add.reduceat(sorted_mass[ch], starts)
+            count = new.stop
+        del sorted_mass, masses
+        order.resize(count)   # in place: the candidate-sized buffers shrink to the support
+        hi.resize(count)
+        lo.resize(count)
+        masses = order.view(np.float64)
+        picked = np.concatenate(picked) if picked else None
         if words:
-            word_arr, lengths = cand_words[order[starts]], cand_lens[order[starts]]
+            word_arr, lengths = cand_words[picked], cand_lens[picked]
             del cand_words, cand_lens
         if quantized:
-            cur_f = cand_f[order[starts]]
+            cur_f = cand_f[picked]
             del cand_f
-        # the candidates' masses in sorted order, over their indices
-        sorted_mass = order.view(np.float64)
-        for ch in _chunks(0, size):
-            atom, element = np.divmod(order[ch], m)
-            np.multiply(masses[element], mu.probs[atom], out=sorted_mass[ch])
-        del order, masses
-        masses = np.add.reduceat(sorted_mass, starts)
-        del sorted_mass
-        hi = hi[starts]
-        lo = lo[starts]
-        del starts
+        del order, picked
 
         entropies.append(entropy_of(masses))
         support_sizes.append(len(masses))

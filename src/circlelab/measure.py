@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circle import Arc, unwrap_increasing, wrap
+from .circle import Arc, lift_steps, unwrap_increasing, wrap
 from .convolve import convolve_exact
 from .maps import MobiusMap
 from .rng import stream
@@ -189,11 +189,11 @@ class GridMeasure:
         to a monotone sequence (`unwrap_increasing`), their lifted CDF
         values less the first, the ends pinned, clipped to [0, 1] and made
         nondecreasing.  pre is overwritten; fl (float), j (intp) and moved
-        (bool) are scratch of its shape, and nothing is allocated."""
-        d = fl[..., 1:]   # ylift = v[0] + cumsum(wrap(diff(v))), into pre
+        (bool) are scratch of its shape, and nothing of that shape is
+        allocated."""
+        d = fl[..., 1:]   # ylift = v[0] + cumsum(lifted diff(v)), into pre
         np.subtract(pre[..., 1:], pre[..., :-1], out=d)
-        d -= np.floor(d, out=out[..., 1:])
-        np.cumsum(d, axis=-1, out=d)
+        np.cumsum(lift_steps(d, out[..., 1:]), axis=-1, out=d)
         np.add(pre[..., :1], d, out=pre[..., 1:])
         pre -= np.floor(pre, out=fl)   # cdf_lifted(ylift) = floor + cdf_at(wrap)
         self._interp_into(pre, out, j, moved)
@@ -782,7 +782,8 @@ def dirac_convergence_probe(
     against 600 row by row).  Each row's pushed CDF is built in
     place by `pushforward_from_preimages`' own body, and its smallest arc
     by a galloping search for the least index gap from the row's previous
-    one (`_arc_widths`).  Nothing is allocated per step on the Mobius path.
+    one (`_arc_widths`).  Nothing of a row's size is allocated per step on
+    the Mobius path.
     """
     if not 0.0 < quantile <= 1.0:
         raise ValueError(f"quantile must lie in (0, 1], got {quantile}")

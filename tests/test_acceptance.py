@@ -9,12 +9,12 @@ module-scoped fixtures, so the suite stays within its runtime budgets.
 import numpy as np
 import pytest
 
-from circlelab.circle import Arc, circle_dist
+from circlelab.circle import Arc
 from circlelab.configs import build_projected_base, build_step_distribution, builtin_config
 from circlelab.boundary import finite_quotient_detect, quotient_boundary_entropy
 from circlelab.distortion import verify_complex_distortion, verify_real_distortion, walk_constants
 from circlelab.jets import log_and_schwarzian
-from circlelab.maps import MobiusMap, Word, linearizing_chart, rotation
+from circlelab.maps import MobiusMap, Word, rotation
 from circlelab.measure import (
     asymptotic_entropy,
     boundary_entropy,
@@ -30,7 +30,7 @@ from circlelab.nearid import (
     search_near_identity_pairs,
 )
 from circlelab.schwarzian import mobius_normalize, solve_and_reconstruct
-from circlelab.walk import make_step_distribution, sample_walks
+from circlelab.walk import sample_walks
 from circlelab.cli import run_experiment
 
 H_FREE_2 = 0.5 * np.log(3.0)          # simple walk on the rank-2 free group

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from circlelab.boundary import (
-    default_test_arcs,
     finite_quotient_detect,
     minimal_set_classify,
     proximality_test,

@@ -10,7 +10,7 @@ import pytest
 
 from circlelab.cli import main, run_experiment
 from circlelab.configs import BUILTIN_CONFIGS, ConfigError, build_step_distribution, builtin_config
-from circlelab.reports import canonical_json, config_hash, verify_report, write_csv
+from circlelab.reports import config_hash, verify_report, write_csv
 
 
 def test_examples_catalog(capsys):

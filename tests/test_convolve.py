@@ -18,6 +18,7 @@ from circlelab.convolve import (
     _no_bounds,
     _pack_into,
     _pass_layout,
+    _runs,
     convolve_exact,
     entropy_of,
 )
@@ -408,11 +409,13 @@ def test_budget_counts_the_candidates_of_each_atom():
 
 
 def test_convolution_memory_per_candidate(sanov_mu):
-    # step 12 sorts 4 * |support of mu^{*11}| = 1 062 880 candidates; the
-    # traced peak is about 36.2 bytes per candidate (sorted keys, masses over
-    # the order, run starts and their sums, plus the chunk buffers), was 42
-    # with three full sort buffers and unchunked temporaries, and 74.7 while
-    # candidate masses were built before the sort
+    # step 12 sorts 4 * |support of mu^{*11}| = 1 062 880 candidates in two
+    # passes; the traced peak is about 29.1 bytes per candidate (24 for the
+    # keys and the last pass's word, or for the sorted keys and the order,
+    # 2 for the old masses, plus the chunk buffers), was 36.6 with the run
+    # starts and their sums beside the sorted keys and masses, 42 with three
+    # full sort buffers and unchunked temporaries, and 74.7 while candidate
+    # masses were built before the sort
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -423,4 +426,23 @@ def test_convolution_memory_per_candidate(sanov_mu):
         tracemalloc.stop()
     candidates = 4 * s.support_sizes[11]
     assert candidates == 1_062_880
-    assert peak / candidates < 38
+    assert peak / candidates < 30
+    # the table's arrays hold support-sized buffers (shrunk in place), not views of candidate-sized ones
+    for a in (s.table.hi, s.table.lo, s.table.masses):
+        assert (a if a.base is None else a.base).nbytes == a.nbytes == 8 * s.table.support_size
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_runs_are_slices_of_whole_runs(chunk, monkeypatch):
+    # runs of 1 to 4 equal keys, as a step makes, and two longer than many slices
+    monkeypatch.setattr(convolve, "_CHUNK", chunk)
+    rng = np.random.default_rng(8)
+    lengths = np.concatenate([rng.integers(1, 5, 200), [700], rng.integers(1, 5, 200), [300]])
+    keys = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    hi, lo = keys // 7, keys % 7   # sorted by (hi, lo)
+    slices = list(_runs(hi, lo))
+    assert [ch.start for ch, _ in slices] == [0] + [ch.stop for ch, _ in slices[:-1]]
+    assert slices[-1][0].stop == len(keys)
+    assert all(starts[0] == 0 for _, starts in slices)
+    found = np.concatenate([ch.start + starts for ch, starts in slices])
+    assert np.array_equal(found, np.flatnonzero(np.diff(keys, prepend=-1)))

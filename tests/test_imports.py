@@ -1,4 +1,5 @@
-"""Static checks on src/circlelab: every module-level import is used,
+"""Static checks on src/circlelab: every module-level import is used
+(in tests/ too),
 every module-level private function or class is referenced somewhere,
 every public function, method and property is read by src code or is a
 test reference (`TEST_REFERENCES`),
@@ -248,8 +249,8 @@ def test_checker_flags_only_unused_names():
 
 
 def test_no_unused_module_level_imports():
-    found = {p.name: unused_imports(p.read_text())
-             for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    found = {str(p.relative_to(TESTS.parent)): unused_imports(p.read_text())
+             for p in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")) if p.name != "__init__.py"}
     assert {k: v for k, v in found.items() if v} == {}
 
 

@@ -11,7 +11,6 @@ from circlelab.maps import (
     MobiusMap,
     TrigConjugacy,
     Word,
-    eval_jet3,
     linearizing_chart,
     make_generator,
     mobius_jet,

@@ -4,7 +4,7 @@ from conftest import reference_apply_indexed
 
 from circlelab.circle import Arc, unwrap_increasing, wrap
 from circlelab.configs import build_step_distribution, builtin_config
-from circlelab.maps import LiftedMap, MobiusMap, Word, make_generator, rotation
+from circlelab.maps import LiftedMap, MobiusMap, Word, rotation
 from circlelab.measure import (
     _TAG_BOUNDARY,
     _TAG_DIRAC,
@@ -524,6 +524,21 @@ def pushed_cdf_reference(nu, preimages):
     vals[0] = 0.0
     vals[-1] = 1.0
     return np.maximum.accumulate(np.clip(vals, 0.0, 1.0))
+
+
+def test_ulp_backsteps_in_a_cluster_row_do_not_move_the_pushed_cdf():
+    # r_n^{-1} of a contracting walk maps most of the grid within a few ulps of one point
+    nu = GridMeasure.lebesgue(256)
+    clean = np.concatenate([np.full(100, 0.3), wrap(0.3 + np.linspace(0.01, 0.99, 57)), np.full(100, 0.3)])
+    ulps = np.random.default_rng(4).integers(-2, 3, clean.size) * np.spacing(0.3)
+    noisy = clean + np.where(clean == 0.3, ulps, 0.0)
+    assert np.count_nonzero(np.diff(noisy) < 0) > 10
+    pushed = nu.pushforward_from_preimages(noisy).cdf
+    assert np.allclose(pushed, nu.pushforward_from_preimages(clean).cdf, rtol=0.0, atol=1e-12)
+    pre = np.stack([noisy, clean])   # the batched body, as the Dirac probe steps it
+    out = np.empty_like(pre)
+    nu._push_into(pre, out, np.empty_like(pre), np.empty(pre.shape, np.intp), np.empty(pre.shape, bool))
+    assert np.array_equal(out[0], pushed)
 
 
 def test_pushforward_is_the_unwrapped_cdf_bit_for_bit(sanov_mu, lifted_mu):

@@ -9,7 +9,6 @@ from circlelab.maps import (
     direction,
     direction_matrices,
     direction_position,
-    make_generator,
     mobius_direction_step,
     mobius_seminorms,
     mobius_value_logd,
@@ -18,7 +17,6 @@ from circlelab.maps import (
 from circlelab.rng import stream
 from circlelab.walk import (
     _DRAW_CHUNK,
-    StepDistribution,
     canonical_key,
     make_step_distribution,
     sample_walk,
