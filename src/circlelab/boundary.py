@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import Arc, circle_dist, unwrap_increasing, wrap
-from .measure import GridMeasure
+from .measure import GridMeasure, uniform_cells, uniform_lookup_into
 from .walk import StepDistribution
 
 
@@ -33,11 +33,13 @@ class Semiconjugation:
     The induced map of a generator g is m_g = s o g o s^{-1}, evaluated
     through the CDF and its generalized inverse on a grid; the
     equivariance defect sup_x dist(s(g x), m_g(s x)) per generator is the
-    grid-level certificate that s really intertwines the actions.
+    grid-level certificate that s really intertwines the actions.  Each m_g
+    is kept as its values on the straight grid, lifted to a monotone
+    sequence once, in the form `uniform_lookup_into` reads.
     """
 
     nu: GridMeasure
-    induced_grids: list          # per generator: values of m_g on the straight grid
+    induced: list                # per generator: `uniform_cells` of lifted m_g on the straight grid
     defects: np.ndarray          # per generator equivariance defect
     generator_names: tuple
 
@@ -45,9 +47,7 @@ class Semiconjugation:
         return self.nu.cdf_at(x)
 
     def induced_map(self, gen_index: int, u):
-        grid = np.linspace(0.0, 1.0, len(self.induced_grids[gen_index]))
-        lifted = unwrap_increasing(self.induced_grids[gen_index])
-        return wrap(np.interp(wrap(u), grid, lifted))
+        return wrap(_lift_at(self.induced[gen_index], wrap(u)))
 
     def as_dict(self):
         return {
@@ -60,9 +60,7 @@ def semiconjugation_map(nu: GridMeasure, mu: StepDistribution | None = None) -> 
     """Build s from the CDF; when a step distribution is supplied, also
     transport each generator and report equivariance defects.
     """
-    induced = []
-    defects = []
-    names = ()
+    induced, defects, names = [], [], ()
     if mu is not None:
         names = mu.names
         ugrid = np.linspace(0.0, 1.0, nu.N + 1)
@@ -71,13 +69,18 @@ def semiconjugation_map(nu: GridMeasure, mu: StepDistribution | None = None) -> 
         sx = nu.cdf_at(sample_x)
         for atom in mu.atoms:
             m_vals = nu.cdf_at(np.asarray(atom.apply(xs), dtype=float))
-            induced.append(m_vals)
+            induced.append(uniform_cells(ugrid, unwrap_increasing(m_vals)))
             # defect on the original grid
-            lifted = unwrap_increasing(m_vals)
-            m_at_sx = wrap(np.interp(sx, ugrid, lifted))
             s_gx = nu.cdf_at(np.asarray(atom.apply(sample_x), dtype=float))
-            defects.append(float(np.max(circle_dist(s_gx, m_at_sx))))
+            defects.append(float(np.max(circle_dist(s_gx, wrap(_lift_at(induced[-1], sx))))))
     return Semiconjugation(nu, induced, np.asarray(defects), names)
+
+
+def _lift_at(cells, u):
+    """A lifted m_g's `uniform_cells` read at u in [0, 1]: np.interp on its
+    straight-grid values, bit for bit."""
+    x = np.array(u, dtype=float)   # a new array, which the lookup overwrites
+    return uniform_lookup_into(cells, x, np.empty_like(x), np.empty(x.shape, np.intp), np.empty(x.shape, bool))
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +201,26 @@ class MinimalSetReport:
         }
 
 
+def _light_windows(nu: GridMeasure, mass_tolerance: float):
+    """(csum, widths): the cumulative cell masses over two turns, and the
+    widest window from each cell carrying less than mass_tolerance, the
+    least w <= N with w = N or csum[i + w + 1] - csum[i] >= mass_tolerance.
+    The rounded difference is nondecreasing in w, so w is bisected for
+    every cell i at once on that predicate, between lo (light, or -1) and
+    widths."""
+    N = nu.N
+    cell = np.diff(nu.cdf)
+    csum = np.concatenate([[0.0], np.cumsum(np.concatenate([cell, cell]))])
+    lo, widths = np.full(N, -1), np.full(N, N)
+    live = np.arange(N)
+    while live.size:
+        mid = (lo[live] + widths[live]) // 2
+        heavy = csum[live + mid + 1] - csum[live] >= mass_tolerance
+        widths[live[heavy]], lo[live[~heavy]] = mid[heavy], mid[~heavy]
+        live = live[widths[live] - lo[live] > 1]
+    return csum, widths
+
+
 def minimal_set_classify(
     nu: GridMeasure,
     min_gap_cells: int = 10,
@@ -211,17 +234,7 @@ def minimal_set_classify(
     the periodically extended CDF), largest first.
     """
     N = nu.N
-    cell = np.diff(nu.cdf)
-    cell2 = np.concatenate([cell, cell])
-    csum = np.concatenate([[0.0], np.cumsum(cell2)])
-    # widest window starting at each cell with mass < tolerance
-    widths = np.zeros(N, dtype=int)
-    j = 0
-    for i in range(N):
-        j = max(j, i)
-        while j - i < N and csum[j + 1] - csum[i] < mass_tolerance:
-            j += 1
-        widths[i] = j - i
+    csum, widths = _light_windows(nu, mass_tolerance)
     gaps = []
     masses = []
     used = np.zeros(N, dtype=bool)
@@ -260,14 +273,14 @@ class QuotientReport:
 
 
 def finite_quotient_detect(
-    nu: GridMeasure,
-    mu: StepDistribution,
+    sc: Semiconjugation,
     q_max: int,
     tolerance: float = 2e-2,
 ) -> QuotientReport:
     """Largest q <= q_max such that rotation by 1/q commutes with every
-    straightened generator action within tolerance; d = 1 means the
-    straightened action is already proximal-compatible.
+    straightened generator action of sc (`semiconjugation_map(nu, mu)`)
+    within tolerance; d = 1 means the straightened action is already
+    proximal-compatible.
 
     The straightened action of g is m_g = s o g o s^{-1} on the CDF
     coordinate, where nu becomes Lebesgue; the candidate symmetry is the
@@ -275,17 +288,14 @@ def finite_quotient_detect(
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
-    sc = semiconjugation_map(nu, mu)
     M = 2048
     ugrid = np.arange(M) / M
-    straightened = []
-    for k in range(len(mu.atoms)):
-        straightened.append(sc.induced_map(k, ugrid))
+    straightened = [sc.induced_map(k, ugrid) for k in range(len(sc.induced))]
     defects = {}
     degree = 1
     for q in range(q_max, 0, -1):
         worst = 0.0
-        for k in range(len(mu.atoms)):
+        for k in range(len(sc.induced)):
             lhs = sc.induced_map(k, wrap(ugrid + 1.0 / q))
             rhs = wrap(straightened[k] + 1.0 / q)
             worst = max(worst, float(np.max(circle_dist(lhs, rhs))))
@@ -298,13 +308,14 @@ def finite_quotient_detect(
 
 def quotient_boundary_entropy(
     report: QuotientReport,
-    nu: GridMeasure,
+    sc: Semiconjugation,
     mu: StepDistribution,
     samples: int = 50_000,
     delta: float | None = None,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Boundary entropy of the degree-d quotient action.
+    """Boundary entropy of the degree-d quotient action of mu, straightened
+    by sc (`semiconjugation_map(nu, mu)`).
 
     In the straightened coordinate the quotient measure is Lebesgue on a
     circle of circumference 1/d rescaled to 1, and the quotient maps are
@@ -317,8 +328,7 @@ def quotient_boundary_entropy(
 
     d = report.degree
     if delta is None:
-        delta = 8.0 * d / nu.N
-    sc = semiconjugation_map(nu, mu)
+        delta = 8.0 * d / sc.nu.N
     rng = stream(seed, 0x51554F54)
     u = rng.random(samples)
     idx = mu.sample_indices(rng, samples)

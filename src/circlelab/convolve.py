@@ -450,9 +450,12 @@ def convolve_exact(mu: StepDistribution, n: int, max_support: int = 40_000_000,
             sorted_mass[new] = np.add.reduceat(sorted_mass[ch], starts)
             count = new.stop
         del sorted_mass, masses
-        order.resize(count)   # in place: the candidate-sized buffers shrink to the support
-        hi.resize(count)
-        lo.resize(count)
+        # in place: the candidate-sized buffers shrink to the support.  No view
+        # of them is left; refcheck would also count the references a tracer
+        # or profiler holds to the arrays themselves, and raise under it
+        order.resize(count, refcheck=False)
+        hi.resize(count, refcheck=False)
+        lo.resize(count, refcheck=False)
         masses = order.view(np.float64)
         picked = np.concatenate(picked) if picked else None
         if words:

@@ -182,7 +182,7 @@ def scenario_boundary(cfg, p, seed, out_dir, measures):
     sc = semiconjugation_map(nu, mu)
     prox = proximality_test(mu, p["epsilon"], p["word_length_cap"])
     cls = minimal_set_classify(nu, mass_tolerance=p["gap_mass_tolerance"])
-    quo = finite_quotient_detect(nu, mu, p["q_max"])
+    quo = finite_quotient_detect(sc, p["q_max"])
     results = {
         "semiconjugation": sc.as_dict(),
         "proximality": prox.as_dict(),
@@ -204,10 +204,11 @@ def scenario_boundary(cfg, p, seed, out_dir, measures):
         # sides, so the finite-window bias cancels in the difference
         base_mu = build_projected_base(cfg)
         base_nu = estimate_stationary_measure(base_mu, grid_size=nu.N, seed=seed)
-        base_quo = finite_quotient_detect(base_nu, base_mu, q_max=1)
+        base_sc = semiconjugation_map(base_nu, base_mu)
+        base_quo = finite_quotient_detect(base_sc, q_max=1)
         samples = p["samples"]
-        h_quot, se_quot = quotient_boundary_entropy(quo, nu, mu, samples=samples, seed=seed)
-        h_base, se_base = quotient_boundary_entropy(base_quo, base_nu, base_mu,
+        h_quot, se_quot = quotient_boundary_entropy(quo, sc, mu, samples=samples, seed=seed)
+        h_base, se_base = quotient_boundary_entropy(base_quo, base_sc, base_mu,
                                                     samples=samples, seed=seed + 1)
         tol = 2.0 * float(np.hypot(se_quot, se_base))
         results["quotient_entropy"] = {"base": h_base, "base_stderr": se_base,

@@ -37,6 +37,9 @@ from .circle import Arc, wrap
 from .jets import Jet3, compose, identity_jet
 
 _DET_TOL = 1e-12
+# a lifted map's base value this close to its cut (in turns) takes its branch
+# from the other base point, where rounding can put it on either side
+CUT_NEAR = 1e-9
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -299,11 +302,6 @@ def direction(x):
     return np.array((np.cos(phi), np.sin(phi)))
 
 
-def direction_position(w):
-    """The circle point x in [0, 1) of direction vectors w = (cos pi x, sin pi x)."""
-    return wrap(np.arctan2(w[1], w[0]) / np.pi)
-
-
 def direction_abs_im(w):
     """|Im z| of w = +-(cos pi z, sin pi z) from Im(w_1 conj w_0) = sinh(2 pi Im z) / 2,
     a sum of two like-signed products: full relative precision at any Im z."""
@@ -478,16 +476,30 @@ class LiftedMap:
         u = wrap(kx)
         return u, np.round(kx - u)
 
-    def _value(self, b, p):
-        """The lifted value from the base value b at u = wrap(k x) and the sheet p."""
-        # canonical lift value in [base(0), base(0)+1), branch consistent
-        # with u even when u sits an ulp below the wrap point
-        b = self._base0 + wrap(np.asarray(b, dtype=float) - self._base0)
-        return wrap((b + p + self.j) / self.k)
+    def _value(self, u, b, p):
+        """The lifted value from the base value b at u = wrap(k x) and the sheet p.
+
+        The base lift runs over [base(0), base(0) + 1) as u runs over
+        [0, 1).  Within CUT_NEAR of base(0) (where b may have rounded
+        onto or an ulp across it) the branch is u's: base(0) + 1 for
+        u > 1/2, base(0) for u < 1/2."""
+        d = np.asarray(b, dtype=float) - self._base0
+        lift = self._base0 + wrap(d)
+        d -= np.round(d)   # signed distance to the cut, exact near it
+        near = np.abs(d) < CUT_NEAR
+        if near.any():
+            lift = np.where(near, self._base0 + d + (np.asarray(u) > 0.5), lift)
+        return wrap((lift + p + self.j) / self.k)
+
+    def cover_step(self):
+        """(k, base map, cut, sheet offset) of the map on the cover's states
+        (`StepDistribution.state`): the base point u goes to u' = base(u)
+        and the sheet p to p + offset + [u' < cut], the cut being base(0)."""
+        return self.k, self.base, self._base0, self.j
 
     def apply(self, x):
         u, p = self._split(x)
-        return self._value(self.base.apply(u), p)
+        return self._value(u, self.base.apply(u), p)
 
     __call__ = apply
 
@@ -495,13 +507,13 @@ class LiftedMap:
         """The base jet at u, taken once: its value gives the lifted value."""
         u, p = self._split(x)
         jb = self.base.jet(u)
-        return Jet3(self._value(jb.value, p), jb.d1, self.k * jb.d2, self.k ** 2 * jb.d3)
+        return Jet3(self._value(u, jb.value, p), jb.d1, self.k * jb.d2, self.k ** 2 * jb.d3)
 
     def value_d1(self, x):
         """The value and d1 of `jet`, bit for bit."""
         u, p = self._split(x)
         b, d1 = self.base.value_d1(u)
-        return self._value(b, p), d1
+        return self._value(u, b, p), d1
 
     def inverse(self) -> "_LiftedInverse":
         return _LiftedInverse(self)
@@ -526,9 +538,16 @@ class _LiftedInverse:
         w_rel = w - self.fwd._base0
         q = np.floor(w_rel)
         frac = w_rel - q
-        boundary = (frac < 1e-9) | (frac > 1.0 - 1e-9)
+        boundary = (frac < CUT_NEAR) | (frac > 1.0 - CUT_NEAR)
         p = np.where(boundary, np.round(w_rel) - (u > 0.5), q)
         return u, p
+
+    def cover_step(self):
+        """`LiftedMap.cover_step` of the inverse: base^{-1} with its cut at
+        base^{-1}(0), and the sheet offset -j - [base(0) > 0] (`_solve`'s
+        sheet is k y - j - base(0) rounded down)."""
+        fwd = self.fwd
+        return fwd.k, self.base_inv, float(np.asarray(self.base_inv.apply(0.0))), -fwd.j - (fwd._base0 > 0.0)
 
     def apply(self, y):
         u, p = self._solve(y)

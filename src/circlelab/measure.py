@@ -46,6 +46,30 @@ class EstimatorDisagreement(RuntimeError):
     """Two independent estimators of the same quantity differ beyond tolerance."""
 
 
+def uniform_cells(grid, values):
+    """What `uniform_lookup_into` reads of a table of values on a uniform
+    grid of [0, 1] (grid[i] within an ulp of i / N): the grid and the cell
+    slopes, each padded by a flat cell at +inf, and the values."""
+    return np.append(grid, np.inf), np.append(np.diff(values) / np.diff(grid), 0.0), values
+
+
+def uniform_lookup_into(cells, x, out, j, moved):
+    """np.interp(x, grid, values) of a table's `uniform_cells` for x in
+    [0, 1], bit for bit, written into out, its cell found in O(1):
+    floor(xN), moved by one where that rounds across a grid point.  j
+    (intp) and moved (bool) are scratch of x's shape, and x is overwritten;
+    nothing is allocated."""
+    g, slopes, values = cells
+    # the indices are in range; mode "raise" would buffer each take
+    np.copyto(j, np.multiply(x, len(g) - 2, out=out), casting="unsafe")
+    j -= np.greater(g.take(j, out=out, mode="clip"), x, out=moved)
+    j += np.less_equal(g[1:].take(j, out=out, mode="clip"), x, out=moved)
+    x -= g.take(j, out=out, mode="clip")
+    np.multiply(slopes.take(j, out=out, mode="clip"), x, out=out)
+    out += values.take(j, out=x, mode="clip")
+    return out
+
+
 class GridMeasure:
     """Circle probability measure as a monotone CDF on an N-point grid."""
 
@@ -79,24 +103,12 @@ class GridMeasure:
 
     @cached_property
     def _cells(self):
-        # grid and cell slopes, padded by a flat cell at +inf; built on first
-        # query, since most pushforward measures are never queried
-        return np.append(self.grid, np.inf), np.append(np.diff(self.cdf) / np.diff(self.grid), 0.0)
+        # built on first query, since most pushforward measures are never queried
+        return uniform_cells(self.grid, self.cdf)
 
     def _interp_into(self, x, out, j, moved):
-        """np.interp(x, grid, cdf) for x in [0, 1], bit for bit, written into
-        out, its cell found in O(1): floor(xN), moved by one where that
-        rounds across a grid point.  j (intp) and moved (bool) are scratch of
-        x's shape, and x is overwritten; nothing is allocated."""
-        g, slopes = self._cells
-        # the indices are in range; mode "raise" would buffer each take
-        np.copyto(j, np.multiply(x, self.N, out=out), casting="unsafe")
-        j -= np.greater(g.take(j, out=out, mode="clip"), x, out=moved)
-        j += np.less_equal(g[1:].take(j, out=out, mode="clip"), x, out=moved)
-        x -= g.take(j, out=out, mode="clip")
-        np.multiply(slopes.take(j, out=out, mode="clip"), x, out=out)
-        out += self.cdf.take(j, out=x, mode="clip")
-        return out
+        """np.interp(x, grid, cdf) for x in [0, 1], bit for bit (`uniform_lookup_into`)."""
+        return uniform_lookup_into(self._cells, x, out, j, moved)
 
     def cdf_at(self, x):
         """np.interp(wrap(x), grid, cdf) bit for bit."""
@@ -188,9 +200,10 @@ class GridMeasure:
         pre (..., N+1) to the grid, written into out: the preimages lifted
         to a monotone sequence (`unwrap_increasing`), their lifted CDF
         values less the first, the ends pinned, clipped to [0, 1] and made
-        nondecreasing.  pre is overwritten; fl (float), j (intp) and moved
-        (bool) are scratch of its shape, and nothing of that shape is
-        allocated."""
+        nondecreasing (a running maximum, taken only on the rows that
+        decrease, since it leaves the others as they are).  pre is
+        overwritten; fl (float), j (intp) and moved (bool) are scratch of
+        its shape, and nothing of that shape is allocated."""
         d = fl[..., 1:]   # ylift = v[0] + cumsum(lifted diff(v)), into pre
         np.subtract(pre[..., 1:], pre[..., :-1], out=d)
         np.cumsum(lift_steps(d, out[..., 1:]), axis=-1, out=d)
@@ -204,7 +217,10 @@ class GridMeasure:
         out[..., 0] = 0.0
         out[..., -1] = 1.0
         np.clip(out, 0.0, 1.0, out=out)
-        return np.maximum.accumulate(out, axis=-1, out=out)
+        for r in np.argwhere(np.less(out[..., 1:], out[..., :-1], out=moved[..., 1:]).any(axis=-1)):
+            row = out[tuple(r)]
+            np.maximum.accumulate(row, out=row)
+        return out
 
 
 def _require_cdfs(cdf, diffs, below):
@@ -773,17 +789,19 @@ def dirac_convergence_probe(
     r_n^{-1}(grid) = g_n^{-1}(r_{n-1}^{-1}(grid)): one atom inverse per step.
     Trial t draws its `horizon` indices at once from its own stream, the
     same indices as one draw per step, and every trial is stepped at once,
-    as one row of a (trials, N+1) array.  A pure Mobius family steps the
-    rows as direction states by the inverse atoms' direction matrices and
-    reads positions by arctan2 alone.  Another family applies each row's
-    inverse atom to that row alone: the temporaries of a several-row
-    gather are large enough for the allocator to map and unmap them at
-    every step (about 12 000 page faults per call on the lifted free pair,
-    against 600 row by row).  Each row's pushed CDF is built in
-    place by `pushforward_from_preimages`' own body, and its smallest arc
-    by a galloping search for the least index gap from the row's previous
-    one (`_arc_widths`).  Nothing of a row's size is allocated per step on
-    the Mobius path.
+    as one row of a (trials, N+1) array.  A pure Mobius or cover family
+    steps the rows as states (`StepDistribution.step_state`: direction
+    vectors, and for a cover the sheet) by the inverse atoms, and reads
+    positions by arctan2 alone.  Another family (conjugated, or lifts mixed
+    with plain atoms) applies each row's inverse atom to that row alone:
+    the temporaries of a several-row gather are large enough for the
+    allocator to map and unmap them at every step (about 12 000 page
+    faults per call on the lifted free pair, against 600 row by row).
+    Each row's pushed CDF is built in place by
+    `pushforward_from_preimages`' own body, and its smallest arc by a
+    galloping search for the least index gap from the row's previous one
+    (`_arc_widths`).  Nothing of a row's size is allocated per step on
+    the state path.
     """
     if not 0.0 < quantile <= 1.0:
         raise ValueError(f"quantile must lie in (0, 1], got {quantile}")
@@ -795,7 +813,11 @@ def dirac_convergence_probe(
     steps = np.stack([mu.sample_indices(stream(seed, _TAG_DIRAC, t), horizon) for t in range(trials)])
     inv_mu = StepDistribution([a.inverse() for a in mu.atoms], mu.probs)
     xg = np.concatenate([nu.grid, nu.grid[1:] + 1.0])
-    pre, fl = np.empty((trials, N + 1)), np.empty((trials, N + 1))
+    s = np.repeat(inv_mu.state(wrap(nu.grid))[:, None], trials, axis=1)
+    buffers = inv_mu.state_buffers(s, (trials, 1))   # one atom per row
+    # the preimages and the push's scratch; a state step's U and V rows,
+    # which are scratch between steps, where there are states
+    fl, pre = np.empty((2, trials, N + 1)) if buffers is None else buffers[1][:2]
     j, moved = np.empty((trials, N + 1), np.intp), np.empty((trials, N + 1), bool)
     ext = np.empty((trials, 2 * N + 1))
     cdf = ext[:, :N + 1]
@@ -805,21 +827,14 @@ def dirac_convergence_probe(
 
     cdf[...] = nu.cdf
     _arc_widths(ext, quantile, xg, gaps, widths[:, 0], cq, hit, w)
-    pos = np.broadcast_to(wrap(nu.grid), pre.shape).copy()
-    mobius = inv_mu.matrices() is not None
-    if mobius:
-        s = inv_mu.state(pos)
-        buffers = inv_mu.state_buffers(s, (trials, 1))   # one atom per row
     for n in range(1, horizon + 1):
-        if mobius:
+        if buffers is not None:
             inv_mu.step_state(steps[:, n - 1:n], s, buffers)
-            np.arctan2(s[1], s[0], out=pre)   # `position`, in place
-            pre /= np.pi
-            pre -= np.floor(pre, out=fl)
+            inv_mu.position(s, pre, buffers)   # fl is its scratch
         else:
             for t, a in enumerate(steps[:, n - 1]):
-                pos[t] = inv_mu.atoms[a].apply(pos[t])
-            np.copyto(pre, pos)
+                s[0, t] = inv_mu.atoms[a].apply(s[0, t])
+            np.copyto(pre, s[0])
         nu._push_into(pre, cdf, fl, j, moved)
         _require_cdfs(cdf, fl[:, 1:], moved[:, 1:])
         _arc_widths(ext, quantile, xg, gaps, widths[:, n], cq, hit, w)

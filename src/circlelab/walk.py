@@ -6,6 +6,13 @@ positive weights.  Walks are sampled from counter-based streams, so a
 walk in both composition orders: r_n = g_1 ... g_n (new letters
 multiply on the right; the entropies and the Dirac probe) and
 l_n = g_n ... g_1 (new letters act last; the distortion scan).
+
+Every per-step loop steps states (`state`, `step_state`, `position`).  A
+pure Mobius family's state is the direction vector (cos pi x, sin pi x).
+A cover family (each atom the lift to one degree-k cover of a Mobius map,
+or its inverse) keeps the base point u = wrap(k x) as a direction vector
+and the sheet p = k x - u as a float integer: a step is the base map's
+direction step plus an integer carry, and the point is wrap((u + p) / k).
 """
 
 from __future__ import annotations
@@ -14,12 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circle import wrap
 from .maps import (
+    CUT_NEAR,
     MobiusMap,
     Word,
     direction,
     direction_matrices,
-    direction_position,
     mobius_direction_step,
     mobius_value_logd,
 )
@@ -34,6 +42,9 @@ _COMPARE_ATOMS = 32
 # search (6144 x 10..40, numpy 2.4, 2-core x86) chunks of 2048, 4096, 8192
 # and 15000 took 35, 26, 22 and 24 ms, about 20 of them Philox's
 _DRAW_CHUNK = 8192
+# |sin pi (cut - u')| below which a cover step's new base point u' is taken
+# to lie at its atom's cut (`LiftedMap._value`'s CUT_NEAR turns)
+_SIN_CUT_NEAR = np.sin(np.pi * CUT_NEAR)
 
 
 def canonical_key(map_like, quant: float = 1e-9):
@@ -94,10 +105,23 @@ class StepDistribution:
         mats = [a.matrix if isinstance(a, MobiusMap) else a.matrix() if isinstance(a, Word) else None
                 for a in self.atoms]
         self._mats = None if any(m is None for m in mats) else np.stack(mats)
-        self._dirs = None
+        # direction matrices of the atoms (Mobius) or of their base maps (cover, of degree _k)
+        self._dirs = self._k = None
         if self._mats is not None:
             self._mats.flags.writeable = False
             self._dirs = np.ascontiguousarray(direction_matrices(self._mats))
+        else:
+            steps = [a.cover_step() if hasattr(a, "cover_step") else None for a in self.atoms]
+            if all(st is not None and isinstance(st[1], MobiusMap) for st in steps) and \
+                    len({st[0] for st in steps}) == 1:
+                self._k = steps[0][0]
+                self._dirs = np.ascontiguousarray(direction_matrices(np.stack([st[1].matrix for st in steps])))
+                cuts = np.array([st[2] for st in steps])
+                # per atom: the cut's direction, and offset + 1, the carry when u' lies below the cut
+                self._cuts = np.column_stack([direction(cuts).T, [st[3] + 1.0 for st in steps]])
+                # at the cut, the carry is offset + [old u > 1/2] + round(cut - u'), which is
+                # 0 when u' is on the cut's side of the circle's zero, else this
+                self._cut_turn = np.where(cuts > 0.5, 1.0, -1.0)
 
     def __len__(self):
         return len(self.atoms)
@@ -151,39 +175,103 @@ class StepDistribution:
     def state(self, x):
         """The points x as states, stacked on a new first axis: direction
         vectors (cos pi x, sin pi x) for a pure Mobius family, complex ones
-        for complex x, the positions themselves for other families."""
+        for complex x; for a cover family the base point's direction vector
+        and the sheet, (cos pi u, sin pi u, p) with u = wrap(k x) and
+        p = round(k x - u); the positions themselves for other families."""
+        if self._k is not None:
+            kx = self._k * np.asarray(x, dtype=float)
+            u = wrap(kx)
+            return np.concatenate([direction(u), np.round(kx - u)[None]])
         return direction(x) if self._dirs is not None else np.asarray(x, dtype=float)[None].copy()
 
     def state_buffers(self, s, index_shape=None):
-        """Buffers for in-place `step_state(idx, s, out)` calls on states
-        shaped like s, with idx of index_shape, broadcasting against s[0]
-        (by default one index per entry of s's last axis); None for a
-        family that steps positions (its steps allocate)."""
+        """Buffers for in-place `step_state(idx, s, out)` and `position(s,
+        out, buffers)` calls on states shaped like s, with idx of
+        index_shape, broadcasting against s[0] (by default one index per
+        entry of s's last axis); None for a family that steps positions
+        (its steps allocate).  The second buffer's first two rows, shaped
+        like s[0], are scratch of each call: free between calls."""
         if self._dirs is None:
             return None
-        index_shape = s.shape[-1:] if index_shape is None else index_shape
-        return np.empty(tuple(index_shape) + (2, 2)), np.empty((3,) + s.shape[1:])
+        index_shape = s.shape[-1:] if index_shape is None else tuple(index_shape)
+        buffers = np.empty(index_shape + (2, 2)), np.empty((3,) + s.shape[1:])
+        if self._k is None:
+            return buffers
+        return buffers + (np.empty(index_shape + (3,)), np.empty((2,) + s.shape[1:], bool))
 
     def step_state(self, idx, s, out=None):
         """`step` on states: (image states, log g_idx'), idx broadcasting
         against s[0].  Pure Mobius families act on directions by their
         direction matrices, with no trigonometry (log g' complex on complex
-        ones); other families step positions through `step`.  With
-        out = `state_buffers(s, idx.shape)` (not None), a Mobius step is made in
-        place: the images overwrite s and log g' is a view of out, both
-        valid until the next step in the same buffers; nothing is
-        allocated, and idx is not range-checked."""
-        if self._dirs is not None:
+        ones); cover families step their base point's direction the same way
+        and carry the sheet over (`_carry`); other families step positions through `step`.  With
+        out = `state_buffers(s, idx.shape)` (not None), a Mobius or cover
+        step is made in place: the images overwrite s and log g' is a view
+        of out, both valid until the next step in the same buffers; nothing
+        is allocated, and idx is not range-checked."""
+        if self._dirs is None:
+            val, logd = self.step(idx, s[0])
+            return val[None], logd
+        # np.take gathers like self._dirs[idx]; into dirs, mode "raise" would buffer it
+        mode = "raise" if out is None else "clip"
+        if self._k is None:
             dirs, uvr = (None, None) if out is None else out
-            # np.take gathers like self._dirs[idx]; into dirs, mode "raise" would buffer it
-            dirs = np.take(self._dirs, idx, axis=0, out=dirs, mode="raise" if out is None else "clip")
-            return mobius_direction_step(dirs, s, uvr)
-        val, logd = self.step(idx, s[0])
-        return val[None], logd
+            return mobius_direction_step(np.take(self._dirs, idx, axis=0, out=dirs, mode=mode), s, uvr)
+        if out is None:
+            s, out = s.copy(), self.state_buffers(s, np.shape(idx))
+        dirs = np.take(self._dirs, idx, axis=0, out=out[0], mode=mode)
+        uvr = out[1]
+        cuts, (past_half, below) = out[2:]
+        np.take(self._cuts, idx, axis=0, out=cuts, mode="clip")
+        np.signbit(np.multiply(s[0], s[1], out=uvr[0]), out=past_half)   # the old base point past 1/2
+        _, logd = mobius_direction_step(dirs, s[:2], uvr)
+        self._carry(idx, s, uvr, cuts, past_half, below)
+        return s, logd
 
-    def position(self, s):
-        """The points in [0, 1) of real states s."""
-        return direction_position(s) if self._dirs is not None else s[0].copy()
+    def _carry(self, idx, s, uvr, cuts, past_half, below):
+        """Add each stepped cover state's sheet carry to s[2].  The new base
+        point u' is on the side of w = s[:2]'s sign bit (`position`), so
+        sin pi (cut - u') has the sign of its cross product with the cut's
+        direction times w's sine, and u' lies below the cut where that is
+        not negative (also where w's sine is a zero).  Within _SIN_CUT_NEAR
+        of the cut the branch is the old base point's, as in
+        `LiftedMap._value`: the carry is offset + [old u > 1/2] + m, with
+        m = round(cut - u') from whether u' and the cut are on one side of
+        the circle's zero.  U and V of uvr are scratch."""
+        c, sn, p = s
+        cross, key = uvr[0], uvr[1]
+        np.multiply(c, cuts[..., 1], out=cross)
+        cross -= np.multiply(sn, cuts[..., 0], out=key)
+        np.signbit(np.multiply(cross, sn, out=key), out=below)   # u' at or past the cut
+        p += cuts[..., 2]
+        p -= below
+        if np.abs(cross, out=key).min() < _SIN_CUT_NEAR:
+            at = np.nonzero(key < _SIN_CUT_NEAR)
+            a = np.broadcast_to(idx, p.shape)[at]
+            dot = (c[at] * self._cuts[a, 0] + sn[at] * self._cuts[a, 1]) * np.where(np.signbit(sn[at]), -1.0, 1.0)
+            turn = np.where(dot > 0.0, 0.0, self._cut_turn[a])
+            p[at] += past_half[at] + turn - 1.0 + below[at]
+
+    def position(self, s, out=None, buffers=None):
+        """The points in [0, 1) of real states s.  A Mobius or cover family
+        writes them into out (s[0]'s shape) when given, and with buffers =
+        `state_buffers(s, ...)` as scratch allocates nothing.  A cover
+        state's base point is u = x + signbit(x), x = arctan2(w_1, w_0) / pi,
+        so u lies in [0, 1] on the side of the circle's zero that w's sign
+        bit gives, and the point is wrap((u + p mod k) / k)."""
+        if self._dirs is None:
+            return s[0].copy()
+        scratch = None if buffers is None else buffers[1][0]
+        out = np.arctan2(s[1], s[0], out=out)
+        out /= np.pi
+        if self._k is not None:
+            out += np.signbit(out, out=None if buffers is None else buffers[3][0])
+            sheet = np.floor(np.divide(s[2], self._k, out=scratch), out=scratch)
+            sheet *= -self._k
+            out += np.add(sheet, s[2], out=sheet)
+            out /= self._k
+        out -= np.floor(out, out=scratch)
+        return out
 
 
 def make_step_distribution(atoms, probs, symmetric: bool = False, names=None) -> StepDistribution:

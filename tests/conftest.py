@@ -126,3 +126,57 @@ def lifted_mu(sanov_atoms):
     A, B = sanov_atoms[0], sanov_atoms[2]
     atoms = [LiftedMap(A, 2), LiftedMap(A, 2).inverse(), LiftedMap(B, 2), LiftedMap(B, 2).inverse()]
     return make_step_distribution(atoms, [0.25] * 4)
+
+
+def mp_lifted(matrix, k, j, x, inverse=False):
+    """(value, log derivative) at the float x, as mpmath numbers at 40
+    digits, of the lift x -> (b(k x - p) + p + j) / k, p = floor(k x), of
+    the Mobius map b of matrix to the degree-k cover, b's lift running over
+    [b(0), b(0) + 1) on [0, 1); or of that lift's inverse, whose sheet is
+    floor(k y - j - b(0)).  An oracle that shares no formula with the maps:
+    b acts by t -> (a t + b) / (c t + d) on t = tan(pi u), and
+    b'(u) = det (1 + t^2) / ((1 + t'^2) (c t + d)^2)."""
+    import mpmath as mp
+
+    def base(m, u):
+        (a, b), (c, d) = m
+        t = mp.tan(mp.pi * u)
+        q = c * t + d
+        image = (a * t + b) / q
+        return mp.frac(mp.atan(image) / mp.pi), (a * d - b * c) * (1 + t * t) / ((1 + image * image) * q * q)
+
+    with mp.workdps(40):
+        (a, b), (c, d) = ((mp.mpf(float(v)) for v in row) for row in np.asarray(matrix).tolist())
+        fwd, inv = ((a, b), (c, d)), ((d, -b), (-c, a))
+        b0 = base(fwd, 0)[0]
+        x = mp.mpf(float(x))
+        if inverse:
+            w = k * x - j
+            u, d1 = base(inv, mp.frac(w))
+            return mp.frac((u + mp.floor(w - b0)) / k), mp.log(d1)
+        u, d1 = base(fwd, mp.frac(k * x))
+        return mp.frac((b0 + mp.frac(u - b0) + mp.floor(k * x) + j) / k), mp.log(d1)
+
+
+def lifted_cut_points(matrix, k):
+    """Floats at and one ulp either side of each cut of the degree-k lifts of
+    matrix's Mobius map b and of their inverses: the points i/k where k x
+    wraps, and (i + b(0)) / k, where the inverse's sheet turns over (the
+    forward lift's new base point crosses its zero at (i + b^{-1}(0)) / k,
+    the cut points of the inverse matrix)."""
+    from circlelab.maps import MobiusMap
+
+    b0 = float(MobiusMap(matrix).apply(0.0))
+    cuts = np.concatenate([np.arange(k + 1) / k, (np.arange(k) + b0) / k])
+    return np.unique(np.concatenate([cuts, np.nextafter(cuts, -1.0), np.nextafter(cuts, 2.0)]).clip(0.0, 1.0))
+
+
+@pytest.fixture(scope="session")
+def mixed_mu(lifted_mu):
+    """The degree-2 lifts of lifted_mu with rotations by +-1/3 beside them,
+    as lifted-3 mixes them: not a cover family, so it steps positions."""
+    from circlelab.maps import rotation
+    from circlelab.walk import make_step_distribution
+
+    return make_step_distribution(list(lifted_mu.atoms) + [rotation(1 / 3), rotation(-1 / 3)],
+                                  [1.0] * 6, symmetric=True)

@@ -11,7 +11,7 @@ import pytest
 
 from circlelab.circle import Arc
 from circlelab.configs import build_projected_base, build_step_distribution, builtin_config
-from circlelab.boundary import finite_quotient_detect, quotient_boundary_entropy
+from circlelab.boundary import finite_quotient_detect, quotient_boundary_entropy, semiconjugation_map
 from circlelab.distortion import verify_complex_distortion, verify_real_distortion, walk_constants
 from circlelab.jets import log_and_schwarzian
 from circlelab.maps import MobiusMap, Word, rotation
@@ -242,13 +242,15 @@ def test_criterion_10_finite_quotient(mu, nu):
     cfg2 = builtin_config("lifted-2")
     mu2 = build_step_distribution(cfg2)
     nu2 = estimate_stationary_measure(mu2, grid_size=4096, seed=5)
-    quo2 = finite_quotient_detect(nu2, mu2, q_max=4)
-    quo_base = finite_quotient_detect(nu, mu, q_max=4)
+    sc2 = semiconjugation_map(nu2, mu2)
+    quo2 = finite_quotient_detect(sc2, q_max=4)
+    quo_base = finite_quotient_detect(semiconjugation_map(nu, mu), q_max=4)
     base_mu = build_projected_base(cfg2)
     base_nu = estimate_stationary_measure(base_mu, grid_size=4096, seed=5)
-    rep1 = finite_quotient_detect(base_nu, base_mu, q_max=1)
-    h_q, se_q = quotient_boundary_entropy(quo2, nu2, mu2, samples=50_000, seed=5)
-    h_b, se_b = quotient_boundary_entropy(rep1, base_nu, base_mu, samples=50_000, seed=6)
+    base_sc = semiconjugation_map(base_nu, base_mu)
+    rep1 = finite_quotient_detect(base_sc, q_max=1)
+    h_q, se_q = quotient_boundary_entropy(quo2, sc2, mu2, samples=50_000, seed=5)
+    h_b, se_b = quotient_boundary_entropy(rep1, base_sc, base_mu, samples=50_000, seed=6)
     gap = abs(h_q - h_b)
     sig = float(np.hypot(se_q, se_b))
     ok = quo2.degree == 2 and quo_base.degree == 1 and gap <= 2.0 * sig

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from circlelab.boundary import (
+    _light_windows,
     finite_quotient_detect,
     minimal_set_classify,
     proximality_test,
     quotient_boundary_entropy,
     semiconjugation_map,
 )
-from circlelab.circle import Arc, circle_dist
+from circlelab.circle import Arc, circle_dist, unwrap_increasing, wrap
 from circlelab.maps import LiftedMap, MobiusMap, Word, rotation
 from circlelab.measure import GridMeasure, boundary_entropy, estimate_stationary_measure
 from circlelab.walk import make_step_distribution
@@ -81,6 +82,22 @@ def test_semiconjugation_mobius_pushforward():
     mu = make_step_distribution([g, g.inverse()], [0.5, 0.5], symmetric=True)
     sc = semiconjugation_map(nu, mu)
     assert np.max(sc.defects) <= 5.0 / N
+
+
+@pytest.mark.parametrize("N", [1024, 1000])
+def test_induced_maps_are_np_interp_on_the_unwrapped_grids(sanov_atoms, N):
+    # the lookup assumes only a grid within an ulp of i / N, as linspace is
+    ups = [LiftedMap(sanov_atoms[i], 2, 0) for i in (0, 2)]
+    mu = make_step_distribution([ups[0], ups[0].inverse(), ups[1], ups[1].inverse()], [0.25] * 4)
+    nu = estimate_stationary_measure(mu, grid_size=N, seed=4)
+    sc = semiconjugation_map(nu, mu)
+    grid = np.linspace(0.0, 1.0, N + 1)
+    xs = nu.quantile(grid)
+    u = np.concatenate([np.random.default_rng(3).random(5000) * 3.0 - 1.0, grid, grid[1:-1] - 1e-17,
+                        [1.0, -1e-17, np.nextafter(1.0, 0.0)]])
+    for k, atom in enumerate(mu.atoms):
+        lifted = unwrap_increasing(nu.cdf_at(atom.apply(xs)))
+        assert np.array_equal(sc.induced_map(k, u), wrap(np.interp(wrap(u), grid, lifted)))
 
 
 def test_semiconjugation_collapses_schottky_gaps(schottky_mu, schottky_nu):
@@ -166,6 +183,33 @@ def test_classify_gap_masses_tiny(schottky_nu):
     assert all(m <= rep.mass_tolerance for m in rep.gap_masses)
 
 
+def widest_light_windows(nu, mass_tolerance):
+    """The per-cell loop `minimal_set_classify` ran: the widest window from
+    each cell with mass below the tolerance, by two pointers."""
+    N = nu.N
+    cell = np.diff(nu.cdf)
+    csum = np.concatenate([[0.0], np.cumsum(np.concatenate([cell, cell]))])
+    widths = np.zeros(N, dtype=int)
+    j = 0
+    for i in range(N):
+        j = max(j, i)
+        while j - i < N and csum[j + 1] - csum[i] < mass_tolerance:
+            j += 1
+        widths[i] = j - i
+    return widths
+
+
+def test_minimal_set_windows_are_the_two_pointer_loop(schottky_nu, sanov_mu):
+    # the report's gaps are read off these widths: a Cantor measure, a smooth
+    # one, a plateaued empirical one, a point mass and Lebesgue
+    measures = [schottky_nu, estimate_stationary_measure(sanov_mu, grid_size=1024, seed=3),
+                GridMeasure.from_samples(np.random.default_rng(2).random(300) ** 3, 2048),
+                GridMeasure.from_samples(np.full(10, 0.3), 512), GridMeasure.lebesgue(256)]
+    for nu in measures:
+        for tol in (1e-3, 1e-2, 0.25, 1.0, 2.0, 0.0, -1.0):
+            assert np.array_equal(_light_windows(nu, tol)[1], widest_light_windows(nu, tol))
+
+
 # -- finite quotient -----------------------------------------------------------
 
 def lifted_mu(base_atoms, k, names):
@@ -178,19 +222,20 @@ def lifted_mu(base_atoms, k, names):
 
 def test_quotient_sanov_degree_one(sanov_mu):
     nu = estimate_stationary_measure(sanov_mu, grid_size=2048, seed=3)
-    rep = finite_quotient_detect(nu, sanov_mu, q_max=4)
+    rep = finite_quotient_detect(semiconjugation_map(nu, sanov_mu), q_max=4)
     assert rep.degree == 1
 
 
 def test_quotient_lifted_two(sanov_atoms, sanov_mu):
     mu2 = lifted_mu(sanov_atoms, 2, ["a", "a'", "b", "b'"])
     nu2 = estimate_stationary_measure(mu2, grid_size=4096, seed=4)
-    rep = finite_quotient_detect(nu2, mu2, q_max=4)
+    sc2 = semiconjugation_map(nu2, mu2)
+    rep = finite_quotient_detect(sc2, q_max=4)
     assert rep.degree == 2
     # boundary entropy is invariant under the finite quotient
     base_nu = estimate_stationary_measure(sanov_mu, grid_size=4096, seed=4)
     h_base = boundary_entropy(sanov_mu, base_nu, samples=30_000, seed=5)
-    h_quot, se_quot = quotient_boundary_entropy(rep, nu2, mu2, samples=30_000, seed=5)
+    h_quot, se_quot = quotient_boundary_entropy(rep, sc2, mu2, samples=30_000, seed=5)
     assert abs(h_quot - h_base.value) <= 2.5 * np.hypot(se_quot, h_base.stderr) + 0.05
 
 
@@ -199,5 +244,5 @@ def test_quotient_lifted_three_with_rotation(sanov_atoms):
     atoms = [ups[0], ups[0].inverse(), ups[1], ups[1].inverse(), rotation(1 / 3), rotation(-1 / 3)]
     mu3 = make_step_distribution(atoms, [1.0 / 6] * 6, symmetric=True)
     nu3 = estimate_stationary_measure(mu3, grid_size=4096, seed=5)
-    rep = finite_quotient_detect(nu3, mu3, q_max=5)
+    rep = finite_quotient_detect(semiconjugation_map(nu3, mu3), q_max=5)
     assert rep.degree == 3

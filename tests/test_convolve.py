@@ -1,6 +1,8 @@
+import cProfile
 import hashlib
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -446,3 +448,31 @@ def test_runs_are_slices_of_whole_runs(chunk, monkeypatch):
     assert all(starts[0] == 0 for _, starts in slices)
     found = np.concatenate([ch.start + starts for ch, starts in slices])
     assert np.array_equal(found, np.flatnonzero(np.diff(keys, prepend=-1)))
+
+
+@pytest.mark.parametrize("tracer", ["settrace", "profile"])
+@pytest.mark.parametrize("quantized", [False, True])
+def test_tables_under_a_tracer_are_the_untraced_tables(sanov_mu, tracer, quantized):
+    # debuggers and coverage trace every line and read each frame's locals,
+    # and profilers hold references to the arrays a step shrinks
+    def run():
+        return convolve_exact(sanov_mu, 7, quantized=quantized, quant=1.0, words=True)
+
+    def trace(frame, event, arg):
+        frame.f_locals
+        return trace
+
+    want = run()
+    if tracer == "settrace":
+        old = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            got = run()
+        finally:
+            sys.settrace(old)
+    else:
+        got = cProfile.Profile().runcall(run)
+    assert np.array_equal(got.entropies, want.entropies)
+    assert np.array_equal(got.support_sizes, want.support_sizes)
+    for name in ("hi", "lo", "masses", "words", "lengths"):
+        assert np.array_equal(getattr(got.table, name), getattr(want.table, name)), name

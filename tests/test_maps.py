@@ -1,7 +1,7 @@
 import mpmath
 import numpy as np
 import pytest
-from conftest import fd_jet
+from conftest import fd_jet, mp_lifted
 
 from circlelab.circle import Arc, circle_dist, wrap
 from circlelab.jets import Jet3, log_derivative, schwarzian
@@ -444,3 +444,18 @@ def test_rho_rotation_infinite():
 
 def test_rho_hyperbolic_closed_form():
     assert abs(mobius_seminorms(HYP.matrix)[4] - np.log(5.0 / 3.0) / (2 * np.pi)) < 1e-12
+
+
+@pytest.mark.parametrize("matrix", [[[1, 2], [0, 1]], [[1, 0], [2, 1]]], ids=["a", "b"])
+def test_lifted_values_at_the_wrap_points_match_mpmath(matrix):
+    # k x a whole number or an ulp below one: base(u) rounds onto base(0) or
+    # across it, and the branch must be u's
+    base = MobiusMap(matrix)
+    for k in (2, 3):
+        x = np.arange(k + 1) / k
+        x = np.concatenate([x, np.nextafter(x[1:], 0.0)])
+        for j in (0, 1):
+            g = LiftedMap(base, k, j)
+            want = np.array([float(mp_lifted(base.matrix, k, j, v)[0]) for v in x])
+            for got in (g.apply(x), g.jet(x).value, g.value_d1(x)[0]):
+                assert np.max(circle_dist(got, want)) <= 4e-16, (k, j)

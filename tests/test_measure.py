@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import reference_apply_indexed
 
-from circlelab.circle import Arc, unwrap_increasing, wrap
+from circlelab.circle import Arc, lift_steps, unwrap_increasing, wrap
 from circlelab.configs import build_step_distribution, builtin_config
 from circlelab.maps import LiftedMap, MobiusMap, Word, rotation
 from circlelab.measure import (
@@ -432,15 +432,24 @@ def test_dirac_probe_matches_per_step_apply_on_a_cantor_set():
     assert np.array_equal(curve.median_width, probe_by_per_step_draws(mu, nu, 40, 4, seed=6))
 
 
-def test_dirac_probe_on_other_families_is_the_per_step_apply(conjugated_mu, lifted_mu):
-    # rows of families without direction states are stepped one at a time
-    # by `apply`, bit for bit the per-trial loop
-    mixed = make_step_distribution(list(lifted_mu.atoms) + [rotation(1 / 3), rotation(-1 / 3)],
-                                   [1.0] * 6, symmetric=True)
-    for mu in (conjugated_mu, lifted_mu, mixed):
+def test_dirac_probe_on_other_families_is_the_per_step_apply(conjugated_mu, mixed_mu):
+    # rows of families without states are stepped one at a time by `apply`,
+    # bit for bit the per-trial loop (cover families: the lifted-2 test below)
+    for mu in (conjugated_mu, mixed_mu):
         nu = GridMeasure.lebesgue(512)
         curve = dirac_convergence_probe(mu, nu, horizon=8, trials=3, seed=2)
         assert np.array_equal(curve.median_width, probe_by_per_step_draws(mu, nu, 8, 3, seed=2))
+
+
+def test_lifted_2_probe_is_the_per_step_apply_on_seeds_0_to_9():
+    # cover states against rows stepped by `apply`, whose values at the cuts
+    # are checked against mpmath (test_maps); before `apply` took the branch
+    # at its cut from u, seeds 4, 6 and 8 differed here by up to 0.094
+    mu = build_step_distribution(builtin_config("lifted-2"))
+    nu = estimate_stationary_measure(mu, grid_size=4096)
+    for seed in range(10):
+        curve = dirac_convergence_probe(mu, nu, horizon=50, trials=10, seed=seed)
+        assert np.array_equal(curve.median_width, probe_by_per_step_draws(mu, nu, 50, 10, seed=seed)), seed
 
 @pytest.mark.parametrize("kwargs", [{"quantile": 0.0}, {"quantile": -0.5}, {"quantile": 1.0 + 1e-12},
                                     {"quantile": 2.0}, {"quantile": float("nan")}, {"horizon": -1},
@@ -558,6 +567,48 @@ def test_pushforward_is_the_unwrapped_cdf_bit_for_bit(sanov_mu, lifted_mu):
         assert np.array_equal(out, want)
 
 
+def push_into_reference(nu, pre):
+    """(`GridMeasure._push_into`'s CDFs as it built them, with the running
+    maximum over every row; the rows before that maximum)."""
+    out, fl = np.empty_like(pre), np.empty_like(pre)
+    j, moved = np.empty(pre.shape, np.intp), np.empty(pre.shape, bool)
+    d = fl[..., 1:]
+    np.subtract(pre[..., 1:], pre[..., :-1], out=d)
+    np.cumsum(lift_steps(d, out[..., 1:]), axis=-1, out=d)
+    np.add(pre[..., :1], d, out=pre[..., 1:])
+    pre -= np.floor(pre, out=fl)
+    nu._interp_into(pre, out, j, moved)
+    out += fl
+    first = fl[..., :1]
+    np.copyto(first, out[..., :1])
+    out -= first
+    out[..., 0] = 0.0
+    out[..., -1] = 1.0
+    np.clip(out, 0.0, 1.0, out=out)
+    return np.maximum.accumulate(out, axis=-1), out
+
+
+def test_push_takes_the_running_maximum_only_where_a_row_decreases(sanov_mu):
+    # cluster rows with ulp backsteps decrease after clipping; the others are
+    # left as they are, bit for bit the running maximum over every row
+    nu = estimate_stationary_measure(sanov_mu, grid_size=256, seed=3)
+    rng = np.random.default_rng(6)
+    clean = np.concatenate([np.full(100, 0.3), wrap(0.3 + np.linspace(0.01, 0.99, 57)), np.full(100, 0.3)])
+    rows = [clean + np.where(clean == 0.3, rng.integers(-2, 3, clean.size) * np.spacing(0.3), 0.0)
+            for _ in range(3)]
+    rows += [clean, nu.grid] + [a.inverse().apply(nu.grid) for a in sanov_mu.atoms]
+    pre = np.array(rows)
+    want, before = push_into_reference(nu, pre.copy())
+    down = (np.diff(before, axis=-1) < 0).any(axis=-1)
+    assert 0 < np.count_nonzero(down) < len(rows)
+    for r, w in zip(rows, want):   # one row at a time, as `pushforward_from_preimages`
+        assert np.array_equal(nu.pushforward_from_preimages(r).cdf, w)
+    ext = np.empty((len(rows), 2 * pre.shape[1] - 1))   # into a view, as the Dirac probe pushes
+    out = ext[:, :pre.shape[1]]
+    nu._push_into(pre, out, np.empty_like(pre), np.empty(pre.shape, np.intp), np.empty(pre.shape, bool))
+    assert np.array_equal(out, want)
+
+
 # -- the stepping kernel against the grouped per-atom loop it replaced ----------
 
 def reference_lyapunov(mu, nu, n_steps, trajectories, integral_samples, seed):
@@ -575,7 +626,7 @@ def reference_lyapunov(mu, nu, n_steps, trajectories, integral_samples, seed):
     return float((acc / n_steps).mean()), integral
 
 
-@pytest.mark.parametrize("family", ["sanov_mu", "conjugated_mu"])
+@pytest.mark.parametrize("family", ["sanov_mu", "conjugated_mu", "lifted_mu"])
 def test_lyapunov_matches_the_grouped_jet_loop(family, request):
     mu = request.getfixturevalue(family)
     nu = estimate_stationary_measure(mu, grid_size=1024, seed=3)
@@ -604,7 +655,7 @@ def test_lyapunov_block_draw_equals_per_step_draws(sanov_mu):
     assert est.value == float((acc / 300).mean())
 
 
-@pytest.mark.parametrize("family", ["sanov_mu", "conjugated_mu"])
+@pytest.mark.parametrize("family", ["sanov_mu", "conjugated_mu", "lifted_mu"])
 def test_monte_carlo_stationary_matches_the_grouped_loop(family, request):
     mu = request.getfixturevalue(family)
     nu = estimate_stationary_measure(mu, "monte_carlo", 1024, mc_samples=4_000, mc_steps=40, seed=3)

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
-from conftest import reference_apply_indexed
+from conftest import lifted_cut_points, mp_lifted, reference_apply_indexed
 
 from circlelab.circle import circle_dist
 from circlelab.maps import (
+    LiftedMap,
     MobiusMap,
     Word,
     direction,
     direction_matrices,
-    direction_position,
     mobius_direction_step,
     mobius_seminorms,
     mobius_value_logd,
@@ -176,7 +176,7 @@ def test_direction_step_matches_the_position_step():
     val, logd = mobius_value_logd(mats, x)
     w, ld = mobius_direction_step(direction_matrices(mats), direction(x))
     eps = np.finfo(float).eps
-    assert np.max(circle_dist(direction_position(w), val)) <= 4 * eps
+    assert np.max(circle_dist(np.arctan2(w[1], w[0]) / np.pi, val)) <= 4 * eps   # the position, up to wrap
     assert np.max(np.abs(ld - logd) / np.maximum(1.0, np.abs(logd))) <= 4 * eps
     assert np.max(np.abs(np.hypot(w[0], w[1]) - 1.0)) <= 2 * eps
 
@@ -220,7 +220,7 @@ def test_step_on_other_families_is_the_atom_jets_bit_for_bit(family, request):
     assert np.array_equal(val, ref_val) and np.array_equal(logd, np.log(ref_d1))
 
 
-@pytest.mark.parametrize("family", ["conjugated_mu", "lifted_mu"])
+@pytest.mark.parametrize("family", ["conjugated_mu", "mixed_mu"])
 def test_step_state_is_step_on_other_families(family, request):
     # other families step positions: bit for bit what step gives
     mu = request.getfixturevalue(family)
@@ -230,6 +230,60 @@ def test_step_state_is_step_on_other_families(family, request):
     assert s.shape == (1, x.size)
     assert np.array_equal(mu.position(s), val) and np.array_equal(ld, logd)
     assert mu.state_buffers(s) is None   # their steps allocate
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_cover_states_match_mpmath(k):
+    # forward and inverse lifts of a and b, at random points and at and an
+    # ulp either side of every cut; b fixes 0, so its cuts lie on the base
+    # point's own zero
+    mats = [MobiusMap([[1, 2], [0, 1]]).matrix, MobiusMap([[1, 0], [2, 1]]).matrix]
+    ups = [LiftedMap(MobiusMap(m), k, j) for m, j in zip(mats, (0, 1))]
+    atoms = [ups[0], ups[0].inverse(), ups[1], ups[1].inverse()]
+    mu = make_step_distribution(atoms, [0.25] * 4)
+    assert mu.matrices() is None
+    rng = np.random.default_rng(k)
+    cut_mats = mats + [MobiusMap(m).inverse().matrix for m in mats]
+    x = np.concatenate([rng.random(300)] + [lifted_cut_points(m, k) for m in cut_mats])
+    s = mu.state(x)
+    assert s.shape == (3, x.size) and np.max(circle_dist(mu.position(s), x)) <= 2e-16
+    for a, atom in enumerate(atoms):
+        w, logd = mu.step_state(np.full(x.size, a), s)
+        ref = [mp_lifted(mats[a // 2], k, (0, 1)[a // 2], v, inverse=a % 2 == 1) for v in x]
+        assert np.max(circle_dist(mu.position(w), np.array([float(v) for v, _ in ref]))) <= 2e-15, a
+        assert np.max(np.abs(logd - np.array([float(d) for _, d in ref]))) <= 1e-14, a
+
+
+@pytest.mark.parametrize("shape", [(5_000,), (3, 2_000)])
+def test_cover_step_in_place_is_the_allocating_step(lifted_mu, shape):
+    rng = np.random.default_rng(12)
+    idx, x = lifted_mu.sample_indices(rng, shape[-1]), rng.random(shape)
+    want_s, want_ld = lifted_mu.step_state(idx, lifted_mu.state(x))
+    s = lifted_mu.state(x)
+    buffers = lifted_mu.state_buffers(s)
+    pos = np.empty(shape)
+    for _ in range(2):   # the buffers are reused
+        got_s, got_ld = lifted_mu.step_state(idx, s, buffers)
+        assert got_s is s and np.shares_memory(got_ld, buffers[1])
+        assert np.array_equal(got_s, want_s) and np.array_equal(got_ld, want_ld)
+        assert lifted_mu.position(s, pos, buffers) is pos
+        assert np.array_equal(pos, lifted_mu.position(want_s))
+        want_s, want_ld = lifted_mu.step_state(idx, want_s)
+
+
+def test_a_cover_step_calls_no_cos_or_sin(lifted_mu, monkeypatch):
+    rng = np.random.default_rng(13)
+    s = lifted_mu.state(rng.random(1_000))
+    buffers = lifted_mu.state_buffers(s)
+
+    def trig(*args, **kwargs):
+        raise AssertionError("trigonometry in a cover step")
+
+    monkeypatch.setattr(np, "cos", trig)
+    monkeypatch.setattr(np, "sin", trig)
+    for _ in range(5):
+        lifted_mu.step_state(lifted_mu.sample_indices(rng, 1_000), s, buffers)
+        lifted_mu.position(s, np.empty(1_000), buffers)
 
 
 def test_matrices_are_cached_and_read_only(sanov_mu, conjugated_mu):
