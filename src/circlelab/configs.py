@@ -62,12 +62,13 @@ ARCS = "arcs"    # the kind of a list of [left, length] rows
 @dataclass(frozen=True)
 class Bounded:
     """The kind of a number with a lower limit, >= low or > low when
-    strict, and an upper one, <= high."""
+    strict, and an upper one, <= high or < high when strict_high."""
 
     kind: type
     low: float
     strict: bool = False
     high: float = float("inf")
+    strict_high: bool = False
 
 
 # key -> (kind, default).  A kind is int, float, bool or str; a Bounded
@@ -97,7 +98,7 @@ KEYS = {
     "samples": (Bounded(int, 2), 50_000),
     "epsilon": (Bounded(float, 0.0, strict=True), 1e-4),
     "word_length_cap": (int, 40),
-    "gap_mass_tolerance": (float, 1e-3),
+    "gap_mass_tolerance": (Bounded(float, 0.0, strict=True, high=1.0, strict_high=True), 1e-3),
     "q_max": (Bounded(int, 1), 4),
     "probe_horizon": (Bounded(int, 1), 50),
     "probe_trials": (Bounded(int, 1), 10),
@@ -168,8 +169,8 @@ def _value(key: str, kind, value):
         value = _value(key, kind.kind, value)
         if not (value > kind.low if kind.strict else value >= kind.low):   # NaN too
             raise ConfigError(f"'{key}' must be {'>' if kind.strict else '>='} {kind.low}, got {value!r}")
-        if not value <= kind.high:
-            raise ConfigError(f"'{key}' must be <= {kind.high}, got {value!r}")
+        if not (value < kind.high if kind.strict_high else value <= kind.high):
+            raise ConfigError(f"'{key}' must be {'<' if kind.strict_high else '<='} {kind.high}, got {value!r}")
         return value
     if isinstance(kind, dict):
         if not isinstance(value, dict):

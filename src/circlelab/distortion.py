@@ -42,7 +42,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .circle import Arc, wrap
-from .maps import direction_abs_im, mobius_seminorms, mobius_window_extrema
+from .maps import direction_abs_im, mobius_seminorms, mobius_window_extrema, normalise_directions
 from .measure import GridMeasure
 from .walk import StepDistribution, WalkTrajectory
 
@@ -71,13 +71,16 @@ class PrefixScan:
     `position()` is l_n(x).  A step allocates nothing unless some row's
     arc is tiny or its window flat (below).
 
-    x, lo and hi are stepped in place as direction states
-    w = (cos pi y, sin pi y) by `mu.step_state`.  A unimodular D keeps
-    D w_lo x D w_hi = w_lo x w_hi = +-sin(pi |l_k J|) and divides each
-    state by |D w| = e^{-log g'/2}, so L = log sin(pi |l_k J|) gains
-    (log g'(lo) + log g'(hi)) / 2 per step, exactly.  The cross product
-    keeps its sign (+ when hi >= lo); that sign times w_lo . w_hi is
-    cos(pi |l_k J|), negative when the image is the circle but for a short
+    x, lo and hi are stepped in place as `mu.state`s: direction vectors
+    w = (cos pi y, sin pi y) at k = 0, multiplied by each step's direction
+    matrix and never normalised (`mu.step_state`).  log l_k'(x) is read
+    from the x state's norm, -log |w_x|^2 (`mu.log_derivative`).  A
+    unimodular D keeps the cross product w_lo x w_hi, which is
+    +-sin(pi |J|) at k = 0 and +-|w_lo| |w_hi| sin(pi |l_k J|) after, so
+    L = log sin(pi |l_k J|) is log sin(pi |J|) plus the mean of the two
+    ends' log derivatives, exactly.  The cross product keeps its sign (+
+    when hi >= lo); that sign times w_lo . w_hi is cos(pi |l_k J|) times
+    a positive norm, negative when the image is the circle but for a short
     complement.
 
     Each step reads every row by one rule.  Below L = log(pi 1e-9), where
@@ -98,7 +101,9 @@ class PrefixScan:
         self.batch, self.n = steps.shape
         self.steps, self.step = steps, np.empty(self.batch, dtype=np.intp)
         self.mu, self.nu, self.x, self.arc = mu, nu, float(x), (float(arc[0]), float(arc[1]))
-        self.logd, self.log_mass = np.empty((2, self.batch))
+        # log l_k' at x, lo and hi; the first row is the scan's logd
+        self._logd3, self.log_mass = np.empty((3, self.batch)), np.empty(self.batch)
+        self.logd = self._logd3[0]
         self._w = None
 
     def __iter__(self):
@@ -107,23 +112,25 @@ class PrefixScan:
         w = self._w = np.repeat(mu.state([self.x, lo, hi])[:, :, None], batch, axis=2)   # x, lo, hi
         buffers = mu.state_buffers(w)
         sign = 1.0 if hi >= lo else -1.0
-        L = np.full(batch, np.log(np.sin(np.pi * max(wrap(hi - lo), 1e-300))))
+        L0 = np.log(np.sin(np.pi * max(wrap(hi - lo), 1e-300)))
+        L = np.full(batch, L0)
         ends, scratch = np.empty((2, 2, batch))
         ends[0], ends[1] = lo, hi
-        mass, half = np.empty((2, batch))
+        mass = np.empty(batch)
         tiny, flat = np.empty((2, batch), dtype=bool)
         interval_mass = nu.interval_mass_into(batch)
-        logd, log_mass = self.logd, self.log_mass
-        logd.fill(0.0)
+        logd3, log_mass = self._logd3, self.log_mass
+        logd3.fill(0.0)
         for k in range(self.n + 1):
             # log of a zero density is -inf; a window mass that is not positive
             # is logged with its row and then overwritten by the fallback below
             with np.errstate(divide="ignore", invalid="ignore"):
                 if k:
                     np.copyto(self.step, self.steps[:, k - 1])
-                    _, ld = mu.step_state(self.step, w, buffers)
-                    logd += ld[0]
-                    L += np.multiply(0.5, np.add(ld[1], ld[2], out=half), out=half)
+                    mu.step_state(self.step, w, buffers)
+                    mu.log_derivative(w, logd3, buffers)
+                    np.multiply(0.5, np.add(logd3[1], logd3[2], out=L), out=L)
+                    L += L0
                 n_tiny = np.count_nonzero(np.less(L, _LOG_SIN_TINY, out=tiny))
                 if n_tiny < batch:
                     if k:   # mu.position(w[:, 1:]), in place
@@ -137,13 +144,18 @@ class PrefixScan:
                         log_mass[rows] = (np.log(np.maximum(span, 1e-300))
                                           + np.log(nu.cell_density(wrap(ends[0, rows] + 0.5 * span))))
                 if n_tiny:
-                    # read on every row, kept on the tiny ones
+                    # read on every row, kept on the tiny ones; the middle
+                    # of the two ends' unit vectors, lo / |lo| +- hi / |hi|,
+                    # in the direction of lo +- (|lo| / |hi|) hi
                     dot = w[0, 1] * w[0, 2] + w[1, 1] * w[1, 2]
-                    mid = mu.position(w[:, 1] + np.copysign(1.0, dot) * w[:, 2])
+                    r = w[0, 1:] * w[0, 1:] + w[1, 1:] * w[1, 1:]
+                    along = np.copysign(np.sqrt(r[0] / r[1]), dot)
+                    mid = mu.position(w[:2, 1] + along * w[:2, 2])
                     lm = L + np.log(nu.cell_density(mid) / np.pi)
                     comp = sign * dot < 0.0
                     if comp.any():
-                        lm = np.where(comp, np.log1p(-np.minimum(np.exp(lm), 1.0)), lm)
+                        with np.errstate(under="ignore"):   # the complement of an arc below e^-745
+                            lm = np.where(comp, np.log1p(-np.minimum(np.exp(lm), 1.0)), lm)
                     np.copyto(log_mass, lm, where=tiny)
             yield k
 
@@ -419,8 +431,8 @@ def verify_complex_distortion(
     enters the disk (`PoleInDiskError`), log |l_n'| and Im l_n are harmonic
     on it, so the circle carries their extremes.  Pure Mobius steps only.
     Points are carried as `mu.state`s w = (cos pi z, sin pi z), one row per
-    walk; log |g'| is the real part of `step_state`'s log g', |Im z| is
-    `direction_abs_im(w)`.
+    walk, normalised after each step (`normalise_directions`), which gives
+    -log g'; log |g'| is its real part, |Im z| is `direction_abs_im(w)`.
     """
     if constants.horizon < N:
         raise ValueError("constants were computed over a shorter horizon than the verification")
@@ -446,8 +458,8 @@ def verify_complex_distortion(
                 f"walk {b}, step {n}: disk image reaches the singular annulus of the next map "
                 f"(|Im| = {im_max[b]:.3e} >= rho = {rho[k[b]]:.3e})"
             )
-        w, ld = mu.step_state(k[:, None], w)
-        logd += ld.real
+        w = mu.step_state(k[:, None], w)
+        logd -= normalise_directions(w).real
         kap = np.max(logd, axis=1) - np.min(logd, axis=1)
         np.maximum(max_k, kap, out=max_k)
         _record(violations, n, "complex_affine", kap, kappa)

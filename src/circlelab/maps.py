@@ -267,33 +267,42 @@ def mobius_value_logd(mats: np.ndarray, x):
 
 
 def mobius_direction_step(dirs: np.ndarray, w, out=None):
-    """Images and log derivatives of unit direction vectors
-    w = (cos pi x, sin pi x), stacked on the first axis of shape (2, ...),
-    under stacked direction matrices D (..., 2, 2) broadcasting to w[0]'s
-    shape: w <- D w / |D w|, log g' = -log |D w|^2.  No trigonometry.
+    """Images of direction vectors w, stacked on the first axis of shape
+    (2, ...), under stacked direction matrices D (..., 2, 2) broadcasting
+    to w[0]'s shape: w <- D w, one 2x2 matvec, not normalised.  No
+    trigonometry, square root, division or log.  The image points the way
+    of g(x)'s direction vector, and, D being unimodular, a unit w_0 =
+    (cos pi x, sin pi x) stepped by D_1 .. D_k has |w_k|^2 = 1 / l_k'(x):
+    a walk reads its log derivatives from the states' norms.
 
-    The step is made in place: U, V and R = U^2 + V^2 live in out, an array
-    (3,) + w[0].shape of w's dtype, the images overwrite w, and (w, log g')
-    come back with log g' in out[2]; nothing is allocated.  With out None,
-    w is copied (in the dtype of D and w) and out allocated first."""
+    The step is made in place: the images overwrite w, and out, an array
+    (2,) + w[0].shape of w's dtype, is scratch; nothing is allocated.  With
+    out None, w is copied (in the dtype of D and w) and out allocated first."""
     if out is None:
         w = np.array(w, dtype=np.result_type(dirs, w))
-        out = np.empty((3,) + w.shape[1:], dtype=w.dtype)
-    U, V, R = out
-    c, s = w   # read, then scratch until the images land
-    np.multiply(dirs[..., 0, 0], c, out=U)
-    np.multiply(dirs[..., 0, 1], s, out=R)
-    U += R
-    np.multiply(dirs[..., 1, 0], c, out=V)
-    np.multiply(dirs[..., 1, 1], s, out=R)
-    V += R
-    np.multiply(U, U, out=R)
-    R += np.multiply(V, V, out=c)
-    np.sqrt(R, out=s)
-    np.divide(U, s, out=c)
-    np.divide(V, s, out=s)
-    np.log(R, out=R)
-    return w, np.negative(R, out=R)
+        out = np.empty((2,) + w.shape[1:], dtype=w.dtype)
+    c, s = w
+    t, u = out
+    np.multiply(dirs[..., 1, 0], c, out=t)
+    c *= dirs[..., 0, 0]
+    c += np.multiply(dirs[..., 0, 1], s, out=u)
+    s *= dirs[..., 1, 1]
+    s += t
+    return w
+
+
+def normalise_directions(w):
+    """Divide stepped complex direction vectors w (2, ...) in place by
+    sqrt(w_0^2 + w_1^2), principal branch, which makes them
+    +-(cos pi z, sin pi z) again, and return log(w_0^2 + w_1^2): minus the
+    log derivative, at the start point, of the steps since w was last a
+    unit vector."""
+    q = w[0] * w[0]
+    q += w[1] * w[1]
+    root = np.sqrt(q)
+    w[0] /= root
+    w[1] /= root
+    return np.log(q, out=q)
 
 
 def direction(x):

@@ -30,6 +30,11 @@ _TAG_BOUNDARY = 0x424E4452
 _TAG_SBM = 0x53424D31
 _TAG_DIRAC = 0x44495243
 _LYAPUNOV_BLOCK = 256
+# one-cell advances of `GridMeasure._cdf_index` before it searches the rest: on
+# 100 000 draws from sanov's nu (N = 8192) 1, 2 and 3 left 4.7, 2.3 and 1.6 % and
+# took 3.1, 3.1 and 3.3 ms, against 11.9 ms for searchsorted (numpy 2.4, 2-core x86)
+_CDF_PROBES = 2
+_EPS = np.finfo(float).eps
 
 
 class StationarityError(RuntimeError):
@@ -158,9 +163,32 @@ class GridMeasure:
         i = np.minimum((wrap(x) * self.N).astype(int), self.N - 1)
         return (self.cdf[i + 1] - self.cdf[i]) * self.N
 
+    @cached_property
+    def _bucket_starts(self):
+        """Per u-bucket b = floor(u N) (`_cdf_index`), a lower bound on the
+        bucket's searchsorted(cdf, u, "left"): its value at b / N moved down
+        by 4 ulps, more than floor(u N) can round across."""
+        return np.searchsorted(self.cdf, np.arange(self.N) / self.N * (1.0 - 4 * _EPS), "left")
+
+    def _cdf_index(self, u):
+        """searchsorted(cdf, u, "left") for u in [0, 1], index for index,
+        without a binary search for most u: the index starts at u's
+        bucket's lower bound (`_bucket_starts`) and advances by one where
+        cdf[index] < u, _CDF_PROBES times, vectorised; only the u still
+        short of their index are searched."""
+        shape, u = np.shape(u), np.ravel(u)
+        b = np.multiply(u, self.N).astype(np.intp)
+        idx = self._bucket_starts.take(np.minimum(b, self.N - 1, out=b))
+        short, c = np.empty(idx.shape, bool), np.empty(idx.shape)
+        for _ in range(_CDF_PROBES):
+            idx += np.less(self.cdf.take(idx, out=c), u, out=short)
+        rest = np.flatnonzero(np.less(self.cdf.take(idx, out=c), u, out=short))
+        idx[rest] = np.searchsorted(self.cdf, u[rest], "left")
+        return idx.reshape(shape)
+
     def quantile(self, u):
         u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
-        idx = np.clip(np.searchsorted(self.cdf, u, side="left"), 1, self.N)
+        idx = np.clip(self._cdf_index(u), 1, self.N)
         c0 = self.cdf[idx - 1]
         c1 = self.cdf[idx]
         w = np.where(c1 > c0, (u - c0) / np.where(c1 > c0, c1 - c0, 1.0), 0.0)
@@ -355,7 +383,7 @@ def estimate_stationary_measure(
             s = mu.state(x)
             buffers = mu.state_buffers(s)
             for _ in range(mc_steps):
-                s, _ = mu.step_state(mu.sample_indices(rng, mc_samples), s, buffers)
+                s = mu.step_state(mu.sample_indices(rng, mc_samples), s, buffers)
             x = mu.position(s)
         nu = GridMeasure.from_samples(x, grid_size)
         nu.atom_tolerance = atom_tolerance
@@ -413,7 +441,8 @@ def lyapunov_exponent(
     """lambda = int log g'(x) dmu(g) dnu(x), two ways.
 
     The integral estimator samples (g, x) from mu x nu directly; the
-    pathwise estimator averages (1/n) log l_n'(x) over walks of `mu.state`s.
+    pathwise estimator averages (1/n) log l_n'(x) over walks of `mu.state`s,
+    each read once, at the end of its walk (`log_derivative`).
     They must agree within 3 combined sigma (hard error beyond 5).
     """
     rng_i = stream(seed, _TAG_LYAPUNOV, 1)
@@ -425,14 +454,12 @@ def lyapunov_exponent(
     rng_p = stream(seed, _TAG_LYAPUNOV, 2)
     s = mu.state(nu.sample(rng_p, trajectories))
     buffers = mu.state_buffers(s)
-    acc = np.zeros(trajectories)
     # indices drawn in blocks of steps: the same draws, in the same order, as
     # one draw per step; the block bounds the index array's memory
     for start in range(0, n_steps, _LYAPUNOV_BLOCK):
         for idx in mu.sample_indices(rng_p, (min(_LYAPUNOV_BLOCK, n_steps - start), trajectories)):
-            s, logd = mu.step_state(idx, s, buffers)
-            acc += logd
-    slopes = acc / n_steps
+            s = mu.step_state(idx, s, buffers)
+    slopes = mu.log_derivative(s) / n_steps
     lam_path = float(slopes.mean())
     se_path = float(slopes.std(ddof=1) / np.sqrt(trajectories)) if trajectories > 1 else 0.0
 
@@ -815,9 +842,9 @@ def dirac_convergence_probe(
     xg = np.concatenate([nu.grid, nu.grid[1:] + 1.0])
     s = np.repeat(inv_mu.state(wrap(nu.grid))[:, None], trials, axis=1)
     buffers = inv_mu.state_buffers(s, (trials, 1))   # one atom per row
-    # the preimages and the push's scratch; a state step's U and V rows,
-    # which are scratch between steps, where there are states
-    fl, pre = np.empty((2, trials, N + 1)) if buffers is None else buffers[1][:2]
+    # the preimages and the push's scratch; a state step's scratch rows,
+    # which are free between steps, where there are states
+    fl, pre = np.empty((2, trials, N + 1)) if buffers is None else buffers.scratch[:2]
     j, moved = np.empty((trials, N + 1), np.intp), np.empty((trials, N + 1), bool)
     ext = np.empty((trials, 2 * N + 1))
     cdf = ext[:, :N + 1]

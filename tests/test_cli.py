@@ -258,6 +258,17 @@ def _run_exit_code(tmp_path, cfg):
     return main(["run", str(p), "--out", str(tmp_path / "out")])
 
 
+@pytest.mark.parametrize("tolerance", [1.0, 2.5, 0.0, -1e-3])
+def test_gap_mass_tolerance_outside_0_1_exits_3(tmp_path, capsys, tolerance):
+    # unchecked, 1.0 on lifted-2 reaches minimal_set_classify, whose
+    # whole-circle gap raises "ValueError: arc length must lie in (0,1)"
+    cfg = builtin_config("lifted-2")
+    cfg.update(gap_mass_tolerance=tolerance, grid_size=256, samples=1_000, probe_horizon=2, probe_trials=1)
+    assert run_experiment(cfg, out_dir=tmp_path / "out") == 3
+    assert "'gap_mass_tolerance'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_distortion_with_a_conjugator_exit3(tmp_path, capsys):
     cfg = {"scenario": "distortion", **FREE_PAIR,
            "generators": {"a": {"matrix": [[1, 2], [0, 1]], "conjugator": [[0.01, 0.0]]},

@@ -20,7 +20,7 @@ from circlelab.distortion import (
     walk_constants,
 )
 from circlelab.maps import (MobiusMap, Word, direction, direction_abs_im, direction_matrices,
-                            mobius_seminorms, rotation)
+                            mobius_seminorms, normalise_directions, rotation)
 from circlelab.measure import GridMeasure, estimate_stationary_measure, lyapunov_exponent
 from circlelab.walk import make_step_distribution, sample_walk, sample_walks
 
@@ -172,6 +172,36 @@ LONG_SCHOTTKY = {
     "generators": {"s": {"matrix": [[0.2, 0.0], [0.0, 5.0]]}, "t": {"matrix": [[2.6, 2.4], [2.4, 2.6]]}},
     "mu": {"atoms": [["s", 0.25], ["s^-1", 0.25], ["t", 0.25], ["t^-1", 0.25]], "symmetric": True},
 }
+
+
+def test_a_long_scan_with_a_stiff_atom_rescales_cleanly():
+    # diag(1e3, 1e-3) moves log2 |w| by up to 10 a step, so the states
+    # rescale every 24 steps, 83 times in 2 000; without the rescales the
+    # norms overflow (|log l_n'| reaches 5 000).  The rotations keep the
+    # directions off the atom's axes.  The test keeps its own per-step sum
+    # of -log |D w|^2 + log |w|^2, its w scaled by a power of two at every
+    # step: the same products, bit for bit (a unit w's roundings would be
+    # amplified by the stiff steps)
+    stiff = MobiusMap([[1e3, 0.0], [0.0, 1e-3]])
+    mu = make_step_distribution([stiff, stiff.inverse(), rotation(0.41421356237309515),
+                                 rotation(-0.41421356237309515)], [0.25] * 4)
+    assert mu.rescale_steps == 24
+    n = 2_000
+    walks = sample_walks(mu, n, 3, 8)
+    with np.errstate(all="raise"):
+        pos, logd, _ = PrefixScan(mu, walks.steps, 0.3, (0.2, 0.4), GridMeasure.lebesgue(1024)).history()
+        dirs = direction_matrices(mu.matrices())
+        w, ref = direction(np.full(8, 0.3)), np.zeros((8, n + 1))
+        for k in range(n):
+            d = dirs[walks.steps[:, k]]
+            w = np.ldexp(w, -np.frexp(np.maximum(np.abs(w[0]), np.abs(w[1])))[1])
+            r = w[0] * w[0] + w[1] * w[1]
+            w = np.array([d[:, 0, 0] * w[0] + d[:, 0, 1] * w[1], d[:, 1, 0] * w[0] + d[:, 1, 1] * w[1]])
+            ref[:, k + 1] = ref[:, k] - np.log(w[0] * w[0] + w[1] * w[1]) + np.log(r)
+    assert np.max(np.abs(ref)) > 5_000
+    assert np.all(np.abs(logd - ref) <= 1e-12 * np.arange(n + 1) * np.maximum(1.0, np.abs(ref)))
+    x = np.arctan2(w[1], w[0]) / np.pi
+    assert np.array_equal(pos, x - np.floor(x))
 
 
 @pytest.mark.parametrize("horizon", [700, 1200])
@@ -365,8 +395,8 @@ def disk_reference(walks, constants, kappa, x, N):
     logd = np.zeros(w.shape[1:])
     max_k, max_excess = np.zeros(len(r)), np.zeros(len(r))
     for n in range(1, N + 1):
-        w, ld = mu.step_state(walks.steps[:, n - 1, None], w)
-        logd += ld.real
+        w = mu.step_state(walks.steps[:, n - 1, None], w)
+        logd -= normalise_directions(w).real
         np.maximum(max_k, np.max(logd, axis=1) - np.min(logd, axis=1), out=max_k)
         bound = constants.C5 * np.exp(constants.lam * n / 2.0)
         np.maximum(max_excess, np.max(direction_abs_im(w), axis=1) / bound, out=max_excess)
@@ -405,8 +435,8 @@ def test_complex_states_track_a_60_digit_trajectory(sanov_mu):
     w = sanov_mu.state(z0)
     logd = np.zeros(200)
     for k in walk.steps:
-        w, ld = sanov_mu.step_state(k, w)
-        logd += ld.real
+        w = sanov_mu.step_state(k, w)
+        logd -= normalise_directions(w).real
     im = direction_abs_im(w)
     assert np.min(im) < 1e-20       # down where the cval loop loses Im z
     mats = sanov_mu.matrices()

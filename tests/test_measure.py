@@ -4,12 +4,13 @@ from conftest import reference_apply_indexed
 
 from circlelab.circle import Arc, lift_steps, unwrap_increasing, wrap
 from circlelab.configs import build_step_distribution, builtin_config
-from circlelab.maps import LiftedMap, MobiusMap, Word, rotation
+from circlelab.maps import LiftedMap, MobiusMap, Word, direction, direction_matrices, rotation
 from circlelab.measure import (
     _TAG_BOUNDARY,
     _TAG_DIRAC,
     _TAG_LYAPUNOV,
     _TAG_STATIONARY,
+    _LYAPUNOV_BLOCK,
     GridMeasure,
     MeasureGapError,
     _arc_widths,
@@ -130,6 +131,45 @@ def test_quantile_inverts_cdf():
     u = rng.random(1000)
     x = nu.quantile(u)
     assert np.max(np.abs(nu.cdf_at(x) - u)) < 1e-9
+
+
+def _cdf_of_kind(rng, N, kind):
+    """A CDF on N cells: random increments, flat runs (most cells empty),
+    atoms (a few cells carry almost all the mass), or the float below each
+    i / N, where floor(u N) can round u up into the next bucket."""
+    if kind == "edges":
+        return np.concatenate([[0.0], np.nextafter(np.arange(1, N) / N, 0.0), [1.0]])
+    inc = rng.random(N)
+    if kind == "flat":
+        inc *= rng.random(N) < 0.1
+    elif kind == "atoms":
+        inc += (rng.random(N) < 0.02) * 1e3
+    if not inc.any():
+        inc[rng.integers(N)] = 1.0
+    return np.concatenate([[0.0], np.cumsum(inc) / inc.sum()])
+
+
+def test_cdf_index_is_searchsorted():
+    # on random CDFs, flat runs, atom-heavy CDFs and CDFs at the bucket
+    # edges, and at u = 0, 1, every CDF value and its float neighbours, the
+    # bucket draw is searchsorted's
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 400), st.sampled_from(["random", "flat", "atoms", "edges"]))
+    def check(seed, N, kind):
+        rng = np.random.default_rng(seed)
+        nu = GridMeasure(_cdf_of_kind(rng, N, kind))
+        c = nu.cdf
+        u = np.concatenate([rng.random(2_000), [0.0, 1.0, np.nextafter(1.0, 0.0)], c,
+                            np.nextafter(c, -1.0).clip(0.0, 1.0), np.nextafter(c, 2.0).clip(0.0, 1.0),
+                            np.arange(N + 1) / N, np.nextafter(np.arange(N + 1) / N, 2.0).clip(0.0, 1.0)])
+        assert np.array_equal(nu._cdf_index(u), np.searchsorted(c, u, "left"))
+        assert np.array_equal(nu._cdf_index(u.reshape(-1, 1)), np.searchsorted(c, u, "left").reshape(-1, 1))
+        assert nu._cdf_index(np.float64(u[0])) == np.searchsorted(c, u[0], "left")
+
+    check()
 
 
 def test_pushforward_by_rotation():
@@ -636,6 +676,61 @@ def test_lyapunov_matches_the_grouped_jet_loop(family, request):
     assert abs(est.integral - integral) <= 1e-12 * abs(integral)
 
 
+def test_a_long_lyapunov_walk_rescales_cleanly():
+    # 20 000 Schottky steps rescale the states every 103 steps; the log
+    # derivatives read once from their norms agree with a per-step sum of
+    # -log |D w|^2 over unit vectors w, and nothing overflows or underflows
+    mu = build_step_distribution(builtin_config("schottky"))
+    assert mu.rescale_steps == 103
+    nu = estimate_stationary_measure(mu, "monte_carlo", 1024, mc_samples=4_000, mc_steps=40, seed=3)
+    n, trajectories = 20_000, 8
+    rng = stream(5, _TAG_LYAPUNOV, 2)
+    x = nu.sample(rng, trajectories)
+    s, w, acc = mu.state(x), direction(x), np.zeros(trajectories)
+    buffers = mu.state_buffers(s)
+    dirs = direction_matrices(mu.matrices())
+    with np.errstate(all="raise"):
+        est = lyapunov_exponent(mu, nu, n_steps=n, trajectories=trajectories, integral_samples=2_000, seed=5)
+        for start in range(0, n, _LYAPUNOV_BLOCK):
+            for idx in mu.sample_indices(rng, (min(_LYAPUNOV_BLOCK, n - start), trajectories)):
+                mu.step_state(idx, s, buffers)
+                d = dirs[idx]
+                w = np.array([d[:, 0, 0] * w[0] + d[:, 0, 1] * w[1], d[:, 1, 0] * w[0] + d[:, 1, 1] * w[1]])
+                r = w[0] * w[0] + w[1] * w[1]
+                acc -= np.log(r)
+                w /= np.sqrt(r)
+        ld = mu.log_derivative(s)
+    assert np.all(s[-1] > 10_000)   # the exponents carry the norms
+    assert np.all(np.abs(ld - acc) <= 1e-12 * n * np.abs(acc))
+    assert est.value == float((ld / n).mean())
+    assert abs(est.value - acc.mean() / n) <= 1e-12 * n * abs(est.value)
+
+
+@pytest.mark.parametrize("family", ["sanov_mu", "lifted_mu"])
+def test_lyapunov_and_monte_carlo_peaks_do_not_grow_with_the_walk(family, request):
+    # the states are stepped in place and the Lyapunov draws come in blocks
+    # (two alive while the next is drawn): ten times the steps, the same peak
+    import tracemalloc
+
+    mu = request.getfixturevalue(family)
+    nu = estimate_stationary_measure(mu, grid_size=1024, seed=3)
+
+    def peak(run):
+        run()   # numpy's first calls may allocate caches
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for steps in (lambda n: lyapunov_exponent(mu, nu, n_steps=n, trajectories=64, integral_samples=1_000, seed=5),
+                  lambda n: estimate_stationary_measure(mu, "monte_carlo", 1024, mc_samples=2_000,
+                                                        mc_steps=n // 10, seed=3)):
+        short, long = peak(lambda: steps(600)), peak(lambda: steps(6_000))
+        assert long <= short + 2_000, (short, long)
+
+
 def test_lyapunov_block_draw_equals_per_step_draws(sanov_mu):
     rng_block, rng_steps = stream(5, _TAG_LYAPUNOV, 2), stream(5, _TAG_LYAPUNOV, 2)
     block = sanov_mu.sample_indices(rng_block, (300, 16))
@@ -648,11 +743,10 @@ def test_lyapunov_block_draw_equals_per_step_draws(sanov_mu):
     est = lyapunov_exponent(sanov_mu, nu, n_steps=300, trajectories=16, integral_samples=2_000, seed=5)
     rng_p = stream(5, _TAG_LYAPUNOV, 2)
     s = sanov_mu.state(nu.sample(rng_p, 16))
-    acc = np.zeros(16)
+    buffers = sanov_mu.state_buffers(s)
     for _ in range(300):
-        s, logd = sanov_mu.step_state(sanov_mu.sample_indices(rng_p, 16), s)
-        acc += logd
-    assert est.value == float((acc / 300).mean())
+        sanov_mu.step_state(sanov_mu.sample_indices(rng_p, 16), s, buffers)
+    assert est.value == float((sanov_mu.log_derivative(s) / 300).mean())
 
 
 @pytest.mark.parametrize("family", ["sanov_mu", "conjugated_mu", "lifted_mu"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import lifted_cut_points, mp_lifted, reference_apply_indexed
@@ -168,45 +170,55 @@ def _random_sl2(rng, n):
 
 
 def test_direction_step_matches_the_position_step():
-    # points at and next to 0, 1/2 and 1, each under 200 matrices, then random points
+    # points at and next to 0, 1/2 and 1, each under 200 matrices, then
+    # random points: the unnormalised image points at g(x), and its norm
+    # gives log g'(x)
     rng = np.random.default_rng(6)
     near = [0.0, 5e-324, 1e-17, 1e-9, 0.5 - 1e-12, 0.5, 0.5 + 1e-12, 1 - 1e-9, 1 - 2.0 ** -53]
     x = np.concatenate([np.repeat(near, 200), rng.random(4000)])
     mats = _random_sl2(rng, x.size)
     val, logd = mobius_value_logd(mats, x)
-    w, ld = mobius_direction_step(direction_matrices(mats), direction(x))
+    w0 = direction(x)
+    w = mobius_direction_step(direction_matrices(mats), w0)
     eps = np.finfo(float).eps
+    assert w is not w0 and np.array_equal(w0, direction(x))   # without out, a copy
     assert np.max(circle_dist(np.arctan2(w[1], w[0]) / np.pi, val)) <= 4 * eps   # the position, up to wrap
+    ld = -np.log(w[0] * w[0] + w[1] * w[1])
     assert np.max(np.abs(ld - logd) / np.maximum(1.0, np.abs(logd))) <= 4 * eps
-    assert np.max(np.abs(np.hypot(w[0], w[1]) - 1.0)) <= 2 * eps
+    assert np.max(np.abs(np.hypot(w[0], w[1]) - 1.0)) > 1.0   # not normalised
 
 
 def test_step_state_matches_step_on_mobius_families(sanov_mu):
     # a pure Mobius family steps direction vectors: positions within an ulp
-    # or two, log derivatives within a few ulps
+    # or two, log derivatives read from the norm within a few ulps
     idx, x = _indices_and_points(sanov_mu, 5_000, 7)
     val, logd = sanov_mu.step(idx, x)
-    w, ld = sanov_mu.step_state(idx, sanov_mu.state(x))
+    s = sanov_mu.step_state(idx, sanov_mu.state(x))
     eps = np.finfo(float).eps
-    assert w.shape == (2, x.size)
-    assert np.max(circle_dist(sanov_mu.position(w), val)) <= 4 * eps
+    assert s.shape == (3, x.size) and not s[2].any()   # vector and exponent; no rescale
+    assert np.max(circle_dist(sanov_mu.position(s), val)) <= 4 * eps
+    ld = sanov_mu.log_derivative(s)
     assert np.max(np.abs(ld - logd) / np.maximum(1.0, np.abs(logd))) <= 4 * eps
 
 
 @pytest.mark.parametrize("shape", [(5_000,), (3, 2_000), (2, 1)])
 def test_step_state_in_place_is_the_allocating_step(sanov_mu, shape):
-    # in the buffers of `state_buffers` the step overwrites the states and
-    # writes log g' into the buffers, bit for bit the allocating step's
+    # in the buffers of `state_buffers` the step overwrites the states, bit
+    # for bit the allocating step's, and positions and log derivatives read
+    # through the buffers are the allocating reads
     rng = np.random.default_rng(11)
     idx, x = sanov_mu.sample_indices(rng, shape[-1]), rng.random(shape)
-    want_s, want_ld = sanov_mu.step_state(idx, sanov_mu.state(x))
+    want_s = sanov_mu.step_state(idx, sanov_mu.state(x))
     s = sanov_mu.state(x)
     buffers = sanov_mu.state_buffers(s)
+    pos, ld = np.empty(shape), np.empty(shape)
     for _ in range(2):   # the buffers are reused
-        got_s, got_ld = sanov_mu.step_state(idx, s, buffers)
-        assert got_s is s and np.shares_memory(got_ld, buffers[1])
-        assert np.array_equal(got_s, want_s) and np.array_equal(got_ld, want_ld)
-        want_s, want_ld = sanov_mu.step_state(idx, want_s)
+        assert sanov_mu.step_state(idx, s, buffers) is s
+        assert np.array_equal(s, want_s)
+        assert sanov_mu.position(s, pos, buffers) is pos and np.array_equal(pos, sanov_mu.position(want_s))
+        assert sanov_mu.log_derivative(s, ld, buffers) is ld
+        assert np.array_equal(ld, sanov_mu.log_derivative(want_s))
+        want_s = sanov_mu.step_state(idx, want_s)
 
 
 @pytest.mark.parametrize("family", ["conjugated_mu", "lifted_mu"])
@@ -222,14 +234,19 @@ def test_step_on_other_families_is_the_atom_jets_bit_for_bit(family, request):
 
 @pytest.mark.parametrize("family", ["conjugated_mu", "mixed_mu"])
 def test_step_state_is_step_on_other_families(family, request):
-    # other families step positions: bit for bit what step gives
+    # other families step positions and sum log g': bit for bit what step gives
     mu = request.getfixturevalue(family)
     idx, x = _indices_and_points(mu, 5_000, 7)
     val, logd = mu.step(idx, x)
-    s, ld = mu.step_state(idx, mu.state(x))
-    assert s.shape == (1, x.size)
-    assert np.array_equal(mu.position(s), val) and np.array_equal(ld, logd)
+    val2, logd2 = mu.step(idx, val)
+    s = mu.step_state(idx, mu.state(x))
+    assert s.shape == (2, x.size)
+    assert np.array_equal(mu.position(s), val) and np.array_equal(mu.log_derivative(s), logd)
+    s = mu.step_state(idx, s)
+    assert np.array_equal(mu.position(s), val2) and np.array_equal(mu.log_derivative(s), logd + logd2)
     assert mu.state_buffers(s) is None   # their steps allocate
+    mu.rescale(s)   # and are never rescaled
+    assert np.array_equal(mu.position(s), val2)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -246,44 +263,97 @@ def test_cover_states_match_mpmath(k):
     cut_mats = mats + [MobiusMap(m).inverse().matrix for m in mats]
     x = np.concatenate([rng.random(300)] + [lifted_cut_points(m, k) for m in cut_mats])
     s = mu.state(x)
-    assert s.shape == (3, x.size) and np.max(circle_dist(mu.position(s), x)) <= 2e-16
+    assert s.shape == (4, x.size) and np.max(circle_dist(mu.position(s), x)) <= 2e-16
     for a, atom in enumerate(atoms):
-        w, logd = mu.step_state(np.full(x.size, a), s)
+        w = mu.step_state(np.full(x.size, a), s)
         ref = [mp_lifted(mats[a // 2], k, (0, 1)[a // 2], v, inverse=a % 2 == 1) for v in x]
         assert np.max(circle_dist(mu.position(w), np.array([float(v) for v, _ in ref]))) <= 2e-15, a
-        assert np.max(np.abs(logd - np.array([float(d) for _, d in ref]))) <= 1e-14, a
+        assert np.max(np.abs(mu.log_derivative(w) - np.array([float(d) for _, d in ref]))) <= 1e-14, a
 
 
 @pytest.mark.parametrize("shape", [(5_000,), (3, 2_000)])
 def test_cover_step_in_place_is_the_allocating_step(lifted_mu, shape):
     rng = np.random.default_rng(12)
     idx, x = lifted_mu.sample_indices(rng, shape[-1]), rng.random(shape)
-    want_s, want_ld = lifted_mu.step_state(idx, lifted_mu.state(x))
+    want_s = lifted_mu.step_state(idx, lifted_mu.state(x))
     s = lifted_mu.state(x)
     buffers = lifted_mu.state_buffers(s)
-    pos = np.empty(shape)
+    pos, ld = np.empty(shape), np.empty(shape)
     for _ in range(2):   # the buffers are reused
-        got_s, got_ld = lifted_mu.step_state(idx, s, buffers)
-        assert got_s is s and np.shares_memory(got_ld, buffers[1])
-        assert np.array_equal(got_s, want_s) and np.array_equal(got_ld, want_ld)
+        assert lifted_mu.step_state(idx, s, buffers) is s
+        assert np.array_equal(s, want_s)
         assert lifted_mu.position(s, pos, buffers) is pos
         assert np.array_equal(pos, lifted_mu.position(want_s))
-        want_s, want_ld = lifted_mu.step_state(idx, want_s)
+        assert lifted_mu.log_derivative(s, ld, buffers) is ld
+        assert np.array_equal(ld, lifted_mu.log_derivative(want_s))
+        want_s = lifted_mu.step_state(idx, want_s)
+
+
+@pytest.mark.parametrize("family", ["sanov_mu", "lifted_mu"])
+def test_a_rescale_leaves_positions_bit_for_bit(family, request):
+    # a rescale scales each vector by a power of two: the positions, a
+    # cover's sheets and every later step are bit for bit the same, and
+    # the log derivatives move by an ulp or two
+    mu = request.getfixturevalue(family)
+    rng = np.random.default_rng(14)
+    x = np.concatenate([rng.random(2_000), [0.0, 0.5, 1e-300, 1.0 - 2.0 ** -53]])
+    idx = [mu.sample_indices(rng, x.size) for _ in range(40)]
+    s = mu.state(x)
+    for i in idx[:20]:
+        s = mu.step_state(i, s)   # without buffers: no rescale
+    assert not s[-1].any()
+    r = s.copy()
+    mu.rescale(r)
+    assert r[-1].max() > 5
+    eps = np.finfo(float).eps
+    for i in [None] + idx[20:]:
+        if i is not None:
+            s, r = mu.step_state(i, s), mu.step_state(i, r)
+        assert np.array_equal(np.ldexp(r[:2], r[-1].astype(int)), s[:2])
+        assert np.array_equal(r[2:-1], s[2:-1])   # a cover's sheets
+        assert np.array_equal(mu.position(r), mu.position(s))
+        ld = mu.log_derivative(s)
+        assert np.max(np.abs(mu.log_derivative(r) - ld) / np.maximum(1.0, np.abs(ld))) <= 4 * eps
+
+
+def check_state_steps_are_bare(mu, monkeypatch):
+    """A Mobius or cover step is one matvec (and a cover's carry): no cos,
+    sin, sqrt, log or divide, and no allocation, rescales included (every
+    other step rescales here); positions call no cos or sin either."""
+    rng = np.random.default_rng(13)
+    s = mu.state(rng.random(1_000))
+    buffers = mu.state_buffers(s)
+    idx = [mu.sample_indices(rng, 1_000) for _ in range(6)]
+    monkeypatch.setattr(mu, "rescale_steps", 2)
+    buffers.until_rescale = 2
+
+    def banned(*args, **kwargs):
+        raise AssertionError("a banned call in a state step")
+
+    for name in ("cos", "sin"):
+        monkeypatch.setattr(np, name, banned)
+    mu.step_state(idx[0], s, buffers)   # numpy's first calls may allocate caches
+    with monkeypatch.context() as m:
+        for name in ("sqrt", "log", "divide"):
+            m.setattr(np, name, banned)
+        tracemalloc.start()
+        try:
+            for i in idx[1:]:
+                mu.step_state(i, s, buffers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4_000, peak   # a row of the states is 8 000 bytes
+    assert s[-1].any()   # the rescales ran
+    mu.position(s, np.empty(1_000), buffers)
 
 
 def test_a_cover_step_calls_no_cos_or_sin(lifted_mu, monkeypatch):
-    rng = np.random.default_rng(13)
-    s = lifted_mu.state(rng.random(1_000))
-    buffers = lifted_mu.state_buffers(s)
+    check_state_steps_are_bare(lifted_mu, monkeypatch)
 
-    def trig(*args, **kwargs):
-        raise AssertionError("trigonometry in a cover step")
 
-    monkeypatch.setattr(np, "cos", trig)
-    monkeypatch.setattr(np, "sin", trig)
-    for _ in range(5):
-        lifted_mu.step_state(lifted_mu.sample_indices(rng, 1_000), s, buffers)
-        lifted_mu.position(s, np.empty(1_000), buffers)
+def test_a_mobius_step_calls_no_root_log_or_division(sanov_mu, monkeypatch):
+    check_state_steps_are_bare(sanov_mu, monkeypatch)
 
 
 def test_matrices_are_cached_and_read_only(sanov_mu, conjugated_mu):
